@@ -5,11 +5,18 @@ outcomes below the threshold with probability 1, at the threshold with
 probability gamma, above it with probability 0 (mirrored for the
 accept-large direction).  The threshold is pinned by
 
-    sum_{k < l} P(k)  <  1 - alpha  <=  sum_{k <= l} P(k)
+    cdf(l - 1)  <  1 - alpha  <=  cdf(l)
 
 at the null boundary, with gamma chosen so the acceptance probability at the
-boundary is exactly ``1 - alpha``.  gamma = 0 is permitted; when ``1 - alpha``
-hits a cumulative sum exactly the two conventions describe the same test.
+boundary, ``cdf(l - 1) + gamma pmf(l)``, is exactly ``1 - alpha``.  gamma = 0
+is permitted; when ``1 - alpha`` hits a cumulative sum exactly the two
+conventions describe the same test.
+
+One search serves both families (Lehmann & Romano, Testing Statistical
+Hypotheses, sec. 3.4): it starts at the ``1 - alpha`` quantile from scipy's
+``ppf`` and settles the inequalities above with two short walks, so its cost
+does not grow with n or the Poisson rate.  The accept-large binomial test is
+the mirror image of the accept-small one, since ``n - X ~ Bin(n, 1 - eps)``.
 """
 
 from __future__ import annotations
@@ -20,23 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-
-
-@dataclass(frozen=True)
-class HypothesisSpec:
-    """Null-hypothesis side, boundary parameter, and significance level."""
-
-    direction: str  # "le" or "ge"
-    boundary: float
-    level: float
-
-    def __post_init__(self):
-        if self.direction not in ("le", "ge"):
-            raise ValueError("direction must be 'le' or 'ge'")
-        if self.boundary < 0:
-            raise ValueError("boundary must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -56,16 +46,19 @@ class ClassicalRandomizedTest:
         if self.n is not None and self.threshold > self.n:
             raise ValueError("threshold exceeds sample count")
 
-    def accept_prob(self, k: int) -> float:
-        if k == self.threshold:
-            return self.gamma
-        below = k < self.threshold
-        return float(below != self.accept_large)
+    def accept_prob(self, k):
+        """Acceptance probability of count(s) k: 1 on the accepting side of the
+        threshold, gamma at it, 0 past it.  Elementwise on arrays; a float for a
+        scalar."""
+        k = np.asarray(k)
+        accepting = k > self.threshold if self.accept_large else k < self.threshold
+        w = np.where(k == self.threshold, self.gamma, accepting.astype(float))
+        return w if w.ndim else float(w)
 
     def acceptance(self) -> np.ndarray:
         if self.n is None:
             raise ValueError("acceptance vector needs a finite domain")
-        return np.array([self.accept_prob(k) for k in range(self.n + 1)])
+        return self.accept_prob(np.arange(self.n + 1))
 
 
 def binom_pmf(n: int, k, p: float):
@@ -98,16 +91,24 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _threshold_from_cdf(cdf, pmf, alpha: float) -> tuple[int, float]:
-    """Smallest l with cdf(l) >= 1 - alpha, plus the randomization weight."""
+def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
+    """Smallest l with cdf(l) >= 1 - alpha for the scipy ``family`` at
+    ``params``, plus the randomization weight at l."""
     target = 1.0 - alpha
-    lo = 0
-    while cdf(lo) < target:
-        lo += 1
-    below = cdf(lo - 1) if lo > 0 else 0.0
-    mass = pmf(lo)
-    gamma = (target - below) / mass if mass > 0 else 0.0
-    return lo, min(max(gamma, 0.0), 1.0)
+    # start at the quantile, then settle the defining inequalities exactly
+    l = max(0, int(family.ppf(target, *params)))
+    while l > 0 and family.cdf(l - 1, *params) >= target:
+        l -= 1
+    while family.cdf(l, *params) < target:
+        l += 1
+    mass = family.pmf(l, *params)
+    gamma = (target - family.cdf(l - 1, *params)) / mass if mass > 0 else 0.0
+    return l, min(max(gamma, 0.0), 1.0)
+
+
+def _accepted_mass(family, params: tuple, t: ClassicalRandomizedTest) -> float:
+    """Probability that the accept-small test ``t`` accepts: cdf(l-1) + gamma pmf(l)."""
+    return float(family.cdf(t.threshold - 1, *params) + t.gamma * family.pmf(t.threshold, *params))
 
 
 def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
@@ -115,72 +116,36 @@ def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTe
     _require(n >= 1, "need n >= 1")
     _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    target = 1.0 - alpha
-    # start near the quantile, then settle the defining inequalities exactly
-    l = max(0, min(n, int(stats.binom.ppf(target, n, eps))))
-    while l > 0 and stats.binom.cdf(l - 1, n, eps) >= target:
-        l -= 1
-    while stats.binom.cdf(l, n, eps) < target:
-        l += 1
-    below = stats.binom.cdf(l - 1, n, eps) if l > 0 else 0.0
-    mass = stats.binom.pmf(l, n, eps)
-    gamma = (target - below) / mass if mass > 0 else 0.0
-    return ClassicalRandomizedTest(threshold=l, gamma=min(max(gamma, 0.0), 1.0), n=n)
+    l, gamma = _threshold(stats.binom, (n, eps), alpha)
+    return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=n)
 
 
 def beta_binomial(n: int, eps: float, alpha: float, q: float) -> float:
     """Type-2 error of the binomial UMP test at alternative parameter q."""
-    t = binomial_ump_test(n, eps, alpha)
-    head = stats.binom.cdf(t.threshold - 1, n, q) if t.threshold > 0 else 0.0
-    return float(head + t.gamma * stats.binom.pmf(t.threshold, n, q))
+    return _accepted_mass(stats.binom, (n, q), binomial_ump_test(n, eps, alpha))
 
 
 def binomial_ump_test_ge(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
     """Mirrored direction: null p >= eps, acceptance favors large counts."""
-    _require(n >= 1, "need n >= 1")
-    _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
-    _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    target = 1.0 - alpha
-
-    def upper(l: int) -> float:  # P(X >= l)
-        return float(stats.binom.sf(l - 1, n, eps)) if l <= n else 0.0
-
-    l = n
-    while l > 0 and upper(l) < target:
-        l -= 1
-    while l < n and upper(l + 1) >= target:
-        l += 1
-    above = upper(l + 1)
-    mass = stats.binom.pmf(l, n, eps)
-    gamma = (target - above) / mass if mass > 0 else 0.0
-    return ClassicalRandomizedTest(
-        threshold=l, gamma=min(max(gamma, 0.0), 1.0), n=n, accept_large=True
-    )
+    t = binomial_ump_test(n, 1.0 - eps, alpha)  # accept-small on n - X ~ Bin(n, 1 - eps)
+    return ClassicalRandomizedTest(threshold=n - t.threshold, gamma=t.gamma, n=n, accept_large=True)
 
 
 def beta_binomial_ge(n: int, eps: float, alpha: float, q: float) -> float:
-    t = binomial_ump_test_ge(n, eps, alpha)
-    tail = stats.binom.sf(t.threshold, n, q)
-    return float(tail + t.gamma * stats.binom.pmf(t.threshold, n, q))
+    return beta_binomial(n, 1.0 - eps, alpha, 1.0 - q)
 
 
 def poisson_ump_test(delta: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null rate <= delta."""
-    _require(delta >= 0.0, "delta must be nonnegative")
+    _require(0.0 <= delta < math.inf, "delta must be finite and nonnegative")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    l, gamma = _threshold_from_cdf(
-        lambda k: stats.poisson.cdf(k, delta),
-        lambda k: stats.poisson.pmf(k, delta),
-        alpha,
-    )
+    l, gamma = _threshold(stats.poisson, (delta,), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=None)
 
 
 def beta_poisson(delta: float, alpha: float, t_alt: float) -> float:
     """Type-2 error of the Poisson UMP test at alternative rate t_alt."""
-    t = poisson_ump_test(delta, alpha)
-    head = stats.poisson.cdf(t.threshold - 1, t_alt) if t.threshold > 0 else 0.0
-    return float(head + t.gamma * stats.poisson.pmf(t.threshold, t_alt))
+    return _accepted_mass(stats.poisson, (t_alt,), poisson_ump_test(delta, alpha))
 
 
 @dataclass(frozen=True)

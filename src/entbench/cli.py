@@ -163,28 +163,35 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     alpha = config.get("alpha")
     rows = []
 
+    def need(key: str):
+        """A key this formula uses; its absence is invalid input (exit 2)."""
+        if config.get(key) is None:
+            raise ValueError(f"formula {formula!r} needs {key}=...")
+        return config[key]
+
     def row(value, flag="", p=None, p1=None, p2=None, p3=None):
         rows.append([formula, d, n, eps, alpha, p, p1, p2, p3, value, flag])
 
     if formula == "classical-one":
-        for p in _as_list(config.get("p")):
+        for p in _as_list(need("p")):
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                row(classical.beta_one_sample(eps, alpha, float(p)), p=p)
+                row(classical.beta_one_sample(need("epsilon"), need("alpha"), float(p)), p=p)
     elif formula == "one-way":
-        for p in _as_list(config.get("p")):
-            row(quantum.beta_one_way(d, eps, alpha, float(p)), p=p)
+        for p in _as_list(need("p")):
+            row(quantum.beta_one_way(d, need("epsilon"), need("alpha"), float(p)), p=p)
     elif formula == "pair-level0":
-        for p in _as_list(config.get("p")):
+        for p in _as_list(need("p")):
             row(quantum.two_sample_trace(d, float(p)), p=p)
     elif formula == "pair-repeated":
-        for p in _as_list(config.get("p")):
-            row(quantum.beta_pair_repeated(d, int(n), eps, alpha, float(p)), p=p)
+        for p in _as_list(need("p")):
+            row(quantum.beta_pair_repeated(d, int(need("n")), need("epsilon"), need("alpha"),
+                                           float(p)), p=p)
     elif formula == "pooled":
-        for p in _as_list(config.get("p")):
-            row(quantum.pooled_trace(d, int(n), float(p)), p=p)
+        for p in _as_list(need("p")):
+            row(quantum.pooled_trace(d, int(need("n")), float(p)), p=p)
     elif formula in ("qubit-optimal", "qubit-sequential"):
         sigma = _state_spec(config.get("state"), 2).build()
         import warnings
@@ -197,8 +204,8 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
                 value = qubit_pair.beta_sequential_two_sample(sigma)
         row(value, p=states.fidelity_defect(sigma))
     elif formula in ("two-source", "two-source-local"):
-        for p1 in _as_list(config.get("p1")):
-            for p2 in _as_list(config.get("p2")):
+        for p1 in _as_list(need("p1")):
+            for p2 in _as_list(need("p2")):
                 if formula == "two-source":
                     value, ok = multisource.beta_two_source(d, float(p1), float(p2))
                     row(value, flag="ok" if ok else "outside-validity", p1=p1, p2=p2)
@@ -207,9 +214,9 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     elif formula == "three-source":
         import warnings
 
-        for p1 in _as_list(config.get("p1")):
-            for p2 in _as_list(config.get("p2")):
-                for p3 in _as_list(config.get("p3")):
+        for p1 in _as_list(need("p1")):
+            for p2 in _as_list(need("p2")):
+                for p3 in _as_list(need("p3")):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         value, ok = multisource.beta_three_source(

@@ -120,14 +120,6 @@ def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-def _accept_counts(k: np.ndarray, test: classical.ClassicalRandomizedTest, rng) -> np.ndarray:
-    """Vectorized randomized acceptance of count data."""
-    below = k < test.threshold if not test.accept_large else k > test.threshold
-    at = k == test.threshold
-    u = rng.random(k.shape)
-    return below | (at & (u < test.gamma))
-
-
 def run_global(config: ExperimentConfig) -> ExperimentResult:
     """Projective {P, I-P} on each copy, then the binomial threshold test."""
     rng = np.random.default_rng(config.seed)
@@ -138,7 +130,7 @@ def run_global(config: ExperimentConfig) -> ExperimentResult:
     p_fail = min(max(p_fail, 0.0), 1.0)
     test = classical.binomial_ump_test(config.n, config.epsilon, config.alpha)
     k = rng.binomial(config.n, p_fail, size=config.trials)
-    accepted = _accept_counts(k, test, rng).sum()
+    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
     p = fidelity_defect(sigma)
     exact = classical.beta_binomial(config.n, config.epsilon, config.alpha, p)
     vals, freq = np.unique(k, return_counts=True)
@@ -195,7 +187,7 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     outcome = np.searchsorted(cum, u)
     accept_pair = rng.random((config.trials, pairs)) < accept_given[outcome]
     k = (~accept_pair).sum(axis=1)
-    accepted = _accept_counts(k, test, rng).sum()
+    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
     exact = classical.beta_binomial(pairs, eps2, config.alpha, 1.0 - per_pair)
     vals, freq = np.unique(k, return_counts=True)
     return _result(
@@ -263,7 +255,7 @@ def run_one_way_repeated(config: ExperimentConfig) -> ExperimentResult:
     k = (~accepts).reshape(config.trials, config.n).sum(axis=1)
     eps_eff = d * config.epsilon / (d + 1.0)
     test = classical.binomial_ump_test(config.n, eps_eff, config.alpha)
-    accepted = _accept_counts(k, test, rng).sum()
+    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
     p = fidelity_defect(sigma)
     exact = classical.beta_binomial(config.n, eps_eff, config.alpha, d * p / (d + 1.0))
     vals, freq = np.unique(k, return_counts=True)
@@ -306,10 +298,12 @@ def asymptotic_sweep(
     """
     if protocol not in ("global_projective", "bell_pairs", "one_way_repeated"):
         raise ValueError(f"sweep needs a repeatable protocol, got {protocol!r}")
+    n_list = [int(n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"sweep needs every n >= 1, got {n_list}")
     limit = classical.beta_poisson(delta, alpha, t_alt)
     rows = []
     for n in n_list:
-        n = int(n)
         eps = delta / n
         p = t_alt / n
         if protocol == "global_projective":

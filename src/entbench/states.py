@@ -223,11 +223,6 @@ def isotropic_state(d: int, p: float, labels=("A", "B")) -> DensityMatrix:
     return DensityMatrix(mat, (d, d), labels)
 
 
-def identity_operator(dims, labels=()) -> Operator:
-    dims = tuple(int(d) for d in dims)
-    return Operator(np.eye(math.prod(dims)), dims, labels)
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 

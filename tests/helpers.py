@@ -38,6 +38,20 @@ def brute_force_min_beta(p0: np.ndarray, p1: np.ndarray, alpha: float) -> float:
     return best
 
 
+def linear_walk_threshold(cdf, pmf, alpha: float) -> tuple[int, float]:
+    """Threshold test (l, gamma) found by walking l up from 0 to the first
+    cdf(l) >= 1 - alpha; the plain reference for the library's quantile-started
+    search."""
+    target = 1.0 - alpha
+    l = 0
+    while cdf(l) < target:
+        l += 1
+    below = cdf(l - 1) if l > 0 else 0.0
+    mass = pmf(l)
+    gamma = (target - below) / mass if mass > 0 else 0.0
+    return l, min(max(gamma, 0.0), 1.0)
+
+
 def random_state_with_defect(d: int, p: float, rng: np.random.Generator) -> DensityMatrix:
     """Random state with fidelity defect exactly p (mixes toward the target)."""
     sigma = random_density((d, d), rng)

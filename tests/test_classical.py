@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from entbench.classical import (
     ClassicalRandomizedTest,
-    HypothesisSpec,
     beta_binomial,
     beta_binomial_ge,
     beta_one_sample,
@@ -21,7 +22,7 @@ from entbench.classical import (
     poisson_ump_test,
     relative_entropy,
 )
-from helpers import brute_force_min_beta
+from helpers import brute_force_min_beta, linear_walk_threshold
 
 
 class TestPmfs:
@@ -149,9 +150,10 @@ class TestPoisson:
         assert abs(beta_poisson(1.0, 0.05, 1.0) - 0.95) < 1e-12
 
     def test_defining_inequalities(self):
-        t = poisson_ump_test(1.0, 0.05)
-        below = stats.poisson.cdf(t.threshold - 1, 1.0)
-        assert below < 0.95 <= stats.poisson.cdf(t.threshold, 1.0)
+        for delta in (1.0, 2000.5, 1e5):
+            t = poisson_ump_test(delta, 0.05)
+            below = stats.poisson.cdf(t.threshold - 1, delta)
+            assert below < 0.95 <= stats.poisson.cdf(t.threshold, delta)
 
     def test_against_direct_series(self):
         delta, alpha, t_alt = 1.0, 0.05, 3.0
@@ -164,6 +166,31 @@ class TestPoisson:
         gamma = (1 - alpha - cum) / pmf(t.threshold, delta)
         beta = sum(pmf(k, t_alt) for k in range(t.threshold)) + gamma * pmf(t.threshold, t_alt)
         assert abs(beta_poisson(delta, alpha, t_alt) - beta) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 2000),
+    # scipy's binom.pmf raises OverflowError at some subnormal p (a known defect)
+    eps=st.floats(0.0, 1.0, allow_subnormal=False),
+    delta=st.one_of(st.floats(0.0, 200.0), st.floats(0.0, 1e5)),
+    alpha=st.floats(1e-6, 0.9),
+)
+def test_threshold_search_properties(n, eps, delta, alpha):
+    """Defining inequalities and size exactly alpha for both families; the
+    quantile-started search agrees with a walk up from 0 where that is cheap."""
+    target = 1.0 - alpha
+    binomial = binomial_ump_test(n, eps, alpha)
+    poisson = poisson_ump_test(delta, alpha)
+    for dist, params, t in ((stats.binom, (n, eps), binomial), (stats.poisson, (delta,), poisson)):
+        below = dist.cdf(t.threshold - 1, *params)
+        assert below < target <= dist.cdf(t.threshold, *params)
+        assert abs(below + t.gamma * dist.pmf(t.threshold, *params) - target) < 1e-12
+    if delta <= 200.0:
+        reference = linear_walk_threshold(
+            lambda k: stats.poisson.cdf(k, delta), lambda k: stats.poisson.pmf(k, delta), alpha
+        )
+        assert (poisson.threshold, poisson.gamma) == reference
 
 
 class TestNeymanPearson:
@@ -230,6 +257,7 @@ class TestDataTypes:
     def test_randomized_test_accept_prob(self):
         t = ClassicalRandomizedTest(threshold=2, gamma=0.5, n=5)
         assert t.accept_prob(1) == 1.0 and t.accept_prob(2) == 0.5 and t.accept_prob(3) == 0.0
+        assert t.accept_prob(np.array([[1, 2], [3, 0]])).tolist() == [[1.0, 0.5], [0.0, 1.0]]
 
     def test_ge_accept_prob(self):
         t = ClassicalRandomizedTest(threshold=2, gamma=0.5, n=5, accept_large=True)
@@ -238,6 +266,3 @@ class TestDataTypes:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClassicalRandomizedTest(threshold=3, gamma=1.5, n=5)
-        with pytest.raises(ValueError):
-            HypothesisSpec("le", 0.1, 1.5)
-        HypothesisSpec("ge", 0.2, 0.05)

@@ -46,8 +46,19 @@ class TestExact:
         assert text.splitlines() == ["formula,d,n,epsilon,alpha,p,p1,p2,p3,value,flag"]
         assert text.endswith("\n")
 
-    def test_unknown_formula_is_invalid_input(self, tmp_path):
-        rc = main(["exact", "--out", str(tmp_path / "x"), "formula=nope"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["formula=nope"],
+            ["formula=one-way", "p=0.1"],
+            ["formula=pair-repeated", "p=0.1"],
+            ["formula=pooled", "p=0.1"],
+            ["formula=classical-one", "p=0.2"],
+        ],
+        ids=["nope", "one-way", "pair-repeated", "pooled", "classical-one"],
+    )
+    def test_unknown_formula_is_invalid_input(self, tmp_path, args):
+        rc = main(["exact", "--out", str(tmp_path / "x"), *args])
         assert rc == 2
 
     def test_qubit_formulas_from_state(self, tmp_path):
@@ -177,6 +188,10 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert len({r["poisson_limit"] for r in rows}) == 1
 
+    def test_zero_copies_is_invalid_input(self, tmp_path):
+        rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=[0]"])
+        assert rc == 2
+
 
 class TestClassicalCommand:
     def test_binomial_and_poisson_rows(self, tmp_path):
@@ -187,3 +202,7 @@ class TestClassicalCommand:
         rows = read_csv(out / "classical.csv")
         kinds = [r["kind"] for r in rows]
         assert kinds == ["binomial", "poisson"]
+
+    def test_infinite_rate_is_invalid_input(self, tmp_path):
+        rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])
+        assert rc == 2

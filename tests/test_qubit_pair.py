@@ -106,12 +106,16 @@ class TestSeedVectors:
 
 class TestOptimalTwoSample:
     def test_matches_effective_operator(self):
-        teff = qp.optimal_two_sample_test().mat
-        rng = np.random.default_rng(2)
-        for i in range(50):
-            sigma = random_state_with_defect(2, 0.05 + 0.009 * i, rng)
-            val = np.real(np.trace(two_copies(sigma) @ teff))
-            assert abs(qp.beta_optimal_two_sample(sigma) - val) <= 1e-10
+        for test, beta in (
+            (qp.optimal_two_sample_test, qp.beta_optimal_two_sample),
+            (qp.sequential_two_sample_test, qp.beta_sequential_two_sample),
+        ):
+            teff = test().mat
+            rng = np.random.default_rng(2)
+            for i in range(50):
+                sigma = random_state_with_defect(2, 0.05 + 0.009 * i, rng)
+                val = np.real(np.trace(two_copies(sigma) @ teff))
+                assert abs(beta(sigma) - val) <= 1e-10
 
     def test_bell_diagonal_closed_form(self):
         sigma = qp.bell_diagonal_state(0.12, 0.2, 0.05)
