@@ -411,7 +411,9 @@ def main(argv=None) -> int:
         out_dir = Path(config["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         code, outputs = COMMANDS[args.command](config, out_dir)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ValueError, TypeError, OverflowError, KeyError, FileNotFoundError, json.JSONDecodeError
+    ) as exc:
         print(f"entbench: error: {exc}", file=sys.stderr)
         return 2
     manifest = _manifest(args.command, config, outputs, started)

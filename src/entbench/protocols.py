@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical, quantum, states
 from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
-from .twirl import haar_unitaries
+from .twirl import _chunks, haar_unitaries
 
 PROTOCOLS = ("global_projective", "bell_pairs", "one_way_single", "one_way_repeated")
 
@@ -214,8 +214,7 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
     tens = sigma_mat.reshape(d, d, d, d)  # [a, b, a', b']
     out = np.empty(rounds, dtype=bool)
     done = 0
-    while done < rounds:
-        batch = min(8192, rounds - done)
+    for batch in _chunks(rounds, 8192):
         g = haar_unitaries(d, batch, rng, special=True)
         # rho[n, i, b, b'] = Bob's (unnormalized) state after Alice sees i
         rho = np.einsum("nai,abcd,nci->nibd", g.conj(), tens, g, optimize=True)

@@ -34,7 +34,7 @@ from .states import (
     permute_systems,
     proj,
 )
-from .twirl import GroupAction, TwirlEstimate, haar_unitaries, mc_twirl
+from .twirl import GroupAction, TwirlEstimate, _chunks, _mean_stderr, haar_unitaries, mc_twirl
 
 
 def _pair_labels(k: int) -> tuple[str, ...]:
@@ -224,25 +224,21 @@ def sequential_covariant_trace(
     d = math.isqrt(mat.shape[0])
     if d * d != mat.shape[0]:
         raise ValueError("state must live on a d x d pair")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     u1, u2 = _sequential_seed_vectors(d)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        batch = min(4096, samples - done)
+
+    def values(batch):
         g = haar_unitaries(d, batch, rng, special=True)
         vals = np.ones(batch)
         for u in (u1, u2):
             gu = g @ u
             w = np.einsum("na,nb->nab", gu, gu.conj()).reshape(batch, d * d)
             vals = vals * np.real(np.einsum("ni,ij,nj->n", w.conj(), mat, w))
-        vals = d * d * vals
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += batch
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
-    return ScalarEstimate(mean, math.sqrt(var / samples), samples)
+        return d * d * vals
+
+    mean, stderr = _mean_stderr(map(values, _chunks(samples)), samples)
+    return ScalarEstimate(float(mean), float(stderr), samples)
 
 
 def sequential_covariant_operator(

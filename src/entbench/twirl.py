@@ -1,6 +1,6 @@
 """Group actions on bipartite pair spaces, Haar sampling, and twirling.
 
-Four unitary actions on a d x d pair (and their n-fold tensor powers) are
+Five unitary actions on a d x d pair (and their n-fold tensor powers) are
 supported:
 
 * ``phase``             -- multiplies the maximally entangled vector by
@@ -57,16 +57,17 @@ def haar_unitaries(
     return q
 
 
-def phase_unitary(theta: float, d: int) -> np.ndarray:
-    """e^{i theta} on the maximally entangled vector, identity on its complement."""
+def phase_unitary(theta, d: int) -> np.ndarray:
+    """e^{i theta} on the maximally entangled vector, identity on its complement;
+    an array of angles gives a stack of shape ``theta.shape + (d^2, d^2)``."""
     p = proj(max_entangled_ket(d))
-    return np.eye(d * d) + (np.exp(1j * theta) - 1.0) * p
+    return np.eye(d * d) + (np.exp(1j * np.asarray(theta)) - 1.0)[..., None, None] * p
 
 
 def pair_conjugate_unitary(g: np.ndarray) -> np.ndarray:
-    """g (x) conj(g); this action fixes the maximally entangled vector."""
+    """g (x) conj(g), stacked over leading axes; it fixes the maximally entangled vector."""
     g = np.asarray(g, dtype=complex)
-    return np.kron(g, g.conj())
+    return _kron_batch(g, g.conj())
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +101,10 @@ def orthocomplement_unitary(g: np.ndarray, d: int) -> np.ndarray:
 
 
 def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, p, _ = a.shape
-    _, q, _ = b.shape
-    return np.einsum("nab,ncd->nacbd", a, b).reshape(n, p * q, p * q)
+    """Kronecker product over the last two axes, broadcast over leading ones."""
+    dim = a.shape[-1] * b.shape[-1]
+    out = np.einsum("...ab,...cd->...acbd", a, b)
+    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 @dataclass(frozen=True)
@@ -123,43 +125,31 @@ class GroupAction:
     def dim(self) -> int:
         return (self.d * self.d) ** self.copies
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(1, rng)[0]
-
-    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def _factor(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """A batch of ``count`` single-pair unitaries of this action."""
         d = self.d
         if self.kind == "phase":
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            p = proj(max_entangled_ket(d))
-            eye = np.eye(d * d)
-            per_copy = eye + (np.exp(1j * theta) - 1.0)[:, None, None] * p
-        elif self.kind == "local":
-            g = haar_unitaries(d, count, rng, special=True)
-            per_copy = _kron_batch(g, g.conj())
-        elif self.kind == "local_phase":
-            g = haar_unitaries(d, count, rng, special=True)
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            p = proj(max_entangled_ket(d))
-            eye = np.eye(d * d)
-            phase = eye + (np.exp(1j * theta) - 1.0)[:, None, None] * p
-            per_copy = _kron_batch(g, g.conj()) @ phase
-        elif self.kind == "ortho":
-            g = haar_unitaries(d * d - 1, count, rng)
-            b = _orthocomplement_basis(d)
-            pr = proj(max_entangled_ket(d))
-            per_copy = (b @ g) @ b.conj().T + pr
-        elif self.kind == "local_independent":
-            out = None
-            for _ in range(self.copies):
-                g = haar_unitaries(d, count, rng, special=True)
-                u = _kron_batch(g, g.conj())
-                out = u if out is None else _kron_batch(out, u)
-            return out
-        else:  # pragma: no cover
-            raise AssertionError(self.kind)
-        out = per_copy
+            return phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
+        if self.kind == "ortho":
+            return orthocomplement_unitary(haar_unitaries(d * d - 1, count, rng), d)
+        u = pair_conjugate_unitary(haar_unitaries(d, count, rng, special=True))
+        if self.kind == "local_phase":
+            u = u @ phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
+        return u
+
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` samples of the action, shape (count, dim, dim).
+
+        Each batch draws, in order: theta ~ U[0, 2 pi) for ``phase``; SU(d) for
+        ``local``; SU(d) then theta for ``local_phase``; U(d^2 - 1) for
+        ``ortho``; one SU(d) batch per copy for ``local_independent``.  The
+        other kinds use their one factor batch on every copy.
+        """
+        out = factor = self._factor(count, rng)
         for _ in range(self.copies - 1):
-            out = _kron_batch(out, per_copy)
+            if self.kind == "local_independent":
+                factor = self._factor(count, rng)
+            out = _kron_batch(out, factor)
         return out
 
 
@@ -186,6 +176,35 @@ class TwirlEstimate:
         return bool(np.all(dev <= nsigma * self.stderr + atol))
 
 
+def _chunks(total: int, size: int = _CHUNK):
+    """Batch sizes that split ``total`` items into runs of ``size`` in order."""
+    for start in range(0, total, size):
+        yield min(size, total - start)
+
+
+def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
+    """Batches of f(g) mat f(g)^dag over ``samples`` sampled group elements."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if mat.shape[0] != action.dim:
+        raise ValueError(f"operator dim {mat.shape[0]} != action dim {action.dim}")
+    for batch in _chunks(samples):
+        f = action.sample_batch(batch, rng)
+        yield (f @ mat) @ f.conj().transpose(0, 2, 1)
+
+
+def _mean_stderr(batches, samples: int):
+    """Mean and standard error over the leading axis of ``batches``; zero error for one sample."""
+    total = total_sq = 0.0
+    for x in batches:
+        total += x.sum(axis=0)
+        total_sq += (x.real**2 + x.imag**2).sum(axis=0)
+    mean = total / samples
+    abs2 = mean.real * mean.real + mean.imag * mean.imag
+    var = (total_sq - samples * abs2) / max(samples - 1, 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / samples)
+
+
 def mc_twirl(
     op, action: GroupAction, samples: int, rng: np.random.Generator
 ) -> TwirlEstimate:
@@ -194,27 +213,8 @@ def mc_twirl(
     Accumulation is in sample order with a fixed internal batch size, so the
     result is a deterministic function of (seed, samples).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    if mat.shape[0] != action.dim:
-        raise ValueError(f"operator dim {mat.shape[0]} != action dim {action.dim}")
-    total = np.zeros_like(mat)
-    total_sq = np.zeros(mat.shape, dtype=float)
-    done = 0
-    while done < samples:
-        batch = min(_CHUNK, samples - done)
-        f = action.sample_batch(batch, rng)
-        conj = (f @ mat) @ f.conj().transpose(0, 2, 1)
-        total += conj.sum(axis=0)
-        total_sq += (conj.real**2 + conj.imag**2).sum(axis=0)
-        done += batch
-    mean = total / samples
-    if samples > 1:
-        var = (total_sq - samples * (mean.real**2 + mean.imag**2)) / (samples - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / samples)
-    else:
-        stderr = np.zeros(mat.shape, dtype=float)
+    mean, stderr = _mean_stderr(_conjugates(mat, action, samples, rng), samples)
     return TwirlEstimate(mean, stderr, samples)
 
 
@@ -249,12 +249,5 @@ def check_invariance(
 ) -> tuple[bool, float]:
     """Max over sampled g of the entrywise deviation ||f(g) T f(g)^dag - T||."""
     mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    worst = 0.0
-    done = 0
-    while done < samples:
-        batch = min(_CHUNK, samples - done)
-        f = action.sample_batch(batch, rng)
-        conj = (f @ mat) @ f.conj().transpose(0, 2, 1)
-        worst = max(worst, float(np.max(np.abs(conj - mat))))
-        done += batch
+    worst = max(float(np.max(np.abs(c - mat))) for c in _conjugates(mat, action, samples, rng))
     return worst <= tol, worst

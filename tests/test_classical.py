@@ -121,6 +121,36 @@ class TestBetaBinomial:
             assert power >= 1 - alpha - 1e-12
 
 
+class TestHighPrecisionOracle:
+    """Criterion 9's n = 2000 value recomputed in 60-digit arithmetic."""
+
+    def test_ump_test_and_beta_at_n_2000(self):
+        mp = pytest.importorskip("mpmath").mp
+        n, eps, alpha, q = 2000, 0.05, 0.1, 0.3
+        with mp.workdps(60):
+
+            def pmf(k, p):
+                return mp.binomial(n, k) * mp.mpf(p) ** k * (1 - mp.mpf(p)) ** (n - k)
+
+            level = 1 - mp.mpf(alpha)
+            cdf, l = mp.mpf(0), 0
+            while cdf + pmf(l, eps) < level:  # settle cdf(l - 1) < 1 - alpha <= cdf(l)
+                cdf += pmf(l, eps)
+                l += 1
+            gamma = (level - cdf) / pmf(l, eps)
+            beta = mp.fsum(pmf(k, q) for k in range(l)) + gamma * pmf(l, q)
+            exponent = -mp.log(beta) / n
+            rel_dev = 1 - exponent / relative_entropy(eps, q)
+
+        t = binomial_ump_test(n, eps, alpha)
+        assert t.threshold == l
+        assert abs(t.gamma - gamma) <= 1e-10 * gamma
+        assert abs(beta_binomial(n, eps, alpha, q) - beta) <= 1e-10 * beta
+        assert abs(exponent - mp.mpf("0.189643")) < 5e-7
+        # the criterion-9 gap itself: 5.43% below d(eps || q) at n = 2000
+        assert abs(rel_dev - mp.mpf("0.0543")) < 5e-5
+
+
 class TestGeDirection:
     def test_mirror_symmetry(self):
         for n, eps, alpha, q in [(5, 0.6, 0.1, 0.2), (8, 0.8, 0.25, 0.3)]:

@@ -54,8 +54,9 @@ class TestExact:
             ["formula=pair-repeated", "p=0.1"],
             ["formula=pooled", "p=0.1"],
             ["formula=classical-one", "p=0.2"],
+            ["formula=one-way", "p=0.1", "epsilon=[1]", "alpha=0.05"],
         ],
-        ids=["nope", "one-way", "pair-repeated", "pooled", "classical-one"],
+        ids=["nope", "one-way", "pair-repeated", "pooled", "classical-one", "list-epsilon"],
     )
     def test_unknown_formula_is_invalid_input(self, tmp_path, args):
         rc = main(["exact", "--out", str(tmp_path / "x"), *args])
@@ -192,6 +193,10 @@ class TestSweep:
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=[0]"])
         assert rc == 2
 
+    def test_scalar_copy_list_is_invalid_input(self, tmp_path):
+        rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=5"])
+        assert rc == 2
+
 
 class TestClassicalCommand:
     def test_binomial_and_poisson_rows(self, tmp_path):
@@ -205,4 +210,10 @@ class TestClassicalCommand:
 
     def test_infinite_rate_is_invalid_input(self, tmp_path):
         rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])
+        assert rc == 2
+
+    def test_subnormal_rate_is_invalid_input(self, tmp_path):
+        # scipy's binomial pmf overflows at this subnormal success probability
+        rc = main(["classical", "--out", str(tmp_path / "x"), "n=3",
+                   "epsilon=1.1125369292536007e-308"])
         assert rc == 2

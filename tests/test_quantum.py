@@ -305,6 +305,10 @@ class TestSequentialCovariant:
         est = sequential_covariant_trace(sigma, 500, rng)
         assert abs(est.value - 1.0) < 1e-12
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            sequential_covariant_trace(isotropic_state(2, 0.1), 0, np.random.default_rng(0))
+
     def test_matches_qubit_closed_form(self):
         from entbench.qubit_pair import beta_sequential_two_sample
 

@@ -10,6 +10,7 @@ from entbench.states import (
     random_test,
 )
 from entbench.twirl import (
+    KINDS,
     GroupAction,
     check_invariance,
     haar_unitaries,
@@ -267,6 +268,10 @@ class TestCheckInvariance:
             )
             assert ok, (kind, dev)
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            check_invariance(np.eye(4), GroupAction("local", 2), 0, np.random.default_rng(0))
+
 
 class TestIsotropicHaarInvariance:
     def test_twirl_preserves_isotropic(self):
@@ -285,3 +290,66 @@ class TestSampledActionUnitarity:
                 eye = np.eye(action.dim)
                 dev = np.max(np.abs(f @ f.conj().transpose(0, 2, 1) - eye))
                 assert dev <= 1e-10, (kind, copies, dev)
+
+
+def _reference_samples(action, count, rng):
+    """Per-sample np.kron build of one sample_batch call, drawing in its documented order."""
+    d, kind, copies = action.d, action.kind, action.copies
+    p = proj(max_entangled_ket(d))
+
+    def phase(theta):
+        return np.eye(d * d) + (np.exp(1j * theta) - 1.0) * p
+
+    if kind == "phase":
+        factors = [[phase(t)] * copies for t in rng.uniform(0.0, 2.0 * np.pi, size=count)]
+    elif kind == "ortho":
+        gs = haar_unitaries(d * d - 1, count, rng)
+        factors = [[orthocomplement_unitary(g, d)] * copies for g in gs]
+    elif kind == "local_independent":
+        gs = [haar_unitaries(d, count, rng, special=True) for _ in range(copies)]
+        factors = [[np.kron(g[i], g[i].conj()) for g in gs] for i in range(count)]
+    else:
+        gs = haar_unitaries(d, count, rng, special=True)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind == "local_phase" else None
+        factors = []
+        for i, g in enumerate(gs):
+            u = np.kron(g, g.conj())
+            if thetas is not None:
+                u = u @ phase(thetas[i])
+            factors.append([u] * copies)
+    out = []
+    for per_copy in factors:
+        f = per_copy[0]
+        for u in per_copy[1:]:
+            f = np.kron(f, u)
+        out.append(f)
+    return np.array(out)
+
+
+class TestSampledStream:
+    """Pins the random stream: draw order per kind, per-copy reuse, and chunking."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_sample_batch_matches_reference(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
+        f = action.sample_batch(5, np.random.default_rng(42))
+        ref = _reference_samples(action, 5, np.random.default_rng(42))
+        assert f.shape == ref.shape == (5, action.dim, action.dim)
+        assert np.max(np.abs(f - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mc_twirl_across_a_chunk_boundary(self, kind):
+        action = GroupAction(kind, 2, 2)
+        op = random_test((2, 2, 2, 2), np.random.default_rng(3)).mat
+        # seeded results depend on the batch size, 4096, so it is pinned here too
+        samples = 4096 + 1
+        est = mc_twirl(op, action, samples, np.random.default_rng(43))
+        rng = np.random.default_rng(43)
+        f = np.concatenate([_reference_samples(action, 4096, rng), _reference_samples(action, 1, rng)])
+        conj = (f @ op) @ f.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(est.mean - conj.mean(axis=0))) <= 1e-13
+        # compared as variances: on entries the action fixes, the sum-of-squares
+        # formula leaves rounding noise whose square root is about 1e-9
+        var = conj.var(axis=0, ddof=1) / samples
+        assert np.max(np.abs(est.stderr**2 - var)) <= 1e-15
