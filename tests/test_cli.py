@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from entbench import twirl
 from entbench.cli import main
 from entbench.quantum import beta_one_way
 
@@ -172,6 +173,23 @@ class TestTwirlVerify:
     def test_unknown_target(self, tmp_path):
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=eq99"])
         assert rc == 2
+
+    def test_three_source_d3_few_samples(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["twirl-verify", "--out", str(out), "--samples", "16",
+                   "target=three-source", "d=3"])
+        assert rc == 0
+        report = json.loads((out / "twirl_report.json").read_text())
+        assert report["status"] != "fail"
+        assert report["max_abs_deviation"] <= 5 * report["max_stderr"]
+
+    def test_three_source_d3_default_samples_refused(self, tmp_path, monkeypatch, capsys):
+        # RAM is pinned so the verdict does not depend on the host: a full
+        # 4096-sample batch at dim 729 needs about 139 GB
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 8 * 2**30)
+        rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=three-source", "d=3"])
+        assert rc == 2
+        assert "samples fit" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from entbench import twirl
+from entbench.multisource import three_source_covariant_test
 from entbench.states import (
     isotropic_state,
     max_entangled_ket,
@@ -12,6 +14,7 @@ from entbench.states import (
 from entbench.twirl import (
     KINDS,
     GroupAction,
+    _conjugates,
     check_invariance,
     haar_unitaries,
     haar_unitary,
@@ -353,3 +356,49 @@ class TestSampledStream:
         # formula leaves rounding noise whose square root is about 1e-9
         var = conj.var(axis=0, ddof=1) / samples
         assert np.max(np.abs(est.stderr**2 - var)) <= 1e-15
+
+
+class TestBlockedConjugation:
+    """Per-block conjugation against the dense per-sample reference, and the memory guard."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_matches_dense_reference(self, kind, copies):
+        # d = 3: dims 81 and 729, both split into one block per pair
+        action = GroupAction(kind, 3, copies)
+        g = np.random.default_rng(6).standard_normal((2, action.dim, action.dim))
+        op = g[0] + 1j * g[1]  # any matrix; conjugation is linear
+        samples = 3
+        f = _reference_samples(action, samples, np.random.default_rng(44))
+        want = (f @ op) @ f.conj().transpose(0, 2, 1)
+        (got,) = _conjugates(op, action, samples, np.random.default_rng(44))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        est = mc_twirl(op, action, samples, np.random.default_rng(44))
+        assert np.max(np.abs(est.mean - want.mean(axis=0))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_layout(self, kind):
+        rng = np.random.default_rng(0)
+        # one block, hence the dense f T f^dag, for every action up to dim 64
+        for d, copies in [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (8, 1)]:
+            action = GroupAction(kind, d, copies)
+            assert [b.shape for b in action._blocks(2, rng)] == [(2, action.dim, action.dim)]
+        for d, copies, dims in [(3, 2, [9, 9]), (3, 3, [9, 9, 9]), (4, 2, [16, 16]), (2, 4, [64, 4])]:
+            assert [b.shape[-1] for b in GroupAction(kind, d, copies)._blocks(2, rng)] == dims
+
+    def test_three_source_test_invariant_at_dim_729(self):
+        action = GroupAction("local_independent", 3, 3)
+        ok, dev = check_invariance(three_source_covariant_test(3), action, 8, np.random.default_rng(18))
+        assert ok and dev <= 1e-10
+
+    def test_memory_guard(self, monkeypatch):
+        action = GroupAction("local", 3, 2)
+        per_sample = action.dim**2 * 16 * twirl._LIVE_BATCHES
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 300 * per_sample + 1)
+        rng = np.random.default_rng(19)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at most 300 samples fit"):
+            mc_twirl(np.eye(action.dim), action, 301, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        assert mc_twirl(np.eye(action.dim), action, 300, rng).samples == 300
+        assert twirl._ram_bytes() > 0
