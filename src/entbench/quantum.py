@@ -237,7 +237,7 @@ def sequential_covariant_trace(
             vals = vals * np.real(np.einsum("ni,ij,nj->n", w.conj(), mat, w))
         return d * d * vals
 
-    mean, stderr = _mean_stderr(map(values, _chunks(samples)), samples)
+    mean, stderr = _mean_stderr(map(values, _chunks(samples)))
     return ScalarEstimate(float(mean), float(stderr), samples)
 
 

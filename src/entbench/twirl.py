@@ -251,16 +251,28 @@ def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.rand
         yield x.reshape(batch, dim, dim)
 
 
-def _mean_stderr(batches, samples: int):
-    """Mean and standard error over the leading axis of ``batches``; zero error for one sample."""
-    total = total_sq = 0.0
+def _mean_stderr(batches):
+    """Mean and standard error over the leading axis of ``batches``; zero error for one sample.
+
+    The mean is the running sum over the count.  Squared deviations are summed
+    per batch about the batch mean and merged with Chan's update, so an entry
+    every sample shares gets a standard error at rounding level, not the
+    residue of a sum-of-squares cancellation.  Each batch is overwritten by
+    its deviations, which saves a batch-sized temporary.
+    """
+    n = 0
+    total = m2 = 0.0
     for x in batches:
-        total += x.sum(axis=0)
-        total_sq += (x.real**2 + x.imag**2).sum(axis=0)
-    mean = total / samples
-    abs2 = mean.real * mean.real + mean.imag * mean.imag
-    var = (total_sq - samples * abs2) / max(samples - 1, 1)
-    return mean, np.sqrt(np.maximum(var, 0.0) / samples)
+        k = len(x)
+        part = x.sum(axis=0)
+        x -= part / k
+        m2 = m2 + np.einsum("i...,i...->...", x.real, x.real) + np.einsum("i...,i...->...", x.imag, x.imag)
+        if n:
+            delta = part / k - total / n
+            m2 = m2 + (delta.real**2 + delta.imag**2) * (n * k / (n + k))
+        total = total + part
+        n += k
+    return total / n, np.sqrt(m2 / max(n - 1, 1) / n)
 
 
 def mc_twirl(
@@ -275,7 +287,7 @@ def mc_twirl(
     would not fit in physical RAM raises ``ValueError`` before any draw.
     """
     mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    mean, stderr = _mean_stderr(_conjugates(mat, action, samples, rng), samples)
+    mean, stderr = _mean_stderr(_conjugates(mat, action, samples, rng))
     return TwirlEstimate(mean, stderr, samples)
 
 

@@ -352,10 +352,9 @@ class TestSampledStream:
         f = np.concatenate([_reference_samples(action, 4096, rng), _reference_samples(action, 1, rng)])
         conj = (f @ op) @ f.conj().transpose(0, 2, 1)
         assert np.max(np.abs(est.mean - conj.mean(axis=0))) <= 1e-13
-        # compared as variances: on entries the action fixes, the sum-of-squares
-        # formula leaves rounding noise whose square root is about 1e-9
-        var = conj.var(axis=0, ddof=1) / samples
-        assert np.max(np.abs(est.stderr**2 - var)) <= 1e-15
+        # also on the entries the action fixes, where the true stderr is 0
+        stderr = conj.std(axis=0, ddof=1) / np.sqrt(samples)
+        assert np.max(np.abs(est.stderr - stderr)) <= 1e-15
 
 
 class TestBlockedConjugation:
