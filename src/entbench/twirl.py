@@ -266,7 +266,8 @@ def _mean_stderr(batches):
         k = len(x)
         part = x.sum(axis=0)
         x -= part / k
-        m2 = m2 + np.einsum("i...,i...->...", x.real, x.real) + np.einsum("i...,i...->...", x.imag, x.imag)
+        m2 = m2 + np.einsum("i...,i...->...", x.real, x.real)
+        m2 = m2 + np.einsum("i...,i...->...", x.imag, x.imag)
         if n:
             delta = part / k - total / n
             m2 = m2 + (delta.real**2 + delta.imag**2) * (n * k / (n + k))

@@ -400,4 +400,3 @@ class TestBlockedConjugation:
             mc_twirl(np.eye(action.dim), action, 301, rng)
         assert rng.bit_generator.state == state  # refused before any draw
         assert mc_twirl(np.eye(action.dim), action, 300, rng).samples == 300
-        assert twirl._ram_bytes() > 0
