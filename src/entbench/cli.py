@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +30,41 @@ from .twirl import GroupAction, mc_twirl
 
 EXACT_COLUMNS = ["formula", "d", "n", "epsilon", "alpha", "p", "p1", "p2", "p3", "value", "flag"]
 
-FORMULAS = (
-    "classical-one",
-    "one-way",
-    "pair-level0",
-    "pair-repeated",
-    "pooled",
-    "qubit-optimal",
-    "qubit-sequential",
-    "two-source",
-    "two-source-local",
-    "three-source",
-)
+# formula -> (closed form, grid keys it loops over, scalar keys it reads); the
+# closed form is called as f(d, *scalars, *grid point).  Functions are looked up
+# through their modules at call time, so a rebound module attribute is seen.
+EXACT_FORMULAS = {
+    "classical-one": (lambda d, eps, alpha, p: classical.beta_one_sample(eps, alpha, p),
+                      ("p",), ("epsilon", "alpha")),
+    "one-way": (lambda *a: quantum.beta_one_way(*a), ("p",), ("epsilon", "alpha")),
+    "pair-level0": (lambda *a: quantum.two_sample_trace(*a), ("p",), ()),
+    "pair-repeated": (lambda *a: quantum.beta_pair_repeated(*a), ("p",), ("n", "epsilon", "alpha")),
+    "pooled": (lambda *a: quantum.pooled_trace(*a), ("p",), ("n",)),
+    "qubit-optimal": (lambda d, s: qubit_pair.beta_optimal_two_sample(s), (), ("state",)),
+    "qubit-sequential": (lambda d, s: qubit_pair.beta_sequential_two_sample(s), (), ("state",)),
+    "two-source": (lambda *a: multisource.beta_two_source(*a), ("p1", "p2"), ()),
+    "two-source-local": (lambda *a: multisource.beta_two_source_local(*a), ("p1", "p2"), ()),
+    "three-source": (lambda *a: multisource.beta_three_source(*a), ("p1", "p2", "p3"), ()),
+}
 
-TWIRL_TARGETS = ("one-sample", "two-sample", "three-source", "qubit-weights")
+
+def _qubit_seed(d: int) -> np.ndarray:
+    if d != 2:
+        raise ValueError("qubit-weights target is d=2 only")
+    return qubit_pair.optimal_seed_vector()
+
+
+# target -> (Alice's vector u on k samples, action kind, reference operator);
+# the twirled seed is d^k |u (x) conj(u)><u (x) conj(u)|, pair-major
+TWIRL_TARGETS = {
+    "one-sample": (lambda d: np.eye(1, d, dtype=complex)[0], "local",
+                   lambda d: quantum.one_sample_covariant_test(d)),
+    "two-sample": (lambda d: states.max_entangled_ket(d).vec, "local_independent",
+                   lambda d: quantum.two_sample_covariant_test(d)),
+    "three-source": (lambda d: multisource.ghz_ket(d).vec, "local_independent",
+                     lambda d: multisource.three_source_covariant_test(d)),
+    "qubit-weights": (_qubit_seed, "local_phase", lambda d: qubit_pair.optimal_two_sample_test()),
+}
 
 _CONCLUSIVE_STDERR = 5e-3
 
@@ -124,7 +147,8 @@ def _state_spec(node, d: int) -> StateSpec:
     )
 
 
-def _manifest(command: str, config: dict, outputs: list[str], started: str) -> dict:
+def _manifest(command: str, config: dict, outputs: list[str], started: str,
+              notes: list[str]) -> dict:
     return {
         "tool": "entbench",
         "version": __version__,
@@ -134,6 +158,7 @@ def _manifest(command: str, config: dict, outputs: list[str], started: str) -> d
         "started_at": started,
         "finished_at": _now(),
         "outputs": outputs,
+        "notes": notes,
     }
 
 
@@ -153,76 +178,38 @@ def _as_list(value) -> list:
 # commands
 
 
+def _exact_arg(config: dict, formula: str, key: str):
+    """A key the formula reads, checked before any row: its absence is invalid
+    input (exit 2), except ``state``, which defaults to the maximally entangled
+    qubit pair."""
+    if key == "state":
+        return _state_spec(config.get("state"), 2).build()
+    if config.get(key) is None:
+        raise ValueError(f"formula {formula!r} needs {key}=...")
+    return int(config[key]) if key == "n" else config[key]
+
+
 def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     formula = config.get("formula")
-    if formula not in FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}; choose from {FORMULAS}")
+    if formula not in EXACT_FORMULAS:
+        raise ValueError(f"unknown formula {formula!r}; choose from {tuple(EXACT_FORMULAS)}")
+    closed_form, grid, reads = EXACT_FORMULAS[formula]
     d = int(config.get("d", 2))
-    n = config.get("n")
-    eps = config.get("epsilon")
-    alpha = config.get("alpha")
+    if d < 2:
+        raise ValueError(f"exact needs d >= 2, got {d}")
+    scalars = {key: _exact_arg(config, formula, key) for key in reads}
+    axes = [_as_list(_exact_arg(config, formula, key)) for key in grid]
+    # a formula of a state reports that state's defect in the p column
+    defect = {"p": states.fidelity_defect(scalars["state"])} if "state" in scalars else {}
     rows = []
-
-    def need(key: str):
-        """A key this formula uses; its absence is invalid input (exit 2)."""
-        if config.get(key) is None:
-            raise ValueError(f"formula {formula!r} needs {key}=...")
-        return config[key]
-
-    def row(value, flag="", p=None, p1=None, p2=None, p3=None):
-        rows.append([formula, d, n, eps, alpha, p, p1, p2, p3, value, flag])
-
-    if formula == "classical-one":
-        for p in _as_list(need("p")):
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                row(classical.beta_one_sample(need("epsilon"), need("alpha"), float(p)), p=p)
-    elif formula == "one-way":
-        for p in _as_list(need("p")):
-            row(quantum.beta_one_way(d, need("epsilon"), need("alpha"), float(p)), p=p)
-    elif formula == "pair-level0":
-        for p in _as_list(need("p")):
-            row(quantum.two_sample_trace(d, float(p)), p=p)
-    elif formula == "pair-repeated":
-        for p in _as_list(need("p")):
-            row(quantum.beta_pair_repeated(d, int(need("n")), need("epsilon"), need("alpha"),
-                                           float(p)), p=p)
-    elif formula == "pooled":
-        for p in _as_list(need("p")):
-            row(quantum.pooled_trace(d, int(need("n")), float(p)), p=p)
-    elif formula in ("qubit-optimal", "qubit-sequential"):
-        sigma = _state_spec(config.get("state"), 2).build()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if formula == "qubit-optimal":
-                value = qubit_pair.beta_optimal_two_sample(sigma)
-            else:
-                value = qubit_pair.beta_sequential_two_sample(sigma)
-        row(value, p=states.fidelity_defect(sigma))
-    elif formula in ("two-source", "two-source-local"):
-        for p1 in _as_list(need("p1")):
-            for p2 in _as_list(need("p2")):
-                if formula == "two-source":
-                    value, ok = multisource.beta_two_source(d, float(p1), float(p2))
-                    row(value, flag="ok" if ok else "outside-validity", p1=p1, p2=p2)
-                else:
-                    row(multisource.beta_two_source_local(d, float(p1), float(p2)), p1=p1, p2=p2)
-    elif formula == "three-source":
-        import warnings
-
-        for p1 in _as_list(need("p1")):
-            for p2 in _as_list(need("p2")):
-                for p3 in _as_list(need("p3")):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        value, ok = multisource.beta_three_source(
-                            d, float(p1), float(p2), float(p3)
-                        )
-                    row(value, flag="ok" if ok else "outside-validity", p1=p1, p2=p2, p3=p3)
+    for point in itertools.product(*axes):
+        value = closed_form(d, *scalars.values(), *(float(x) for x in point))
+        flag = ""
+        if isinstance(value, multisource.ConditionedValue):
+            value, flag = value.value, "ok" if value.condition_holds else "outside-validity"
+        cols = {**defect, **dict(zip(grid, point))}
+        rows.append([formula, d, config.get("n"), config.get("epsilon"), config.get("alpha"),
+                     *(cols.get(k) for k in ("p", "p1", "p2", "p3")), value, flag])
     _write_csv(out_dir / "exact.csv", EXACT_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'exact.csv'}")
     return 0, ["exact.csv"]
@@ -268,36 +255,13 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 def _twirl_case(target: str, d: int):
     """Seed operator, group action, and closed-form target for each check."""
-    phi = states.max_entangled_ket(d)
-    p = states.proj(phi)
-    eye = np.eye(d * d)
-    if target == "one-sample":
-        u0 = np.zeros(d, dtype=complex)
-        u0[0] = 1.0
-        seed = d * states.proj(np.kron(u0, u0.conj()))
-        return seed, GroupAction("local", d), quantum.one_sample_covariant_test(d).mat
-    if target == "two-sample":
-        u = states.max_entangled_ket(d, ("A1", "A2"))
-        k = states.Ket(np.kron(u.vec, u.vec.conj()), (d,) * 4, ("A1", "A2", "B1", "B2"))
-        k = states.permute_systems(k, ("A1", "B1", "A2", "B2"))
-        seed = d * d * states.proj(k.vec)
-        return seed, GroupAction("local_independent", d, 2), quantum.two_sample_covariant_test(d).mat
-    if target == "three-source":
-        seed = multisource.ghz_seed_operator(d)
-        return (
-            seed,
-            GroupAction("local_independent", d, 3),
-            multisource.three_source_covariant_test(d).mat,
-        )
-    if target == "qubit-weights":
-        if d != 2:
-            raise ValueError("qubit-weights target is d=2 only")
-        u = qubit_pair.optimal_seed_vector()
-        k = states.Ket(np.kron(u, u.conj()), (2, 2, 2, 2), ("A1", "A2", "B1", "B2"))
-        k = states.permute_systems(k, ("A1", "B1", "A2", "B2"))
-        seed = 4.0 * states.proj(k.vec)
-        return seed, GroupAction("local_phase", 2, 2), qubit_pair.optimal_two_sample_test().mat
-    raise ValueError(f"unknown twirl target {target!r}; choose from {TWIRL_TARGETS}")
+    if target not in TWIRL_TARGETS:
+        raise ValueError(f"unknown twirl target {target!r}; choose from {tuple(TWIRL_TARGETS)}")
+    vector, kind, make_reference = TWIRL_TARGETS[target]
+    reference = make_reference(d).mat  # first: it refuses an unsupported d before the seed is built
+    ket = states.doubled_ket(vector(d), d)
+    copies = len(ket.dims) // 2
+    return d**copies * states.proj(ket), GroupAction(kind, d, copies), reference
 
 
 def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
@@ -410,13 +374,17 @@ def main(argv=None) -> int:
         config["command"] = args.command
         out_dir = Path(config["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, outputs = COMMANDS[args.command](config, out_dir)
+        # validity warnings become manifest notes: distinct messages, first seen first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, outputs = COMMANDS[args.command](config, out_dir)
+        notes = list(dict.fromkeys(str(w.message) for w in caught))
     except (
         ValueError, TypeError, OverflowError, KeyError, FileNotFoundError, json.JSONDecodeError
     ) as exc:
         print(f"entbench: error: {exc}", file=sys.stderr)
         return 2
-    manifest = _manifest(args.command, config, outputs, started)
+    manifest = _manifest(args.command, config, outputs, started, notes)
     _write_json(out_dir / "manifest.json", manifest)
     return code
 

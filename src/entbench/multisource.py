@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import beta_poisson
-from .states import Ket, TestOperator, max_entangled_ket, permute_systems, proj
+from .states import Ket, TestOperator, doubled_ket, max_entangled_ket, proj
 
 
 class TripleTermNote(UserWarning):
@@ -108,11 +108,7 @@ def ghz_ket(d: int, labels=("A1", "A2", "A3")) -> Ket:
 def ghz_seed_operator(d: int) -> np.ndarray:
     """d^3 |GHZ (x) conj(GHZ)><...| arranged pair-major; its independent-local
     twirl is the three-source covariant test."""
-    g = ghz_ket(d)
-    vec = np.kron(g.vec, g.vec.conj())
-    k = Ket(vec, (d,) * 6, ("A1", "A2", "A3", "B1", "B2", "B3"))
-    k = permute_systems(k, ("A1", "B1", "A2", "B2", "A3", "B3"))
-    return d**3 * proj(k.vec)
+    return d**3 * proj(doubled_ket(ghz_ket(d), d))
 
 
 def triple_overlap_coefficients(

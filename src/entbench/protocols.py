@@ -20,6 +20,14 @@ from .twirl import _chunks, haar_unitaries
 
 PROTOCOLS = ("global_projective", "bell_pairs", "one_way_single", "one_way_repeated")
 
+# repeatable protocol -> (copies per round, failure probability of one round
+# when every copy has defect x); the binomial test runs on the round count
+ROUNDS = {
+    "global_projective": (1, lambda d, x: x),
+    "bell_pairs": (2, quantum.mapped_boundary),
+    "one_way_repeated": (1, lambda d, x: d * x / (d + 1.0)),
+}
+
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -67,8 +75,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
             raise ValueError("need at least one copy")
-        if self.protocol == "bell_pairs" and self.n % 2:
-            raise ValueError("bell_pairs consumes copies in pairs; n must be even")
+        if any(s.d != self.d for s in (self.state, self.state2) if s is not None):
+            raise ValueError(f"every state must be a pair of dimension d={self.d}")
+        copies, _ = ROUNDS.get(self.protocol, (1, None))
+        if self.n % copies:
+            raise ValueError(
+                f"{self.protocol} consumes {copies} copies per round; "
+                f"n must be a multiple of {copies}"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,15 +137,10 @@ def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
 def run_global(config: ExperimentConfig) -> ExperimentResult:
     """Projective {P, I-P} on each copy, then the binomial threshold test."""
     rng = np.random.default_rng(config.seed)
-    sigma = config.state.build()
-    p_fail = 1.0 - float(
-        np.real(max_entangled_ket(config.d).vec.conj() @ sigma.mat @ max_entangled_ket(config.d).vec)
-    )
-    p_fail = min(max(p_fail, 0.0), 1.0)
+    p = fidelity_defect(config.state.build())
     test = classical.binomial_ump_test(config.n, config.epsilon, config.alpha)
-    k = rng.binomial(config.n, p_fail, size=config.trials)
+    k = rng.binomial(config.n, p, size=config.trials)
     accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
-    p = fidelity_defect(sigma)
     exact = classical.beta_binomial(config.n, config.epsilon, config.alpha, p)
     vals, freq = np.unique(k, return_counts=True)
     return _result(
@@ -140,7 +149,7 @@ def run_global(config: ExperimentConfig) -> ExperimentResult:
         accepted,
         exact,
         counts={int(v): int(c) for v, c in zip(vals, freq)},
-        extra={"per_copy_failure": p_fail},
+        extra={"per_copy_failure": p},
     )
 
 
@@ -174,12 +183,13 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     two-sample boundary.  Dual-source runs pair one copy from each source."""
     rng = np.random.default_rng(config.seed)
     d = config.d
-    pairs = config.n // 2
+    copies, fail = ROUNDS["bell_pairs"]
+    pairs = config.n // copies
     sigma1 = config.state.build()
     sigma2 = (config.state2 or config.state).build()
     t_bell = quantum.to_group_major(quantum.bell_pair_test(d)).mat
     p_alice, accept_given, per_pair = _bell_tables(t_bell, sigma1, sigma2, d)
-    eps2 = quantum.mapped_boundary(d, config.epsilon)
+    eps2 = fail(d, config.epsilon)
     test = classical.binomial_ump_test(pairs, eps2, config.alpha)
 
     cum = np.cumsum(p_alice)
@@ -252,11 +262,12 @@ def run_one_way_repeated(config: ExperimentConfig) -> ExperimentResult:
     sigma = config.state.build()
     accepts = _one_way_rounds(sigma.mat, d, config.trials * config.n, rng)
     k = (~accepts).reshape(config.trials, config.n).sum(axis=1)
-    eps_eff = d * config.epsilon / (d + 1.0)
+    _, fail = ROUNDS["one_way_repeated"]
+    eps_eff = fail(d, config.epsilon)
     test = classical.binomial_ump_test(config.n, eps_eff, config.alpha)
     accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
     p = fidelity_defect(sigma)
-    exact = classical.beta_binomial(config.n, eps_eff, config.alpha, d * p / (d + 1.0))
+    exact = classical.beta_binomial(config.n, eps_eff, config.alpha, fail(d, p))
     vals, freq = np.unique(k, return_counts=True)
     return _result(
         "one_way_repeated",
@@ -291,42 +302,34 @@ def asymptotic_sweep(
     """Exact (and optionally empirical) error of a protocol along eps = delta/n
     on states of defect t_alt/n, against the Poisson limit.
 
-    ``boundary_accept`` tracks the acceptance when the defect sits exactly on
-    the null boundary delta/n; the small-deviation limits of both columns are
+    ``boundary_accept`` is the acceptance when the defect sits exactly on the
+    null boundary delta/n; the small-deviation limits of both columns are
     reported rather than asserted.
     """
-    if protocol not in ("global_projective", "bell_pairs", "one_way_repeated"):
-        raise ValueError(f"sweep needs a repeatable protocol, got {protocol!r}")
+    if protocol not in ROUNDS:
+        raise ValueError(f"sweep needs a repeatable protocol {tuple(ROUNDS)}, got {protocol!r}")
+    if d < 2:
+        raise ValueError(f"sweep needs d >= 2, got {d}")
+    copies, fail = ROUNDS[protocol]
     n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"sweep needs every n >= 1, got {n_list}")
+    if any(n < 1 or n % copies for n in n_list):
+        raise ValueError(
+            f"{protocol} sweep needs every n >= 1 and a multiple of {copies}, got {n_list}"
+        )
     limit = classical.beta_poisson(delta, alpha, t_alt)
     rows = []
     for n in n_list:
         eps = delta / n
         p = t_alt / n
-        if protocol == "global_projective":
-            exact = classical.beta_binomial(n, eps, alpha, p)
-            boundary = 1.0 - alpha
-        elif protocol == "bell_pairs":
-            if n % 2:
-                raise ValueError("bell_pairs sweep needs even n")
-            eps2 = quantum.mapped_boundary(d, eps)
-            exact = classical.beta_binomial(n // 2, eps2, alpha, quantum.mapped_boundary(d, p))
-            boundary = classical.beta_binomial(
-                n // 2, eps2, alpha, quantum.mapped_boundary(d, eps)
-            )
-        else:
-            r = d / (d + 1.0)
-            exact = classical.beta_binomial(n, r * eps, alpha, r * p)
-            boundary = 1.0 - alpha
+        rounds, eps_round = n // copies, fail(d, eps)
+        exact = classical.beta_binomial(rounds, eps_round, alpha, fail(d, p))
         row = {
             "n": n,
             "epsilon": eps,
             "exact": exact,
             "poisson_limit": limit,
             "gap": abs(exact - limit),
-            "boundary_accept": boundary,
+            "boundary_accept": classical.beta_binomial(rounds, eps_round, alpha, eps_round),
             "empirical": None,
             "ci95": None,
         }

@@ -29,6 +29,7 @@ from .states import (
     RankOnePOVM,
     TestOperator,
     bell_basis,
+    doubled_ket,
     max_entangled_ket,
     mixed_tensor_sum,
     permute_systems,
@@ -48,17 +49,13 @@ def _group_labels(k: int) -> tuple[str, ...]:
 def to_pair_major(op: Operator) -> Operator:
     """Reorder (A1..Ak, B1..Bk) factors to (A1, B1, ..., Ak, Bk)."""
     k = len(op.dims) // 2
-    order = [j for i in range(k) for j in (i, k + i)]
-    out = permute_systems(op, order)
-    return type(op)(out.mat, out.dims, out.labels)
+    return permute_systems(op, [j for i in range(k) for j in (i, k + i)])
 
 
 def to_group_major(op: Operator) -> Operator:
     """Reorder (A1, B1, ..., Ak, Bk) factors to (A1..Ak, B1..Bk)."""
     k = len(op.dims) // 2
-    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-    out = permute_systems(op, order)
-    return type(op)(out.mat, out.dims, out.labels)
+    return permute_systems(op, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
 
 
 def test_from_povm(povm: RankOnePOVM, d: int | None = None) -> TestOperator:
@@ -290,12 +287,11 @@ def is_max_entangled(u, tol: float = 1e-10) -> bool:
     d = math.isqrt(vec.size)
     if d * d != vec.size:
         raise ValueError("vector must live on a d x d pair")
-    w = Ket(np.kron(vec, vec.conj()), (d, d, d, d), ("A1", "A2", "B1", "B2"))
-    w = permute_systems(w, ("A1", "B1", "A2", "B2"))
+    w = doubled_ket(vec, d).vec
     p = proj(max_entangled_ket(d))
     q = np.eye(d * d) - p
-    r1 = np.linalg.norm(np.kron(p, q) @ w.vec)
-    r2 = np.linalg.norm(np.kron(q, p) @ w.vec)
+    r1 = np.linalg.norm(np.kron(p, q) @ w)
+    r2 = np.linalg.norm(np.kron(q, p) @ w)
     return bool(r1 <= tol and r2 <= tol)
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityMatrix, Ket, Operator, TestOperator, permute_systems
+from .states import DensityMatrix, Operator, TestOperator, doubled_ket
 
 _SQ2 = math.sqrt(2.0)
 
@@ -178,9 +178,7 @@ def block_traces(sigma) -> np.ndarray:
 
 def block_weights(u: np.ndarray) -> np.ndarray:
     """<u (x) conj(u)| Pi_k |u (x) conj(u)> for a unit vector u on A1 (x) A2."""
-    vec = u.vec if isinstance(u, Ket) else np.asarray(u, dtype=complex).reshape(-1)
-    w = Ket(np.kron(vec, vec.conj()), (2, 2, 2, 2), ("A1", "A2", "B1", "B2"))
-    w = permute_systems(w, ("A1", "B1", "A2", "B2")).vec
+    w = doubled_ket(u, 2).vec
     return np.array([float(np.real(w.conj() @ pi @ w)) for pi in irrep_projectors().as_tuple()])
 
 

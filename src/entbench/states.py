@@ -21,7 +21,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
-NORM_TOL = 1e-12
 POVM_TOL = 1e-9
 
 
@@ -77,11 +76,6 @@ class Ket:
             raise ValueError("cannot normalize the zero vector")
         return Ket(self.vec / n, self.dims, self.labels)
 
-    def require_unit(self, tol: float = NORM_TOL) -> "Ket":
-        if abs(self.norm - 1.0) > tol:
-            raise ValueError(f"vector norm {self.norm} is not 1 within {tol}")
-        return self
-
     def conj(self) -> "Ket":
         return Ket(np.conj(self.vec), self.dims, self.labels)
 
@@ -111,9 +105,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def relabel(self, labels) -> "Operator":
-        return type(self)(self.mat, self.dims, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -287,6 +278,25 @@ def permute_systems(x, order):
     axes = list(order) + [n + i for i in order]
     mat = x.mat.reshape(x.dims + x.dims).transpose(axes).reshape(x.dim, x.dim)
     return type(x)(mat, dims, labels)
+
+
+def doubled_ket(u, d: int) -> Ket:
+    """u (x) conj(u) for a vector u on Alice's k samples, arranged pair-major.
+
+    Factors are (A1, B1, ..., Ak, Bk) with Bob's factor i carrying the
+    conjugate of Alice's; ``len(u)`` must be d^k for some k >= 1.
+    """
+    vec = u.vec if isinstance(u, Ket) else np.asarray(u, dtype=complex).reshape(-1)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    k = 1
+    while d**k < vec.size:
+        k += 1
+    if d**k != vec.size:
+        raise ValueError(f"vector length {vec.size} is not a power of {d}")
+    labels = tuple(f"A{i}" for i in range(1, k + 1)) + tuple(f"B{i}" for i in range(1, k + 1))
+    w = Ket(np.kron(vec, vec.conj()), (d,) * (2 * k), labels)
+    return permute_systems(w, [j for i in range(k) for j in (i, k + i)])
 
 
 def partial_trace(a: Operator, keep) -> Operator:

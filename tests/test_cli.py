@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from entbench import twirl
-from entbench.cli import main
+from entbench import states, twirl
+from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
+from entbench.protocols import ROUNDS
 from entbench.quantum import beta_one_way
 
 
@@ -56,12 +57,35 @@ class TestExact:
             ["formula=pooled", "p=0.1"],
             ["formula=classical-one", "p=0.2"],
             ["formula=one-way", "p=0.1", "epsilon=[1]", "alpha=0.05"],
+            ["formula=pair-level0", "d=1", "p=0.1"],
+            ["formula=two-source", "d=1", "p1=0.1", "p2=0.1"],
+            ["formula=three-source", "d=1", "p1=0.1", "p2=0.1", "p3=0.1"],
+            ["formula=one-way", "d=0", "epsilon=0", "alpha=0.05", "p=0.1"],
+            ["formula=two-source", "p1=[]"],
         ],
-        ids=["nope", "one-way", "pair-repeated", "pooled", "classical-one", "list-epsilon"],
+        ids=["nope", "one-way", "pair-repeated", "pooled", "classical-one", "list-epsilon",
+             "pair-level0-d1", "two-source-d1", "three-source-d1", "one-way-d0",
+             "two-source-empty-grid-no-p2"],
     )
     def test_unknown_formula_is_invalid_input(self, tmp_path, args):
         rc = main(["exact", "--out", str(tmp_path / "x"), *args])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args,count",
+        [
+            (["formula=qubit-optimal", "state.family=isotropic", "state.params=[0.7]"], 1),
+            (["formula=three-source", "d=2", "p1=[0.1,0.2]", "p2=0.3", "p3=0.4"], 1),
+            (["formula=one-way", "epsilon=0", "alpha=0.05", "p=[0.1,0.3]"], 0),
+        ],
+        ids=["qubit-optimal-defect-0.7", "three-source", "one-way"],
+    )
+    def test_validity_warnings_become_manifest_notes(self, tmp_path, capsys, args, count):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), *args]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert len(notes) == count and all(isinstance(n, str) for n in notes)
+        assert "Warning" not in capsys.readouterr().err
 
     def test_qubit_formulas_from_state(self, tmp_path):
         out = tmp_path / "run"
@@ -174,6 +198,13 @@ class TestTwirlVerify:
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=eq99"])
         assert rc == 2
 
+    def test_unsupported_dimension_refused_before_the_seed(self, tmp_path, monkeypatch, capsys):
+        # at d=5 the three-source seed alone would take 3.9 GB
+        monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+        rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=three-source", "d=5"])
+        assert rc == 2
+        assert "capped" in capsys.readouterr().err
+
     def test_three_source_d3_few_samples(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["twirl-verify", "--out", str(out), "--samples", "16",
@@ -211,6 +242,12 @@ class TestSweep:
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=[0]"])
         assert rc == 2
 
+    @pytest.mark.parametrize("protocol", ["bell_pairs", "one_way_repeated"])
+    def test_pair_dimension_below_two_is_invalid_input(self, tmp_path, capsys, protocol):
+        rc = main(["sweep", "--out", str(tmp_path / "x"), f"protocol={protocol}", "d=1"])
+        assert rc == 2
+        assert "d >= 2" in capsys.readouterr().err
+
     def test_scalar_copy_list_is_invalid_input(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=5"])
         assert rc == 2
@@ -235,3 +272,10 @@ class TestClassicalCommand:
         rc = main(["classical", "--out", str(tmp_path / "x"), "n=3",
                    "epsilon=1.1125369292536007e-308"])
         assert rc == 2
+
+
+def test_readme_names_every_table_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = [*EXACT_FORMULAS, *TWIRL_TARGETS, *ROUNDS]
+    keys += [k for _, grid, reads in EXACT_FORMULAS.values() for k in grid + reads]
+    assert [k for k in keys if f"`{k}`" not in readme] == []

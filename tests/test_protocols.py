@@ -213,6 +213,12 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ValueError):
             iso_config("teleport", 2, 2, 0.0, 0.1, 10, 0, 0.0)
 
+    @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
+    def test_state_dimension_must_match(self, protocol):
+        other = pr.StateSpec("isotropic", 3, (0.1,))
+        with pytest.raises(ValueError, match="dimension d=2"):
+            iso_config(protocol, 2, 2, 0.0, 0.1, 10, 0, 0.1, state2=other)
+
 
 class TestAsymptoticSweep:
     def test_bell_gap_shrinks_toward_poisson(self):
@@ -238,6 +244,19 @@ class TestAsymptoticSweep:
         )
         assert rows[0]["empirical"] is not None and rows[1]["empirical"] is None
         assert abs(rows[0]["empirical"] - rows[0]["exact"]) <= 3 * rows[0]["ci95"] / 1.96 + 1e-9
+
+    @pytest.mark.parametrize("protocol", sorted(pr.ROUNDS))
+    def test_boundary_accept_is_the_level(self, protocol):
+        rows = pr.asymptotic_sweep(1.0, 3.0, 0.05, [100, 1000], protocol, d=3)
+        for r in rows:
+            assert abs(r["boundary_accept"] - 0.95) < 1e-12
+
+    @pytest.mark.parametrize("protocol", sorted(pr.ROUNDS))
+    def test_exact_matches_the_runner(self, protocol):
+        # the sweep and the protocol runner share one per-round failure map
+        (row,) = pr.asymptotic_sweep(1.0, 3.0, 0.05, [40], protocol, d=3)
+        res = pr.run_experiment(iso_config(protocol, 3, 40, 1.0 / 40, 0.05, 10, 0, 3.0 / 40))
+        assert abs(res.exact - row["exact"]) < 1e-12
 
     def test_rejects_single_shot_protocol(self):
         with pytest.raises(ValueError):

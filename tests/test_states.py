@@ -9,6 +9,7 @@ from entbench.states import (
     Operator,
     RankOnePOVM,
     bell_basis,
+    doubled_ket,
     fidelity_defect,
     generalized_pauli,
     isotropic_state,
@@ -132,6 +133,28 @@ class TestTensorAndPermute:
         op = random_density((2, 2), rng)
         twice = permute_systems(permute_systems(op, (1, 0)), (1, 0))
         assert np.allclose(twice.mat, op.mat)
+
+
+class TestDoubledKet:
+    @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_entries_pair_major(self, d, k):
+        # entry (a1, b1, ..., ak, bk) is u[a1..ak] conj(u[b1..bk])
+        u = random_ket((d,) * k, np.random.default_rng(10 * d + k)).vec
+        w = doubled_ket(u, d)
+        outer = np.outer(u, u.conj()).reshape((d,) * (2 * k))
+        expected = outer.transpose([j for i in range(k) for j in (i, k + i)]).reshape(-1)
+        assert np.array_equal(w.vec, expected)
+        assert w.dims == (d,) * (2 * k)
+        assert w.labels == tuple(x for i in range(1, k + 1) for x in (f"A{i}", f"B{i}"))
+
+    def test_accepts_a_ket(self):
+        phi = max_entangled_ket(3)
+        assert np.array_equal(doubled_ket(phi, 3).vec, doubled_ket(phi.vec, 3).vec)
+
+    @pytest.mark.parametrize("size,d", [(6, 2), (8, 4), (1, 2), (0, 2), (4, 1), (1, 0)])
+    def test_length_must_be_a_power_of_d(self, size, d):
+        with pytest.raises(ValueError):
+            doubled_ket(np.ones(size), d)
 
 
 class TestPartialTrace:
