@@ -18,17 +18,31 @@ import csv
 import datetime
 import itertools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classical, multisource, qubit_pair, quantum, states
+from . import __version__, classical, multisource, qubit_pair, quantum, states, twirl
 from .protocols import ExperimentConfig, StateSpec, asymptotic_sweep, run_experiment
 from .twirl import GroupAction, mc_twirl
 
 EXACT_COLUMNS = ["formula", "d", "n", "epsilon", "alpha", "p", "p1", "p2", "p3", "value", "flag"]
+
+
+def _qubit_formula(name: str):
+    """The qubit-pair formula ``qubit_pair.<name>`` of a state; it refuses any
+    d but 2 rather than write a d = 2 value under another d."""
+
+    def closed_form(d: int, state):
+        if d != 2:
+            raise ValueError(f"qubit formulas are d = 2 only, got d = {d}")
+        return getattr(qubit_pair, name)(state)
+
+    return closed_form
+
 
 # formula -> (closed form, grid keys it loops over, scalar keys it reads); the
 # closed form is called as f(d, *scalars, *grid point).  Functions are looked up
@@ -40,8 +54,8 @@ EXACT_FORMULAS = {
     "pair-level0": (lambda *a: quantum.two_sample_trace(*a), ("p",), ()),
     "pair-repeated": (lambda *a: quantum.beta_pair_repeated(*a), ("p",), ("n", "epsilon", "alpha")),
     "pooled": (lambda *a: quantum.pooled_trace(*a), ("p",), ("n",)),
-    "qubit-optimal": (lambda d, s: qubit_pair.beta_optimal_two_sample(s), (), ("state",)),
-    "qubit-sequential": (lambda d, s: qubit_pair.beta_sequential_two_sample(s), (), ("state",)),
+    "qubit-optimal": (_qubit_formula("beta_optimal_two_sample"), (), ("state",)),
+    "qubit-sequential": (_qubit_formula("beta_sequential_two_sample"), (), ("state",)),
     "two-source": (lambda *a: multisource.beta_two_source(*a), ("p1", "p2"), ()),
     "two-source-local": (lambda *a: multisource.beta_two_source_local(*a), ("p1", "p2"), ()),
     "three-source": (lambda *a: multisource.beta_three_source(*a), ("p1", "p2", "p3"), ()),
@@ -54,19 +68,28 @@ def _qubit_seed(d: int) -> np.ndarray:
     return qubit_pair.optimal_seed_vector()
 
 
+def _ghz_seed(d: int) -> np.ndarray:
+    multisource.check_triple_dimension(d)
+    return multisource.ghz_ket(d).vec
+
+
 # target -> (Alice's vector u on k samples, action kind, reference operator);
-# the twirled seed is d^k |u (x) conj(u)><u (x) conj(u)|, pair-major
+# the twirled seed is d^k |u (x) conj(u)><u (x) conj(u)|, pair-major.  The
+# vector refuses a d its target does not support, before any dense array.
 TWIRL_TARGETS = {
     "one-sample": (lambda d: np.eye(1, d, dtype=complex)[0], "local",
                    lambda d: quantum.one_sample_covariant_test(d)),
     "two-sample": (lambda d: states.max_entangled_ket(d).vec, "local_independent",
                    lambda d: quantum.two_sample_covariant_test(d)),
-    "three-source": (lambda d: multisource.ghz_ket(d).vec, "local_independent",
+    "three-source": (_ghz_seed, "local_independent",
                      lambda d: multisource.three_source_covariant_test(d)),
     "qubit-weights": (_qubit_seed, "local_phase", lambda d: qubit_pair.optimal_two_sample_test()),
 }
 
 _CONCLUSIVE_STDERR = 5e-3
+# reference-sized complex arrays alive in twirl-verify: measured 4 while the
+# reference is built and validated, 6 with the twirl's accumulators, at dim 2401
+_REFERENCE_ARRAYS = 6
 
 
 def _fmt(x) -> str:
@@ -137,12 +160,22 @@ def _resolve_config(args, overrides) -> dict:
     return config
 
 
+def _integer(key: str, value) -> int:
+    """An integer key's value; a fractional or non-numeric one is invalid
+    input (exit 2), never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _state_spec(node, d: int) -> StateSpec:
     if node is None:
         return StateSpec("max_entangled", d)
     return StateSpec(
         family=node.get("family", "isotropic"),
-        d=int(node.get("d", d)),
+        d=_integer("state.d", node.get("d", d)),
         params=tuple(node.get("params", ())),
     )
 
@@ -186,7 +219,7 @@ def _exact_arg(config: dict, formula: str, key: str):
         return _state_spec(config.get("state"), 2).build()
     if config.get(key) is None:
         raise ValueError(f"formula {formula!r} needs {key}=...")
-    return int(config[key]) if key == "n" else config[key]
+    return _integer(key, config[key]) if key == "n" else config[key]
 
 
 def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
@@ -194,7 +227,7 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     if formula not in EXACT_FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; choose from {tuple(EXACT_FORMULAS)}")
     closed_form, grid, reads = EXACT_FORMULAS[formula]
-    d = int(config.get("d", 2))
+    d = _integer("d", config.get("d", 2))
     if d < 2:
         raise ValueError(f"exact needs d >= 2, got {d}")
     scalars = {key: _exact_arg(config, formula, key) for key in reads}
@@ -216,15 +249,15 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 
 def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
-    d = int(config.get("d", 2))
+    d = _integer("d", config.get("d", 2))
     spec = ExperimentConfig(
         protocol=config.get("protocol", "global_projective"),
         d=d,
-        n=int(config.get("n", 1)),
+        n=_integer("n", config.get("n", 1)),
         epsilon=float(config.get("epsilon", 0.0)),
         alpha=float(config.get("alpha", 0.05)),
-        trials=int(config.get("trials", 10000)),
-        seed=int(config.get("seed", 0)),
+        trials=_integer("trials", config.get("trials", 10000)),
+        seed=_integer("seed", config.get("seed", 0)),
         state=_state_spec(config.get("state"), d),
         state2=_state_spec(config.get("state2"), d) if config.get("state2") else None,
     )
@@ -253,23 +286,52 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     return 0, ["result.json", "trace.csv"]
 
 
+def _check_reference_fits(target: str, d: int, copies: int) -> None:
+    """Refuse a reference operator, d^(2 copies) square, that would not fit in RAM."""
+    ram = twirl._ram_bytes()
+
+    def need(x: int) -> int:
+        return _REFERENCE_ARRAYS * 16 * x ** (4 * copies)
+
+    if need(d) > ram:
+        fits = 1
+        while need(fits + 1) <= ram:
+            fits += 1
+        dim = d ** (2 * copies)
+        raise ValueError(
+            f"target {target!r} at d={d} needs a {dim} x {dim} reference operator, about "
+            f"{need(d)} bytes, more than the {ram} bytes of RAM; "
+            + (f"the largest d that fits is {fits}" if fits >= 2 else "no d fits")
+        )
+
+
 def _twirl_case(target: str, d: int):
-    """Seed operator, group action, and closed-form target for each check."""
+    """Seed ket, group action, and closed-form target for each check.
+
+    The seed d^k |v><v| goes to the twirl as the ket sqrt(d^k) v.  The dense
+    reference is the one large array, so its size is checked first.
+    """
     if target not in TWIRL_TARGETS:
         raise ValueError(f"unknown twirl target {target!r}; choose from {tuple(TWIRL_TARGETS)}")
+    if d < 2:
+        raise ValueError(f"twirl-verify needs d >= 2, got {d}")
     vector, kind, make_reference = TWIRL_TARGETS[target]
-    reference = make_reference(d).mat  # first: it refuses an unsupported d before the seed is built
-    ket = states.doubled_ket(vector(d), d)
-    copies = len(ket.dims) // 2
-    return d**copies * states.proj(ket), GroupAction(kind, d, copies), reference
+    u = vector(d)
+    copies = 1
+    while d**copies < len(u):  # doubled_ket checks that len(u) == d^copies
+        copies += 1
+    _check_reference_fits(target, d, copies)
+    ket = states.doubled_ket(u, d)
+    seed = states.Ket(math.sqrt(d**copies) * ket.vec, ket.dims, ket.labels)
+    return seed, GroupAction(kind, d, copies), make_reference(d).mat
 
 
 def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     target = config.get("target")
-    d = int(config.get("d", 2))
-    samples = int(config.get("samples", 100000))
+    d = _integer("d", config.get("d", 2))
+    samples = _integer("samples", config.get("samples", 100000))
     seed, action, reference = _twirl_case(target, d)
-    rng = np.random.default_rng(int(config.get("seed", 0)))
+    rng = np.random.default_rng(_integer("seed", config.get("seed", 0)))
     est = mc_twirl(seed, action, samples, rng)
     max_dev = est.deviation(reference)
     max_stderr = float(est.stderr.max())
@@ -299,11 +361,11 @@ def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         delta=float(config.get("delta", 1.0)),
         t_alt=float(config.get("tprime", 3.0)),
         alpha=float(config.get("alpha", 0.05)),
-        n_list=config.get("n_list", [100, 1000, 10000]),
+        n_list=[_integer("n_list", n) for n in config.get("n_list", [100, 1000, 10000])],
         protocol=config.get("protocol", "bell_pairs"),
-        d=int(config.get("d", 2)),
-        trials=int(config.get("trials", 0)),
-        seed=int(config.get("seed", 0)),
+        d=_integer("d", config.get("d", 2)),
+        trials=_integer("trials", config.get("trials", 0)),
+        seed=_integer("seed", config.get("seed", 0)),
     )
     header = ["n", "epsilon", "exact", "empirical", "ci95", "poisson_limit", "gap", "boundary_accept"]
     _write_csv(out_dir / "sweep.csv", header, [[r[h] for h in header] for r in rows])
@@ -315,7 +377,7 @@ def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     rows = []
     alpha = float(config.get("alpha", 0.05))
     if config.get("n") is not None:
-        n = int(config["n"])
+        n = _integer("n", config["n"])
         eps = float(config.get("epsilon", 0.0))
         t = classical.binomial_ump_test(n, eps, alpha)
         for q in _as_list(config.get("q", [])):

@@ -65,6 +65,12 @@ def _check_defects(*ps: float) -> None:
             raise ValueError(f"defect {p} outside [0, 1]")
 
 
+def check_triple_dimension(d: int) -> None:
+    """Refuse a d whose triple-pair operators (dimension d^6) are not built."""
+    if d not in (2, 3):
+        raise ValueError("triple-pair operators are capped at d in {2, 3}")
+
+
 def three_source_covariant_test(d: int) -> TestOperator:
     """Acceptance operator of the GHZ-seeded covariant test, pair-major.
 
@@ -72,8 +78,7 @@ def three_source_covariant_test(d: int) -> TestOperator:
     P (x) P (x) P, (d+2)/((d+1)^3 (d-1)) on the triple complement,
     1/((d+1)^2 (d-1)) when exactly one factor is on P, and 0 otherwise.
     """
-    if d not in (2, 3):
-        raise ValueError("triple-pair operators are capped at d in {2, 3}")
+    check_triple_dimension(d)
     p = proj(max_entangled_ket(d))
     q = np.eye(d * d) - p
     coeff_all_fail = (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))

@@ -35,7 +35,15 @@ from .states import (
     permute_systems,
     proj,
 )
-from .twirl import GroupAction, TwirlEstimate, _chunks, _mean_stderr, haar_unitaries, mc_twirl
+from .twirl import (
+    GroupAction,
+    TwirlEstimate,
+    _batch_moments,
+    _chunks,
+    _mean_stderr,
+    haar_unitaries,
+    mc_twirl,
+)
 
 
 def _pair_labels(k: int) -> tuple[str, ...]:
@@ -234,17 +242,21 @@ def sequential_covariant_trace(
             vals = vals * np.real(np.einsum("ni,ij,nj->n", w.conj(), mat, w))
         return d * d * vals
 
-    mean, stderr = _mean_stderr(map(values, _chunks(samples)))
+    mean, stderr = _mean_stderr(_batch_moments(values(batch)) for batch in _chunks(samples))
     return ScalarEstimate(float(mean), float(stderr), samples)
 
 
 def sequential_covariant_operator(
     d: int, samples: int, rng: np.random.Generator
 ) -> TwirlEstimate:
-    """MC average of the sequential covariant test operator, pair-major."""
+    """MC average of the sequential covariant test operator, pair-major.
+
+    The seed is d^2 |x><x| with x = (u1 (x) conj(u1)) (x) (u2 (x) conj(u2)),
+    so it is twirled as the vector d x.
+    """
     u1, u2 = _sequential_seed_vectors(d)
-    seed = d * d * np.kron(proj(np.kron(u1, u1.conj())), proj(np.kron(u2, u2.conj())))
-    return mc_twirl(seed, GroupAction("local", d, 2), samples, rng)
+    x = np.kron(np.kron(u1, u1.conj()), np.kron(u2, u2.conj()))
+    return mc_twirl(Ket(d * x, (d,) * 4), GroupAction("local", d, 2), samples, rng)
 
 
 # ---------------------------------------------------------------------------

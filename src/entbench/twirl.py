@@ -19,14 +19,27 @@ for every covariant closed form; ``phase_twirl`` is the exact average over the
 phase action, which just zeroes matrix blocks between charge sectors.
 
 Every sampled element is a tensor power ``u_1 (x) ... (x) u_copies`` of
-single-pair unitaries, so conjugation never forms the dim x dim unitary.
-Consecutive copies are merged into blocks of dimension at most 64, and each
-block acts on its own row axes and then, conjugated, on its own column axes
-of the reshaped operator.  A sample costs ``16 dim^2 sum_b k_b`` real flops
-for block dimensions ``k_b``, i.e. ``16 copies d^2 dim^2`` when every block
-is one pair (about 0.23 GFLOP at dim 729, against ``16 dim^3`` = 6.2 GFLOP
-for the dense product).  Up to dim 64 the single block is the whole unitary
-and the product is the dense ``f T f^dag``.
+single-pair unitaries, so the dim x dim unitary is never formed.
+
+* A rank-one input, given as a ``Ket`` v, is twirled as vectors: each copy's
+  factor acts on its own pair axes of v, ``8 dim d^2 copies`` real flops per
+  sample.  A batch W of twirled vectors gives the sum of ``|f v><f v|`` as one
+  GEMM, ``W^T conj(W)``, and the sum of the squared moduli as a second,
+  ``(|W|^2)^T |W|^2``: ``10 dim^2`` real flops per sample, which dominate at
+  large dim (5.3 MFLOP at dim 729, against 0.23 GFLOP to conjugate a dense
+  operator there).
+* A dense operator is conjugated block by block.  Consecutive copies are
+  merged into blocks of dimension at most 64, and each block acts on its own
+  row axes and then, conjugated, on its own column axes of the reshaped
+  operator.  A sample costs ``16 dim^2 sum_b k_b`` real flops for block
+  dimensions ``k_b``, i.e. ``16 copies d^2 dim^2`` when every block is one
+  pair (about 0.23 GFLOP at dim 729, against ``16 dim^3`` = 6.2 GFLOP for the
+  dense product).  Up to dim 64 the single block is the whole unitary and the
+  product is the dense ``f T f^dag``.
+
+Both paths check their batch's footprint against physical RAM before any
+draw, and feed one accumulator that merges per-batch moments with Chan's
+pairwise update.
 """
 
 from __future__ import annotations
@@ -34,11 +47,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .states import Operator, max_entangled_ket, mixed_tensor_sum, proj
+from .states import Ket, Operator, max_entangled_ket, mixed_tensor_sum, proj
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
 # largest block of merged copies; below it one dense product beats per-pair
@@ -48,6 +61,19 @@ _BLOCK_DIM = 64
 # and output, and, when one block spans the whole space, that unitary batch
 # and its conjugate (peak RSS measured at about 4 batches at dim 64, 2 at 729)
 _LIVE_BATCHES = 4
+# rank-one twirl: complex (batch, dim) vector batches alive at once (a
+# contraction's input and output, |W|^2 at half size, one gathered slice of
+# the cancellation guard; measured about 2 at dim 729) ...
+_LIVE_VECTORS = 3
+# ... arrays of one factor's size that a factor draw holds while it is built
+# (ortho: g, b g and b g b^dag), on top of the one kept per copy ...
+_FACTOR_TEMPS = 3
+# ... and dim x dim float64 arrays alive while a batch is accumulated and
+# merged, complex ones counting twice (measured 10 at dim 2401)
+_LIVE_ACCUMULATORS = 12
+# a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
+# digits or more to cancellation, so it is recomputed from explicit deviations
+_CANCELLATION = 1e-8
 
 KINDS = ("phase", "local", "local_phase", "ortho", "local_independent")
 
@@ -155,32 +181,32 @@ class GroupAction:
             u = u @ phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
         return u
 
-    def _blocks(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """``count`` samples of the action as Kronecker factors, left factor first.
+    def _factors(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+        """``count`` samples of the action as one factor batch per copy, left first.
 
         Each batch draws, in order: theta ~ U[0, 2 pi) for ``phase``; SU(d) for
         ``local``; SU(d) then theta for ``local_phase``; U(d^2 - 1) for
         ``ortho``; one SU(d) batch per copy for ``local_independent``.  The
-        other kinds use their one factor batch on every copy.  Consecutive
-        copies are merged while the block dimension stays <= ``_BLOCK_DIM``.
+        other kinds use their one factor batch on every copy.
         """
-        factor = self._factor(count, rng)
-        blocks = [factor]
-        for _ in range(self.copies - 1):
-            if self.kind == "local_independent":
-                factor = self._factor(count, rng)
-            if blocks[-1].shape[-1] * factor.shape[-1] <= _BLOCK_DIM:
+        if self.kind == "local_independent":
+            return [self._factor(count, rng) for _ in range(self.copies)]
+        return [self._factor(count, rng)] * self.copies
+
+    def _blocks(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+        """The draws of ``_factors`` with consecutive copies merged while the
+        block dimension stays <= ``_BLOCK_DIM``, left block first."""
+        blocks: list[np.ndarray] = []
+        for factor in self._factors(count, rng):
+            if blocks and blocks[-1].shape[-1] * factor.shape[-1] <= _BLOCK_DIM:
                 blocks[-1] = _kron_batch(blocks[-1], factor)
             else:
                 blocks.append(factor)
         return blocks
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` samples of the action, shape (count, dim, dim), drawn as ``_blocks``."""
-        out, *rest = self._blocks(count, rng)
-        for block in rest:
-            out = _kron_batch(out, block)
-        return out
+        """``count`` samples of the action, shape (count, dim, dim), drawn as ``_factors``."""
+        return reduce(_kron_batch, self._factors(count, rng))
 
 
 @dataclass(frozen=True)
@@ -216,6 +242,24 @@ def _ram_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_batch(
+    size: int, action: GroupAction, samples: int, per_sample: int, fixed: int = 0
+) -> None:
+    """Refuse, before any draw, an input of the wrong dimension or a twirl
+    whose batch (``per_sample`` bytes a sample plus ``fixed``) exceeds RAM."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    dim = action.dim
+    if size != dim:
+        raise ValueError(f"operator dim {size} != action dim {dim}")
+    need, ram = min(_CHUNK, samples) * per_sample + fixed, _ram_bytes()
+    if need > ram:
+        raise ValueError(
+            f"{samples} samples at dim {dim} need about {need} bytes per batch, more than "
+            f"the {ram} bytes of RAM; at most {max(ram - fixed, 0) // per_sample} samples fit"
+        )
+
+
 def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
     """Batches of f(g) mat f(g)^dag over ``samples`` sampled group elements.
 
@@ -225,18 +269,8 @@ def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.rand
     axes the same way; the last column block is ``x @ b^dag``.  With one
     block this is exactly ``(f @ mat) @ f^dag``.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     dim = action.dim
-    if mat.shape[0] != dim:
-        raise ValueError(f"operator dim {mat.shape[0]} != action dim {dim}")
-    per_sample = dim * dim * 16 * _LIVE_BATCHES
-    need, ram = min(_CHUNK, samples) * per_sample, _ram_bytes()
-    if need > ram:
-        raise ValueError(
-            f"{samples} samples at dim {dim} need about {need} bytes per batch, more than "
-            f"the {ram} bytes of RAM; at most {ram // per_sample} samples fit"
-        )
+    _check_batch(mat.shape[0], action, samples, dim * dim * 16 * _LIVE_BATCHES)
     for batch in _chunks(samples):
         x, lead = mat[np.newaxis], 1
         for block in action._blocks(batch, rng):
@@ -251,23 +285,75 @@ def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.rand
         yield x.reshape(batch, dim, dim)
 
 
-def _mean_stderr(batches):
-    """Mean and standard error over the leading axis of ``batches``; zero error for one sample.
+def _vectors(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
+    """Batches of f(g) vec, shape (batch, dim), over ``samples`` sampled group elements.
 
-    The mean is the running sum over the count.  Squared deviations are summed
-    per batch about the batch mean and merged with Chan's update, so an entry
-    every sample shares gets a standard error at rounding level, not the
-    residue of a sum-of-squares cancellation.  Each batch is overwritten by
-    its deviations, which saves a batch-sized temporary.
+    The factor of copy c, with ``lead`` dimensions before its pair and
+    ``tail`` after, multiplies ``w.reshape(batch, lead, d^2, tail)`` from the
+    left; the last one is ``w @ factor^T``.  These are the draws the dense
+    path merges into ``_blocks``; on a vector a merged block would cost more
+    to form than it saves.
+    """
+    dim, q = action.dim, action.d * action.d
+    per_sample = 16 * (_LIVE_VECTORS * dim + (action.copies + _FACTOR_TEMPS) * q * q)
+    _check_batch(vec.size, action, samples, per_sample, 8 * _LIVE_ACCUMULATORS * dim * dim)
+    for batch in _chunks(samples):
+        w, lead = vec[np.newaxis], 1
+        for factor in action._factors(batch, rng):
+            tail = dim // (lead * q)
+            if tail == 1:  # one wide product in place of lead q x 1 ones
+                w = w.reshape(len(w), lead, q) @ factor.transpose(0, 2, 1)
+            else:
+                w = factor[:, np.newaxis] @ w.reshape(len(w), lead, q, tail)
+            lead *= q
+        yield w.reshape(batch, dim)
+
+
+def _batch_moments(x: np.ndarray):
+    """``(count, sum, M2)`` of a batch of samples along its leading axis.
+
+    M2 is the sum of squared moduli of the deviations from the batch mean.
+    ``x`` is overwritten by its deviations, which saves a batch-sized temporary.
+    """
+    k = len(x)
+    part = x.sum(axis=0)
+    x -= part / k
+    m2 = np.einsum("i...,i...->...", x.real, x.real) + np.einsum("i...,i...->...", x.imag, x.imag)
+    return k, part, m2
+
+
+def _outer_moments(w: np.ndarray):
+    """``(count, sum, M2)`` of the outer products ``w_s w_s^dag`` of a batch of vectors.
+
+    The sum is ``W^T conj(W)`` and the sum of squared moduli is
+    ``S2 = (|W|^2)^T |W|^2``, so M2 = S2 - |sum|^2/k.  That difference cancels
+    on an entry every sample shares (one the action fixes); where it is at or
+    below ``_CANCELLATION * S2``, M2 is recomputed from the gathered products
+    ``w_i conj(w_j)``, ``dim`` entries at a time.
+    """
+    k, dim = w.shape
+    part = w.T @ w.conj()
+    a = w.real**2 + w.imag**2
+    s2 = a.T @ a
+    m2 = s2 - (part.real**2 + part.imag**2) / k
+    rows, cols = np.nonzero((m2 <= _CANCELLATION * s2) & (s2 > 0))
+    for start in range(0, len(rows), dim):
+        i, j = rows[start : start + dim], cols[start : start + dim]
+        m2[i, j] = _batch_moments(w[:, i] * w[:, j].conj())[2]
+    return k, part, m2
+
+
+def _mean_stderr(moments):
+    """Mean and standard error from per-batch ``(count, sum, M2)`` triples.
+
+    Batches merge with Chan's pairwise update, so an entry every sample shares
+    gets a standard error at rounding level, not the residue of a
+    sum-of-squares cancellation.  One sample gives zero error.
     """
     n = 0
     total = m2 = 0.0
-    for x in batches:
-        k = len(x)
-        part = x.sum(axis=0)
-        x -= part / k
-        m2 = m2 + np.einsum("i...,i...->...", x.real, x.real)
-        m2 = m2 + np.einsum("i...,i...->...", x.imag, x.imag)
+    for k, part, part_m2 in moments:
+        m2 = m2 + part_m2
         if n:
             delta = part / k - total / n
             m2 = m2 + (delta.real**2 + delta.imag**2) * (n * k / (n + k))
@@ -281,14 +367,23 @@ def mc_twirl(
 ) -> TwirlEstimate:
     """Average f(g) op f(g)^dag over ``samples`` group elements.
 
-    Accumulation is in sample order with a fixed internal batch size, so the
-    result is a deterministic function of (seed, samples).  Each sample is
-    conjugated block by block (see ``_conjugates``): ``16 dim^2 sum_b k_b``
-    real flops instead of the dense ``16 dim^3``.  A batch whose conjugates
-    would not fit in physical RAM raises ``ValueError`` before any draw.
+    A ``Ket`` v stands for the rank-one operator |v><v|.  It is twirled as
+    vectors (see ``_vectors``), ``8 dim d^2 copies`` real flops per sample,
+    and accumulated by two GEMMs (see ``_outer_moments``), ``10 dim^2`` more;
+    its memory is one batch of vectors and a few dim x dim accumulators.  Any
+    other operator is conjugated block by block (see ``_conjugates``),
+    ``16 dim^2 sum_b k_b`` real flops instead of the dense ``16 dim^3``, with
+    a batch of dim x dim conjugates in memory.  Both paths draw the same group
+    elements and accumulate in sample order with a fixed internal batch size,
+    so the result is a deterministic function of (seed, samples).  A batch
+    that would not fit in physical RAM raises ``ValueError`` before any draw.
     """
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    mean, stderr = _mean_stderr(_conjugates(mat, action, samples, rng))
+    if isinstance(op, Ket):
+        moments = map(_outer_moments, _vectors(op.vec, action, samples, rng))
+    else:
+        mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+        moments = map(_batch_moments, _conjugates(mat, action, samples, rng))
+    mean, stderr = _mean_stderr(moments)
     return TwirlEstimate(mean, stderr, samples)
 
 

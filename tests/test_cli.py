@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entbench import states, twirl
+from entbench import quantum, states, twirl
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
 from entbench.protocols import ROUNDS
 from entbench.quantum import beta_one_way
@@ -96,6 +96,15 @@ class TestExact:
         assert rc == 0
         rows = read_csv(out / "exact.csv")
         assert float(rows[0]["value"]) == pytest.approx((1 - 0.2) ** 2)
+
+    @pytest.mark.parametrize("formula", ["qubit-optimal", "qubit-sequential"])
+    def test_qubit_formula_at_other_d_is_invalid_input(self, tmp_path, capsys, formula):
+        out = tmp_path / "x"
+        rc = main(["exact", "--out", str(out), f"formula={formula}", "d=3",
+                   "state.family=isotropic", "state.params=[0.2]"])
+        assert rc == 2
+        assert "d = 2 only" in capsys.readouterr().err
+        assert not (out / "exact.csv").exists()
 
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "run"
@@ -214,13 +223,51 @@ class TestTwirlVerify:
         assert report["status"] != "fail"
         assert report["max_abs_deviation"] <= 5 * report["max_stderr"]
 
-    def test_three_source_d3_default_samples_refused(self, tmp_path, monkeypatch, capsys):
-        # RAM is pinned so the verdict does not depend on the host: a full
-        # 4096-sample batch at dim 729 needs about 139 GB
+    def test_three_source_d3_conclusive(self, tmp_path, monkeypatch):
+        # the seed is rank one, so a 2000-sample batch at dim 729 is a batch
+        # of vectors and fits an 8 GiB machine; a conclusive verdict needs
+        # about 1700 samples
         monkeypatch.setattr(twirl, "_ram_bytes", lambda: 8 * 2**30)
-        rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=three-source", "d=3"])
+        out = tmp_path / "run"
+        rc = main(["twirl-verify", "--out", str(out), "--samples", "2000",
+                   "target=three-source", "d=3"])
+        assert rc == 0
+        assert json.loads((out / "twirl_report.json").read_text())["status"] == "pass"
+
+    def test_reference_too_large_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
+        # two-sample references are d^4 square: 16 x 16 fits in 100 kB, 81 x 81 does not
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        monkeypatch.setattr(quantum, "two_sample_covariant_test",
+                            lambda d: pytest.fail("reference was built"))
+        rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=3"])
         assert rc == 2
-        assert "samples fit" in capsys.readouterr().err
+        assert "the largest d that fits is 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact", "formula=pooled", "d=2", "n=2.7", "p=0.1"],
+        ["simulate", "protocol=one_way_single", "d=2.5", "--trials", "10"],
+        ["sweep", "protocol=bell_pairs", "d=2.5", "n_list=[100]"],
+        ["twirl-verify", "target=one-sample", "d=2.9", "--samples", "10"],
+        ["sweep", "protocol=bell_pairs", "n_list=[100.5]"],
+        ["twirl-verify", "target=one-sample", "samples=10.5"],
+    ],
+    ids=["exact-n", "simulate-d", "sweep-d", "twirl-verify-d", "sweep-n_list", "twirl-verify-samples"],
+)
+def test_fractional_integer_key_is_invalid_input(tmp_path, capsys, args):
+    command, *rest = args
+    rc = main([command, "--out", str(tmp_path / "x"), *rest])
+    assert rc == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_is_read_as_integer(tmp_path):
+    out = tmp_path / "run"
+    assert main(["exact", "--out", str(out), "formula=pooled", "d=2.0", "n=2.0", "p=0.1"]) == 0
+    row = read_csv(out / "exact.csv")[0]
+    assert (row["d"], row["n"]) == ("2", "2")
 
 
 class TestSweep:

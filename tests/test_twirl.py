@@ -4,6 +4,7 @@ import pytest
 from entbench import twirl
 from entbench.multisource import three_source_covariant_test
 from entbench.states import (
+    Ket,
     isotropic_state,
     max_entangled_ket,
     mixed_tensor_sum,
@@ -400,3 +401,89 @@ class TestBlockedConjugation:
             mc_twirl(np.eye(action.dim), action, 301, rng)
         assert rng.bit_generator.state == state  # refused before any draw
         assert mc_twirl(np.eye(action.dim), action, 300, rng).samples == 300
+
+
+def _random_ket(d, copies, seed, norm=1.0):
+    g = np.random.default_rng(seed).standard_normal((2, (d * d) ** copies))
+    v = g[0] + 1j * g[1]
+    return Ket(norm * v / np.linalg.norm(v), (d,) * (2 * copies))
+
+
+class TestRankOneTwirl:
+    """A Ket is twirled as vectors; it must agree with the dense path on |v><v|."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_dense_path(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
+        v = _random_ket(d, copies, 20)
+        got = mc_twirl(v, action, 64, np.random.default_rng(45))
+        want = mc_twirl(proj(v), action, 64, np.random.default_rng(45))
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
+
+    def test_across_a_chunk_boundary(self):
+        action = GroupAction("local", 2, 2)
+        v = _random_ket(2, 2, 21)
+        got = mc_twirl(v, action, 4096 + 1, np.random.default_rng(46))
+        want = mc_twirl(proj(v), action, 4096 + 1, np.random.default_rng(46))
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
+
+    def test_matches_dense_path_at_dim_729(self):
+        # norm^2 = d^3, the weight of the three-source seed
+        action = GroupAction("local_independent", 3, 3)
+        v = _random_ket(3, 3, 22, norm=np.sqrt(27.0))
+        got = mc_twirl(v, action, 3, np.random.default_rng(47))
+        want = mc_twirl(proj(v), action, 3, np.random.default_rng(47))
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["local", "local_phase", "local_independent"])
+    @pytest.mark.parametrize("d,copies", [(2, 2), (3, 1)])
+    def test_fixed_vector_has_rounding_level_stderr(self, kind, d, copies):
+        # |phi><phi| on every pair is fixed by these actions, so every entry
+        # of every sample is the same and the true standard error is 0
+        phi = max_entangled_ket(d).vec
+        vec = phi
+        for _ in range(copies - 1):
+            vec = np.kron(vec, phi)
+        est = mc_twirl(Ket(vec, (d,) * (2 * copies)), GroupAction(kind, d, copies), 2000,
+                       np.random.default_rng(48))
+        assert np.max(est.stderr) <= 1e-15
+
+    @pytest.mark.parametrize("d,copies", [(2, 2), (3, 1)])
+    def test_phase_fixed_entries_have_rounding_level_stderr(self, d, copies):
+        # the phase action is the identity off the maximally entangled vector,
+        # so an entry whose row and column indices put no pair on its support
+        # is fixed
+        off = [a * d + b for a in range(d) for b in range(d) if a != b]
+        idx = np.array([0])
+        for _ in range(copies):
+            idx = (idx[:, None] * d * d + np.array(off)[None, :]).ravel()
+        est = mc_twirl(_random_ket(d, copies, 23), GroupAction("phase", d, copies), 2000,
+                       np.random.default_rng(49))
+        fixed = np.zeros(est.stderr.shape, dtype=bool)
+        fixed[np.ix_(idx, idx)] = True
+        assert np.max(est.stderr[fixed]) <= 1e-15
+        assert np.min(est.stderr[~fixed]) > 0  # and no other entry is fixed
+
+    def test_memory_guard_refuses_before_any_draw(self, monkeypatch):
+        # dim 81 at 300 samples: the dense batch of conjugates needs about
+        # 126 MB, the rank-one path under 4 MB
+        action = GroupAction("local", 3, 2)
+        v = _random_ket(3, 2, 24)
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 50 * 10**6)
+        with pytest.raises(ValueError, match="samples fit"):
+            mc_twirl(proj(v), action, 300, np.random.default_rng(50))
+        assert mc_twirl(v, action, 300, np.random.default_rng(50)).samples == 300
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        rng = np.random.default_rng(50)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples fit"):
+            mc_twirl(v, action, 300, rng)
+        assert rng.bit_generator.state == state
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dim"):
+            mc_twirl(_random_ket(2, 1, 25), GroupAction("local", 2, 2), 10, np.random.default_rng(0))
