@@ -288,21 +288,9 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 def _check_reference_fits(target: str, d: int, copies: int) -> None:
     """Refuse a reference operator, d^(2 copies) square, that would not fit in RAM."""
-    ram = twirl._ram_bytes()
-
-    def need(x: int) -> int:
-        return _REFERENCE_ARRAYS * 16 * x ** (4 * copies)
-
-    if need(d) > ram:
-        fits = 1
-        while need(fits + 1) <= ram:
-            fits += 1
-        dim = d ** (2 * copies)
-        raise ValueError(
-            f"target {target!r} at d={d} needs a {dim} x {dim} reference operator, about "
-            f"{need(d)} bytes, more than the {ram} bytes of RAM; "
-            + (f"the largest d that fits is {fits}" if fits >= 2 else "no d fits")
-        )
+    dim = d ** (2 * copies)
+    twirl._check_d_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
+                        d, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
 
 
 def _twirl_case(target: str, d: int):
@@ -442,7 +430,8 @@ def main(argv=None) -> int:
             code, outputs = COMMANDS[args.command](config, out_dir)
         notes = list(dict.fromkeys(str(w.message) for w in caught))
     except (
-        ValueError, TypeError, OverflowError, KeyError, FileNotFoundError, json.JSONDecodeError
+        ValueError, TypeError, OverflowError, KeyError, FileNotFoundError, json.JSONDecodeError,
+        MemoryError,
     ) as exc:
         print(f"entbench: error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,14 @@ counts through the classical threshold test; the exact closed-form value is
 attached to the result for comparison only, never used on the sampling path.
 Runs are deterministic functions of (config, seed): sampling uses a single
 PCG64 generator and fixed batch order.
+
+No protocol forms an operator larger than its d^2 x d^2 states.  In the
+one-way protocol Alice's outcome probabilities are ``<g_i| rho_A |g_i>`` with
+``rho_A = Tr_B sigma``, and Bob's acceptance needs only the picked outcome's
+vector ``g_i (x) conj(g_i)``, so a batch of rounds holds a few (batch, d^2)
+arrays.  The Bell-pair tables are expectations of vectors, contracted one
+source at a time.  A configuration whose states and batch arrays would not fit
+in physical RAM is refused before any state is built.
 """
 
 from __future__ import annotations
@@ -14,11 +22,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classical, quantum, states
+from . import classical, quantum, states, twirl
 from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
 from .twirl import _chunks, haar_unitaries
 
-PROTOCOLS = ("global_projective", "bell_pairs", "one_way_single", "one_way_repeated")
+# protocol -> name of its runner in this module; run_experiment looks the
+# runner up at call time, so a rebound run_* attribute is seen
+_RUNNERS = {
+    "global_projective": "run_global",
+    "bell_pairs": "run_bell_pairs",
+    "one_way_single": "run_one_way_single",
+    "one_way_repeated": "run_one_way_repeated",
+}
+PROTOCOLS = tuple(_RUNNERS)
+
+_ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on the seed
+# d^2 x d^2 complex arrays alive at once while the states are built and
+# validated and the Bell tables contracted (peak RSS measured at 5.0 for one
+# state at d = 50, 6.7 for bell_pairs' two states at d = 20)
+_STATE_ARRAYS = 8
+# complex (batch, d^2) arrays alive at once in a one-way batch: the Ginibre
+# draws, the sampler's columns and result, x and sigma x (measured 5.2 at d = 12)
+_ROUND_ARRAYS = 6
 
 # repeatable protocol -> (copies per round, failure probability of one round
 # when every copy has defect x); the binomial test runs on the round count
@@ -83,6 +108,16 @@ class ExperimentConfig:
                 f"{self.protocol} consumes {copies} copies per round; "
                 f"n must be a multiple of {copies}"
             )
+        _check_fits(self)
+
+
+def _check_fits(config: ExperimentConfig) -> None:
+    """Refuse, before any state is built, a run whose d^2 x d^2 states and
+    one-way batch arrays would not fit in physical RAM."""
+    rounds = {"one_way_single": config.trials, "one_way_repeated": config.trials * config.n}
+    batch = min(_ROUND_BATCH, rounds.get(config.protocol, 0))
+    twirl._check_d_fits(f"{config.protocol} at d={config.d}", config.d,
+                        lambda d: 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d))
 
 
 @dataclass(frozen=True)
@@ -153,29 +188,30 @@ def run_global(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _bell_tables(t_bell, sigma1, sigma2, d):
-    """Per-pair outcome probabilities and conditional Bob acceptance.
+def _bell_tables(sigma1, sigma2, d):
+    """Per-pair outcome probabilities, conditional Bob acceptance, and the
+    per-pair acceptance Tr((sigma1 (x) sigma2) T_bell).
 
-    Alice measures the Bell basis on (A1, A2); Bob checks the conjugate
-    vector on (B1, B2).  Joint state arranged group-major for the lookup.
+    Alice measures the Bell basis {b_i} on (A1, A2); Bob checks conj(b_i) on
+    (B1, B2).  With b_i as the d x d matrix B[a1, a2], Alice sees i with
+    probability <b_i| rho_A1 (x) rho_A2 |b_i> = Tr(B^dag rho_A1 B rho_A2^T),
+    and sees i and Bob accepts with the expectation of b_i (x) conj(b_i) in
+    sigma1 (x) sigma2, Tr(M^dag sigma1 M sigma2^T) for the d^2 x d^2 matrix
+    M[(a1 b1), (a2 b2)] = B[a1, a2] conj(B[b1, b2]).  So no operator on all
+    four systems is formed: the largest array is d^2 x d^2.
     """
-    joint = states.tensor(
-        DensityMatrix(sigma1.mat, (d, d), ("A1", "B1")),
-        DensityMatrix(sigma2.mat, (d, d), ("A2", "B2")),
-    )
-    joint = states.permute_systems(joint, ("A1", "A2", "B1", "B2"))
-    bell = states.bell_basis(d)
-    p_alice = np.zeros(d * d)
-    p_joint = np.zeros(d * d)
-    eye_b = np.eye(d * d)
-    for i, ket in enumerate(bell):
-        pa = np.kron(proj(ket), eye_b)
-        pj = np.kron(proj(ket), proj(ket.vec.conj()))
-        p_alice[i] = max(float(np.trace(joint.mat @ pa).real), 0.0)
-        p_joint[i] = max(float(np.trace(joint.mat @ pj).real), 0.0)
+    s1, s2 = sigma1.mat, sigma2.mat
+    rho1, rho2 = (np.trace(s.reshape(d, d, d, d), axis1=1, axis2=3) for s in (s1, s2))
+    raw = np.empty((2, d * d))
+    for i, ket in enumerate(states.bell_basis(d)):
+        b = ket.vec.reshape(d, d)
+        m = np.einsum("ac,bd->abcd", b, b.conj()).reshape(d * d, d * d)
+        raw[0, i] = np.vdot(b, rho1 @ b @ rho2.T).real
+        raw[1, i] = np.vdot(m, s1 @ m @ s2.T).real
+    p_alice, p_joint = np.clip(raw, 0.0, None)
     accept_given = np.divide(p_joint, p_alice, out=np.zeros_like(p_joint), where=p_alice > 0)
-    per_pair_accept = float(np.trace(joint.mat @ t_bell).real)
-    return p_alice / p_alice.sum(), np.clip(accept_given, 0.0, 1.0), per_pair_accept
+    # T_bell = sum_i |b_i (x) conj(b_i)><.|, so its trace is the sum of the joint table
+    return p_alice / p_alice.sum(), np.clip(accept_given, 0.0, 1.0), float(raw[1].sum())
 
 
 def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
@@ -187,8 +223,7 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     pairs = config.n // copies
     sigma1 = config.state.build()
     sigma2 = (config.state2 or config.state).build()
-    t_bell = quantum.to_group_major(quantum.bell_pair_test(d)).mat
-    p_alice, accept_given, per_pair = _bell_tables(t_bell, sigma1, sigma2, d)
+    p_alice, accept_given, per_pair = _bell_tables(sigma1, sigma2, d)
     eps2 = fail(d, config.epsilon)
     test = classical.binomial_ump_test(pairs, eps2, config.alpha)
 
@@ -214,31 +249,44 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, g: np.ndarray, u: np.ndarray):
+    """Alice's outcome probabilities, her outcome and Bob's acceptance probability
+    for one batch of rounds.
+
+    Alice measures {g|i><i|g^dag}, so outcome i has probability
+    ``p[n, i] = <g_i| rho_A |g_i>`` with ``rho_A = Tr_B sigma``, and she reports
+    the first i whose cumulative probability exceeds the uniform ``u[n]``.  Bob
+    checks conj(g_i), so he accepts with probability ``<x|sigma|x> / p[n, i]``
+    for ``x = g_i (x) conj(g_i)``: one (batch, d^2) x (d^2, d^2) product.
+    Returns ``(p, pick, accept)``; ``p`` is normalized.
+    """
+    batch, d = len(g), g.shape[-1]
+    raw = np.real(np.einsum("nai,nai->ni", g.conj(), rho_a @ g))
+    p = np.clip(raw, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    pick = (u > np.cumsum(p, axis=1)).sum(axis=1)
+    rows = np.arange(batch)
+    gi = g[rows, :, pick]
+    x = (gi[:, :, np.newaxis] * gi.conj()[:, np.newaxis, :]).reshape(batch, d * d)
+    num = np.real(np.einsum("nj,nj->n", x.conj(), x @ sigma_mat.T))
+    return p, pick, np.clip(num / raw[rows, pick], 0.0, 1.0)
+
+
 def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarray:
     """Simulate independent rounds of the covariant one-way protocol.
 
     Per round, Alice draws Haar g and measures {g|i><i|g^dag}; Bob measures
-    the conjugate of Alice's observed vector on his conditional state.
-    Returns the boolean acceptance sequence.
+    the conjugate of Alice's observed vector on his conditional state (see
+    ``_one_way_outcomes``).  Returns the boolean acceptance sequence.
     """
-    tens = sigma_mat.reshape(d, d, d, d)  # [a, b, a', b']
+    rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
     out = np.empty(rounds, dtype=bool)
     done = 0
-    for batch in _chunks(rounds, 8192):
-        g = haar_unitaries(d, batch, rng, special=True)
-        # rho[n, i, b, b'] = Bob's (unnormalized) state after Alice sees i
-        rho = np.einsum("nai,abcd,nci->nibd", g.conj(), tens, g, optimize=True)
-        p_alice = np.real(np.einsum("nibb->ni", rho))
-        p_alice = np.clip(p_alice, 0.0, None)
-        p_alice /= p_alice.sum(axis=1, keepdims=True)
-        pick = (rng.random((batch, 1)) > np.cumsum(p_alice, axis=1)).sum(axis=1)
-        rows = np.arange(batch)
-        bob = g[rows, :, pick].conj()  # Bob checks conj(g|i>)
-        rho_i = rho[rows, pick]
-        num = np.real(np.einsum("nb,nbc,nc->n", bob.conj(), rho_i, bob))
-        den = np.real(np.einsum("nbb->n", rho_i))
-        p_acc = np.clip(num / den, 0.0, 1.0)
-        out[done : done + batch] = rng.random(batch) < p_acc
+    for batch in _chunks(rounds, _ROUND_BATCH):
+        # U(d) serves as well as SU(d): g enters only through g|i><i|g^dag
+        g = haar_unitaries(d, batch, rng)
+        _, _, accept = _one_way_outcomes(sigma_mat, rho_a, g, rng.random((batch, 1)))
+        out[done : done + batch] = rng.random(batch) < accept
         done += batch
     return out
 
@@ -280,13 +328,7 @@ def run_one_way_repeated(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    runner = {
-        "global_projective": run_global,
-        "bell_pairs": run_bell_pairs,
-        "one_way_single": run_one_way_single,
-        "one_way_repeated": run_one_way_repeated,
-    }[config.protocol]
-    return runner(config)
+    return globals()[_RUNNERS[config.protocol]](config)
 
 
 def asymptotic_sweep(
@@ -317,6 +359,21 @@ def asymptotic_sweep(
             f"{protocol} sweep needs every n >= 1 and a multiple of {copies}, got {n_list}"
         )
     limit = classical.beta_poisson(delta, alpha, t_alt)
+    # every run is configured, and so size-checked, before the first one starts
+    runs = {
+        n: ExperimentConfig(
+            protocol=protocol,
+            d=d,
+            n=n,
+            epsilon=delta / n,
+            alpha=alpha,
+            trials=trials,
+            seed=seed + n,
+            state=StateSpec("isotropic", d, (t_alt / n,)),
+        )
+        for n in n_list
+        if trials and n <= 1000
+    }
     rows = []
     for n in n_list:
         eps = delta / n
@@ -333,18 +390,8 @@ def asymptotic_sweep(
             "empirical": None,
             "ci95": None,
         }
-        if trials and n <= 1000:
-            config = ExperimentConfig(
-                protocol=protocol,
-                d=d,
-                n=n,
-                epsilon=eps,
-                alpha=alpha,
-                trials=trials,
-                seed=seed + n,
-                state=StateSpec("isotropic", d, (p,)),
-            )
-            res = run_experiment(config)
+        if n in runs:
+            res = run_experiment(runs[n])
             row["empirical"] = res.rate
             row["ci95"] = res.ci95
         rows.append(row)

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from entbench.states import DensityMatrix, fidelity_defect, max_entangled_ket, proj, random_density
+from entbench.quantum import bell_pair_test, to_group_major
+from entbench.states import (
+    DensityMatrix,
+    bell_basis,
+    fidelity_defect,
+    max_entangled_ket,
+    permute_systems,
+    proj,
+    random_density,
+    tensor,
+)
 
 
 def brute_force_min_beta(p0: np.ndarray, p1: np.ndarray, alpha: float) -> float:
@@ -70,3 +80,47 @@ def singular_value_max_entangled(u: np.ndarray, tol: float = 1e-10) -> bool:
     d = int(round(np.sqrt(vec.size)))
     s = np.linalg.svd(vec.reshape(d, d), compute_uv=False)
     return bool(np.max(np.abs(s - 1.0 / np.sqrt(d))) <= tol)
+
+
+def one_way_reference(sigma_mat: np.ndarray, d: int, g: np.ndarray, u: np.ndarray):
+    """One batch of the covariant one-way protocol from Bob's full conditional states.
+
+    ``rho[n, i]`` is Bob's unnormalized state after Alice, measuring in the
+    columns of ``g[n]``, sees i; its trace is her outcome probability.  She
+    reports the first i whose cumulative probability exceeds ``u[n]``, and Bob
+    accepts with the overlap of conj(g_i) with his normalized state.  Returns
+    ``(p, pick, accept)`` with ``p`` normalized.
+    """
+    tens = sigma_mat.reshape(d, d, d, d)  # [a, b, a', b']
+    rho = np.einsum("nai,abcd,nci->nibd", g.conj(), tens, g, optimize=True)
+    p = np.clip(np.real(np.einsum("nibb->ni", rho)), 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    pick = (u > np.cumsum(p, axis=1)).sum(axis=1)
+    rows = np.arange(len(g))
+    bob = g[rows, :, pick].conj()
+    rho_i = rho[rows, pick]
+    num = np.real(np.einsum("nb,nbc,nc->n", bob.conj(), rho_i, bob))
+    den = np.real(np.einsum("nbb->n", rho_i))
+    return p, pick, np.clip(num / den, 0.0, 1.0)
+
+
+def bell_tables_reference(sigma1: DensityMatrix, sigma2: DensityMatrix, d: int):
+    """Bell-pair outcome and acceptance tables as traces against d^4 x d^4 operators.
+
+    The joint state is arranged (A1, A2, B1, B2); Alice's outcome i has
+    probability Tr(joint (|b_i><b_i| (x) I)), seeing it and Bob accepting
+    Tr(joint (|b_i><b_i| (x) |conj b_i><conj b_i|)), and the per-pair
+    acceptance is Tr(joint T_bell).  Returns ``(p_alice, p_joint, per_pair)``
+    before any clipping or normalization.
+    """
+    joint = tensor(
+        DensityMatrix(sigma1.mat, (d, d), ("A1", "B1")),
+        DensityMatrix(sigma2.mat, (d, d), ("A2", "B2")),
+    )
+    joint = permute_systems(joint, ("A1", "A2", "B1", "B2")).mat
+    p_alice, p_joint = np.zeros(d * d), np.zeros(d * d)
+    for i, ket in enumerate(bell_basis(d)):
+        p_alice[i] = np.trace(joint @ np.kron(proj(ket), np.eye(d * d))).real
+        p_joint[i] = np.trace(joint @ np.kron(proj(ket), proj(ket.vec.conj()))).real
+    t_bell = to_group_major(bell_pair_test(d)).mat
+    return p_alice, p_joint, float(np.trace(joint @ t_bell).real)

@@ -6,7 +6,7 @@ import pytest
 
 from entbench import quantum, states, twirl
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
-from entbench.protocols import ROUNDS
+from entbench.protocols import ROUNDS, StateSpec
 from entbench.quantum import beta_one_way
 
 
@@ -242,6 +242,24 @@ class TestTwirlVerify:
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=3"])
         assert rc == 2
         assert "the largest d that fits is 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "protocol=one_way_single", "--trials", "10"],
+        ["simulate", "protocol=bell_pairs", "n=2", "--trials", "10"],
+        ["sweep", "protocol=one_way_repeated", "n_list=[100]", "--trials", "10"],
+    ],
+    ids=["simulate-one-way", "simulate-bell", "sweep"],
+)
+def test_huge_d_refused_before_any_state(tmp_path, monkeypatch, capsys, args):
+    # a d^2 x d^2 state at d = 10^5 would take 1.6e20 bytes
+    monkeypatch.setattr(StateSpec, "build", lambda self: pytest.fail("state was built"))
+    command, *rest = args
+    rc = main([command, "--out", str(tmp_path / "x"), "d=100000", *rest])
+    assert rc == 2
+    assert "the largest d that fits is" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

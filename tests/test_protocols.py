@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entbench import protocols as pr
+from entbench import twirl
 from entbench.classical import beta_binomial, beta_poisson
 from entbench.quantum import bell_pair_test
 from entbench.states import (
@@ -12,8 +13,10 @@ from entbench.states import (
     isotropic_state,
     max_entangled_ket,
     proj,
+    random_density,
     tensor,
 )
+from helpers import bell_tables_reference, one_way_reference
 
 
 def iso_config(protocol, d, n, eps, alpha, trials, seed, p, **kw):
@@ -193,10 +196,66 @@ class TestRunOneWay:
         assert res.within_ci(res.exact)
 
 
+class TestReducedStateTables:
+    """The one-way and Bell-pair tables against the full-operator references."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_way_outcomes_match_conditional_states(self, d):
+        rng = np.random.default_rng(90 + d)
+        sigma = random_density((d, d), rng).mat
+        rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+        g = twirl.haar_unitaries(d, 2000, rng)
+        u = rng.random((2000, 1))
+        p, pick, accept = pr._one_way_outcomes(sigma, rho_a, g, u)
+        p_ref, pick_ref, accept_ref = one_way_reference(sigma, d, g, u)
+        assert np.max(np.abs(p - p_ref)) <= 1e-12
+        assert np.array_equal(pick, pick_ref)
+        assert np.max(np.abs(accept - accept_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_way_sequence_matches_reference(self, d):
+        sigma = random_density((d, d), np.random.default_rng(95 + d)).mat
+        rounds = pr._ROUND_BATCH + 300  # two batches
+        got = pr._one_way_rounds(sigma, d, rounds, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        want = []
+        for batch in (pr._ROUND_BATCH, 300):
+            g = twirl.haar_unitaries(d, batch, rng)
+            _, _, accept = one_way_reference(sigma, d, g, rng.random((batch, 1)))
+            want.append(rng.random(batch) < accept)
+        assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bell_tables_match_dense_traces(self, d):
+        rng = np.random.default_rng(100 + d)
+        s1, s2 = random_density((d, d), rng), random_density((d, d), rng)
+        p_alice, accept_given, per_pair = pr._bell_tables(s1, s2, d)
+        pa, pj, per_pair_ref = bell_tables_reference(s1, s2, d)
+        assert np.max(np.abs(p_alice - pa / pa.sum())) <= 1e-12
+        assert np.max(np.abs(accept_given - pj / pa)) <= 1e-12
+        assert abs(per_pair - per_pair_ref) <= 1e-12
+
+
 class TestDispatchAndDeterminism:
     def test_dispatcher(self):
         cfg = iso_config("global_projective", 2, 5, 0.1, 0.1, 100, 15, 0.1)
         assert pr.run_experiment(cfg).protocol == "global_projective"
+
+    def test_dispatch_sees_a_rebound_runner(self, monkeypatch):
+        cfg = iso_config("one_way_single", 2, 1, 0.0, 0.1, 10, 0, 0.1)
+        monkeypatch.setattr(pr, "run_one_way_single", lambda config: "rebound")
+        assert pr.run_experiment(cfg) == "rebound"
+
+    @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
+    def test_memory_check_names_the_largest_d(self, protocol, monkeypatch):
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**9)
+        monkeypatch.setattr(pr.StateSpec, "build", lambda self: pytest.fail("state was built"))
+        with pytest.raises(ValueError, match="the largest d that fits is") as err:
+            iso_config(protocol, 1000, 2, 0.0, 0.1, 10**4, 0, 0.1)
+        fits = int(str(err.value).rsplit(" ", 1)[1])
+        iso_config(protocol, fits, 2, 0.0, 0.1, 10**4, 0, 0.1)  # no error
+        with pytest.raises(ValueError, match="more than"):
+            iso_config(protocol, fits + 1, 2, 0.0, 0.1, 10**4, 0, 0.1)
 
     def test_same_seed_same_result(self):
         cfg = iso_config("bell_pairs", 2, 10, 0.05, 0.1, 2000, 16, 0.2)

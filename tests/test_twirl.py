@@ -115,6 +115,40 @@ class TestHaarUnitary:
         assert np.all(np.abs(mean - np.eye(d) / d) <= 5 * stderr + 1e-9)
 
 
+class TestOrthonormalColumns:
+    """Batched Gram-Schmidt against LAPACK QR, on conditioning, and on Haar moments."""
+
+    @staticmethod
+    def _qr_reference(a):
+        q, r = np.linalg.qr(a)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        return q * (diag / np.abs(diag))[:, np.newaxis, :]
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_phase_normalized_qr(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        a = rng.standard_normal((500, dim, dim)) + 1j * rng.standard_normal((500, dim, dim))
+        got = twirl._orthonormal_columns(a)
+        assert np.max(np.abs(got - self._qr_reference(a))) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_unitary_on_ill_conditioned_input(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        u, v = haar_unitaries(dim, 2, rng)
+        a = (u * np.logspace(0, -10, dim)) @ v.conj().T
+        assert 0.5e10 <= np.linalg.cond(a) <= 2e10
+        q = twirl._orthonormal_columns(a[np.newaxis])[0]
+        assert np.max(np.abs(q.conj().T @ q - np.eye(dim))) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_haar_moments(self, d):
+        # E|U_00|^2 = 1/d and E|U_00|^4 = 2/(d(d+1)) under the Haar measure
+        n = 20000
+        x = np.abs(haar_unitaries(d, n, np.random.default_rng(80 + d))[:, 0, 0]) ** 2
+        for moment, want in ((x, 1.0 / d), (x**2, 2.0 / (d * (d + 1)))):
+            assert abs(moment.mean() - want) <= 5 * moment.std(ddof=1) / np.sqrt(n)
+
+
 class TestMcTwirl:
     def test_invariant_operator_fixed(self):
         d = 2
