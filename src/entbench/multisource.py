@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .classical import beta_poisson
-from .states import Ket, TestOperator, doubled_ket, max_entangled_ket, proj
+from .states import Ket, TestOperator, doubled_ket, max_entangled_ket, mixed_tensor_sum, proj
 
 
 class TripleTermNote(UserWarning):
@@ -81,23 +80,13 @@ def three_source_covariant_test(d: int) -> TestOperator:
     check_triple_dimension(d)
     p = proj(max_entangled_ket(d))
     q = np.eye(d * d) - p
-    coeff_all_fail = (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))
-    coeff_one_pass = 1.0 / ((d + 1.0) ** 2 * (d - 1.0))
-    mat = np.zeros(((d * d) ** 3,) * 2, dtype=complex)
-    for bits in product((0, 1), repeat=3):
-        n_fail = sum(bits)
-        if n_fail == 0:
-            coeff = 1.0
-        elif n_fail == 2:
-            coeff = coeff_one_pass
-        elif n_fail == 3:
-            coeff = coeff_all_fail
-        else:
-            continue
-        term = np.ones((1, 1), dtype=complex)
-        for bit in bits:
-            term = np.kron(term, q if bit else p)
-        mat += coeff * term
+    # coefficient per number of factors on q; exactly one gets 0
+    coeffs = {
+        0: 1.0,
+        2: 1.0 / ((d + 1.0) ** 2 * (d - 1.0)),
+        3: (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0)),
+    }
+    mat = sum(c * mixed_tensor_sum(p, q, 3, k) for k, c in coeffs.items())
     labels = ("A1", "B1", "A2", "B2", "A3", "B3")
     return TestOperator(mat, (d, d) * 3, labels)
 

@@ -193,22 +193,32 @@ def _bell_tables(sigma1, sigma2, d):
     per-pair acceptance Tr((sigma1 (x) sigma2) T_bell).
 
     Alice measures the Bell basis {b_i} on (A1, A2); Bob checks conj(b_i) on
-    (B1, B2).  With b_i as the d x d matrix B[a1, a2], Alice sees i with
-    probability <b_i| rho_A1 (x) rho_A2 |b_i> = Tr(B^dag rho_A1 B rho_A2^T),
-    and sees i and Bob accepts with the expectation of b_i (x) conj(b_i) in
-    sigma1 (x) sigma2, Tr(M^dag sigma1 M sigma2^T) for the d^2 x d^2 matrix
-    M[(a1 b1), (a2 b2)] = B[a1, a2] conj(B[b1, b2]).  So no operator on all
-    four systems is formed: the largest array is d^2 x d^2.
+    (B1, B2).  With b_i, i = (n, m), as the d x d matrix B = X^n Z^m / sqrt(d),
+    Alice sees i with probability <b_i| rho_A1 (x) rho_A2 |b_i> =
+    Tr(B^dag rho_A1 B rho_A2^T), and sees i and Bob accepts with the
+    expectation of b_i (x) conj(b_i) in sigma1 (x) sigma2, Tr(M^dag sigma1 M
+    sigma2^T) for M = B (x) conj(B) on the pair index (a, b).  Both are
+    monomial: column c's one entry, phi(c), sits in row pi(c), with pi the
+    shift by n (on a and on b) and phi a phase of m over sqrt(d) or d.  So
+    ``Tr(M^dag s1 M s2^T) = phi^dag (s1[pi, pi] o s2) phi``: one gather of
+    d^4 entries per shift n, shared by its d phases m, and no array exceeds
+    d^2 x d^2.
     """
     s1, s2 = sigma1.mat, sigma2.mat
     rho1, rho2 = (np.trace(s.reshape(d, d, d, d), axis1=1, axis2=3) for s in (s1, s2))
-    raw = np.empty((2, d * d))
-    for i, ket in enumerate(states.bell_basis(d)):
-        b = ket.vec.reshape(d, d)
-        m = np.einsum("ac,bd->abcd", b, b.conj()).reshape(d * d, d * d)
-        raw[0, i] = np.vdot(b, rho1 @ b @ rho2.T).real
-        raw[1, i] = np.vdot(m, s1 @ m @ s2.T).real
-    p_alice, p_joint = np.clip(raw, 0.0, None)
+    c = np.arange(d)
+    waves = np.exp(2j * np.pi * np.outer(c, c) / d)  # [m, c] = w^(m c), Z^m's diagonal
+    psi = waves / math.sqrt(d)
+    phi = waves[:, (c[:, np.newaxis] - c).reshape(-1) % d] / d  # w^(m (a - b)) / d
+    raw = np.empty((2, d, d))
+    for n in range(d):
+        row = (c + n) % d
+        pi = (row[:, np.newaxis] * d + row).reshape(-1)
+        alice = rho1[np.ix_(row, row)] * rho2
+        joint = s1[np.ix_(pi, pi)] * s2
+        raw[0, n] = np.einsum("mi,mi->m", psi.conj(), psi @ alice.T).real
+        raw[1, n] = np.einsum("mi,mi->m", phi.conj(), phi @ joint.T).real
+    p_alice, p_joint = np.clip(raw.reshape(2, d * d), 0.0, None)
     accept_given = np.divide(p_joint, p_alice, out=np.zeros_like(p_joint), where=p_alice > 0)
     # T_bell = sum_i |b_i (x) conj(b_i)><.|, so its trace is the sum of the joint table
     return p_alice / p_alice.sum(), np.clip(accept_given, 0.0, 1.0), float(raw[1].sum())
@@ -283,7 +293,6 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
     out = np.empty(rounds, dtype=bool)
     done = 0
     for batch in _chunks(rounds, _ROUND_BATCH):
-        # U(d) serves as well as SU(d): g enters only through g|i><i|g^dag
         g = haar_unitaries(d, batch, rng)
         _, _, accept = _one_way_outcomes(sigma_mat, rho_a, g, rng.random((batch, 1)))
         out[done : done + batch] = rng.random(batch) < accept

@@ -234,7 +234,6 @@ def sequential_covariant_trace(
     u1, u2 = _sequential_seed_vectors(d)
 
     def values(batch):
-        # U(d) serves as well as SU(d): det(g)'s phase cancels in gu (x) conj(gu)
         g = haar_unitaries(d, batch, rng)
         vals = np.ones(batch)
         for u in (u1, u2):

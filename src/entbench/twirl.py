@@ -19,23 +19,28 @@ for every covariant closed form; ``phase_twirl`` is the exact average over the
 phase action, which just zeroes matrix blocks between charge sectors.
 
 Every sampled element is a tensor power ``u_1 (x) ... (x) u_copies`` of
-single-pair unitaries, so the dim x dim unitary is never formed.
+single-pair unitaries, so the dim x dim unitary is never formed.  The local
+actions are defined with g in SU(d) but sampled from Haar U(d): a Haar U(d)
+element is a Haar SU(d) element times the global phase det(g)^(1/d), which
+cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.
 
-* A rank-one input, given as a ``Ket`` v, is twirled as vectors: each copy's
-  factor acts on its own pair axes of v, ``8 dim d^2 copies`` real flops per
-  sample.  A batch W of twirled vectors gives the sum of ``|f v><f v|`` as one
-  GEMM, ``W^T conj(W)``, and the sum of the squared moduli as a second,
+One kernel, ``_apply_factors``, contracts a sample's factors with a flat
+vector, each factor on its own pair axes: ``8 n d^2`` real flops per factor
+and sample on a vector of size n.
+
+* A rank-one input, given as a ``Ket`` v, is twirled as the vectors f v.  A
+  batch W of them gives the sum of ``|f v><f v|`` as one GEMM,
+  ``W^T conj(W)``, and the sum of the squared moduli as a second,
   ``(|W|^2)^T |W|^2``: ``10 dim^2`` real flops per sample, which dominate at
   large dim (5.3 MFLOP at dim 729, against 0.23 GFLOP to conjugate a dense
   operator there).
-* A dense operator is conjugated block by block.  Consecutive copies are
-  merged into blocks of dimension at most 64, and each block acts on its own
-  row axes and then, conjugated, on its own column axes of the reshaped
-  operator.  A sample costs ``16 dim^2 sum_b k_b`` real flops for block
-  dimensions ``k_b``, i.e. ``16 copies d^2 dim^2`` when every block is one
-  pair (about 0.23 GFLOP at dim 729, against ``16 dim^3`` = 6.2 GFLOP for the
-  dense product).  Up to dim 64 the single block is the whole unitary and the
-  product is the dense ``f T f^dag``.
+* A dense operator T is conjugated as the vector twirl of its row-major
+  flattening, since ``vec(f T f^dag) = (f (x) conj(f)) vec(T)``: the same
+  kernel applies the factors and then their conjugates to ``vec(T)``, a
+  vector of size dim^2 with twice as many pair factors.  That is
+  ``16 copies d^2 dim^2`` real flops per sample (about 0.23 GFLOP at dim 729,
+  against ``16 dim^3`` = 6.2 GFLOP for the dense product).  At one copy it
+  is exactly the dense ``(f @ T) @ f^dag``.
 
 Both paths check their batch's footprint against physical RAM before any
 draw, and feed one accumulator that merges per-batch moments with Chan's
@@ -54,19 +59,17 @@ import numpy as np
 from .states import Ket, Operator, max_entangled_ket, mixed_tensor_sum, proj
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
-# largest block of merged copies; below it one dense product beats per-pair
-# contractions of small blocks (measured crossover between dims 64 and 81)
-_BLOCK_DIM = 64
-# batch-sized complex arrays alive at once in a twirl: a contraction's input
-# and output, and, when one block spans the whole space, that unitary batch
-# and its conjugate (peak RSS measured at about 4 batches at dim 64, 2 at 729)
-_LIVE_BATCHES = 4
-# rank-one twirl: complex (batch, dim) vector batches alive at once (a
-# contraction's input and output, |W|^2 at half size, one gathered slice of
-# the cancellation guard; measured about 2 at dim 729) ...
-_LIVE_VECTORS = 3
-# ... arrays of one factor's size that a factor draw holds while it is built
-# (ortho: g, b g and b g b^dag), on top of the one kept per copy ...
+# batch-sized complex arrays alive at once in a twirl, of (batch, dim) vectors
+# or (batch, dim, dim) conjugates: a contraction's input and output, plus
+# |W|^2 at half size and one gathered slice of the cancellation guard for
+# vectors, or c - T and its modulus in check_invariance.  Peak RSS growth over
+# one batch (getrusage, one BLAS thread): 2.0 batches for a dense mc_twirl at
+# dims 64, 81 and 729, 2.5 for check_invariance there, and about 2 for a
+# vector batch at dim 729
+_LIVE_BATCHES = 3
+# a vector twirl also budgets arrays of one factor's size that a factor draw
+# holds while it is built (ortho: g, b g and b g b^dag), on top of the one
+# kept per copy ...
 _FACTOR_TEMPS = 3
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
 # merged, complex ones counting twice (measured 10 at dim 2401)
@@ -78,28 +81,21 @@ _CANCELLATION = 1e-8
 KINDS = ("phase", "local", "local_phase", "ortho", "local_independent")
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> np.ndarray:
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary; see ``haar_unitaries``."""
-    return haar_unitaries(dim, 1, rng, special=special)[0]
+    return haar_unitaries(dim, 1, rng)[0]
 
 
-def haar_unitaries(
-    dim: int, count: int, rng: np.random.Generator, special: bool = False
-) -> np.ndarray:
+def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-distributed unitaries, shape (count, dim, dim).
 
     Each is a complex Ginibre matrix (real parts drawn first, then imaginary
     parts) with its columns orthonormalized in order.  That is the Q of its QR
     decomposition with a positive real R diagonal, which is exactly Haar
-    (Mezzadri, Notices AMS 54, 2007).  With ``special=True`` the determinant is
-    normalized to 1 (an SU(dim) sample).
+    (Mezzadri, Notices AMS 54, 2007).
     """
     g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q = _orthonormal_columns(g)
-    if special:
-        det = np.linalg.det(q)
-        q = q / (det ** (1.0 / dim))[:, np.newaxis, np.newaxis]
-    return q
+    return _orthonormal_columns(g)
 
 
 def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
@@ -202,7 +198,6 @@ class GroupAction:
             return phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
         if self.kind == "ortho":
             return orthocomplement_unitary(haar_unitaries(d * d - 1, count, rng), d)
-        # U(d) serves as well as SU(d): det(g)'s phase cancels in g (x) conj(g)
         u = pair_conjugate_unitary(haar_unitaries(d, count, rng))
         if self.kind == "local_phase":
             u = u @ phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
@@ -219,17 +214,6 @@ class GroupAction:
         if self.kind == "local_independent":
             return [self._factor(count, rng) for _ in range(self.copies)]
         return [self._factor(count, rng)] * self.copies
-
-    def _blocks(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """The draws of ``_factors`` with consecutive copies merged while the
-        block dimension stays <= ``_BLOCK_DIM``, left block first."""
-        blocks: list[np.ndarray] = []
-        for factor in self._factors(count, rng):
-            if blocks and blocks[-1].shape[-1] * factor.shape[-1] <= _BLOCK_DIM:
-                blocks[-1] = _kron_batch(blocks[-1], factor)
-            else:
-                blocks.append(factor)
-        return blocks
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` samples of the action, shape (count, dim, dim), drawn as ``_factors``."""
@@ -301,53 +285,48 @@ def _check_batch(
         )
 
 
+def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """``(f_1 (x) ... (x) f_n) vec`` per sample of the factor batches, shape (batch, vec.size).
+
+    Factor f_c, of dimension k with ``lead`` dimensions before its axes and
+    ``tail`` after, multiplies ``w.reshape(batch, lead, k, tail)`` from the
+    left; the last one is ``w @ f_c^T``.
+    """
+    w, lead = vec[np.newaxis], 1
+    for factor in factors:
+        k = factor.shape[-1]
+        tail = vec.size // (lead * k)
+        if tail == 1:  # one wide product in place of lead k x 1 ones
+            w = w.reshape(len(w), lead, k) @ factor.transpose(0, 2, 1)
+        else:
+            w = factor[:, np.newaxis] @ w.reshape(len(w), lead, k, tail)
+        lead *= k
+    return w.reshape(len(w), vec.size)
+
+
 def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
     """Batches of f(g) mat f(g)^dag over ``samples`` sampled group elements.
 
-    f(g) is never formed: block b of dimension k, with ``lead`` dimensions
-    before it and ``tail`` after, multiplies ``mat.reshape(batch, lead, k,
-    tail * dim)`` from the left on the rows, and conj(b) acts on the column
-    axes the same way; the last column block is ``x @ b^dag``.  With one
-    block this is exactly ``(f @ mat) @ f^dag``.
+    f(g) is never formed: ``vec(f mat f^dag) = (f (x) conj(f)) vec(mat)`` for
+    the row-major ``vec``, so the factors of f and then their conjugates are
+    applied to ``mat.reshape(-1)`` by ``_apply_factors``.  With one copy this
+    is exactly ``(f @ mat) @ f^dag``.
     """
     dim = action.dim
     _check_batch(mat.shape[0], action, samples, dim * dim * 16 * _LIVE_BATCHES)
     for batch in _chunks(samples):
-        x, lead = mat[np.newaxis], 1
-        for block in action._blocks(batch, rng):
-            k = block.shape[-1]
-            tail = dim // (lead * k)
-            x = block[:, np.newaxis] @ x.reshape(len(x), lead, k, tail * dim)
-            if tail == 1:  # one wide product in place of dim * lead k x 1 ones
-                x = x.reshape(batch, dim * lead, k) @ block.conj().transpose(0, 2, 1)
-            else:
-                x = block.conj()[:, np.newaxis] @ x.reshape(batch, dim * lead, k, tail)
-            lead *= k
-        yield x.reshape(batch, dim, dim)
+        factors = action._factors(batch, rng)
+        conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
+        yield conj.reshape(batch, dim, dim)
 
 
 def _vectors(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
-    """Batches of f(g) vec, shape (batch, dim), over ``samples`` sampled group elements.
-
-    The factor of copy c, with ``lead`` dimensions before its pair and
-    ``tail`` after, multiplies ``w.reshape(batch, lead, d^2, tail)`` from the
-    left; the last one is ``w @ factor^T``.  These are the draws the dense
-    path merges into ``_blocks``; on a vector a merged block would cost more
-    to form than it saves.
-    """
+    """Batches of f(g) vec, shape (batch, dim), over ``samples`` sampled group elements."""
     dim, q = action.dim, action.d * action.d
-    per_sample = 16 * (_LIVE_VECTORS * dim + (action.copies + _FACTOR_TEMPS) * q * q)
+    per_sample = 16 * (_LIVE_BATCHES * dim + (action.copies + _FACTOR_TEMPS) * q * q)
     _check_batch(vec.size, action, samples, per_sample, 8 * _LIVE_ACCUMULATORS * dim * dim)
     for batch in _chunks(samples):
-        w, lead = vec[np.newaxis], 1
-        for factor in action._factors(batch, rng):
-            tail = dim // (lead * q)
-            if tail == 1:  # one wide product in place of lead q x 1 ones
-                w = w.reshape(len(w), lead, q) @ factor.transpose(0, 2, 1)
-            else:
-                w = factor[:, np.newaxis] @ w.reshape(len(w), lead, q, tail)
-            lead *= q
-        yield w.reshape(batch, dim)
+        yield _apply_factors(vec, action._factors(batch, rng))
 
 
 def _batch_moments(x: np.ndarray):
@@ -412,12 +391,13 @@ def mc_twirl(
     vectors (see ``_vectors``), ``8 dim d^2 copies`` real flops per sample,
     and accumulated by two GEMMs (see ``_outer_moments``), ``10 dim^2`` more;
     its memory is one batch of vectors and a few dim x dim accumulators.  Any
-    other operator is conjugated block by block (see ``_conjugates``),
-    ``16 dim^2 sum_b k_b`` real flops instead of the dense ``16 dim^3``, with
-    a batch of dim x dim conjugates in memory.  Both paths draw the same group
-    elements and accumulate in sample order with a fixed internal batch size,
-    so the result is a deterministic function of (seed, samples).  A batch
-    that would not fit in physical RAM raises ``ValueError`` before any draw.
+    other operator is conjugated as the vector twirl of its flattening (see
+    ``_conjugates``), ``16 copies d^2 dim^2`` real flops instead of the dense
+    ``16 dim^3``, with batches of dim x dim conjugates in memory.  Both paths
+    draw the same group elements through one contraction kernel and
+    accumulate in sample order with a fixed internal batch size, so the
+    result is a deterministic function of (seed, samples).  A batch that
+    would not fit in physical RAM raises ``ValueError`` before any draw.
     """
     if isinstance(op, Ket):
         moments = map(_outer_moments, _vectors(op.vec, action, samples, rng))

@@ -119,8 +119,12 @@ def bell_tables_reference(sigma1: DensityMatrix, sigma2: DensityMatrix, d: int):
     )
     joint = permute_systems(joint, ("A1", "A2", "B1", "B2")).mat
     p_alice, p_joint = np.zeros(d * d), np.zeros(d * d)
+
+    def trace_of_product(a, b):
+        return np.einsum("ij,ji->", a, b).real
+
     for i, ket in enumerate(bell_basis(d)):
-        p_alice[i] = np.trace(joint @ np.kron(proj(ket), np.eye(d * d))).real
-        p_joint[i] = np.trace(joint @ np.kron(proj(ket), proj(ket.vec.conj()))).real
+        p_alice[i] = trace_of_product(joint, np.kron(proj(ket), np.eye(d * d)))
+        p_joint[i] = trace_of_product(joint, np.kron(proj(ket), proj(ket.vec.conj())))
     t_bell = to_group_major(bell_pair_test(d)).mat
-    return p_alice, p_joint, float(np.trace(joint @ t_bell).real)
+    return p_alice, p_joint, float(trace_of_product(joint, t_bell))

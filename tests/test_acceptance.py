@@ -78,8 +78,8 @@ def test_criterion_02_two_sample_twirl_seed_independence():
     d = 2
     target = two_sample_covariant_test(d).mat
     seeds = [k.vec for k in bell_basis(d)]
-    g1 = haar_unitary(d, np.random.default_rng(7), special=True)
-    g2 = haar_unitary(d, np.random.default_rng(8), special=True)
+    g1 = haar_unitary(d, np.random.default_rng(7))
+    g2 = haar_unitary(d, np.random.default_rng(8))
     seeds.append(np.kron(g1, g2) @ max_entangled_ket(d).vec)  # fifth maximally entangled seed
     ok = True
     worst = 0.0

@@ -225,7 +225,7 @@ class TestReducedStateTables:
             want.append(rng.random(batch) < accept)
         assert np.array_equal(got, np.concatenate(want))
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_bell_tables_match_dense_traces(self, d):
         rng = np.random.default_rng(100 + d)
         s1, s2 = random_density((d, d), rng), random_density((d, d), rng)

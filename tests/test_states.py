@@ -91,7 +91,7 @@ class TestIsotropicState:
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(100):
-            u = pair_conjugate_unitary(haar_unitary(d, rng, special=True))
+            u = pair_conjugate_unitary(haar_unitary(d, rng))
             worst = max(worst, np.max(np.abs(u @ sigma @ u.conj().T - sigma)))
         assert worst < 1e-10
 

@@ -50,7 +50,7 @@ class TestPairConjugateUnitary:
         d = 3
         rng = np.random.default_rng(0)
         phi = max_entangled_ket(d).vec
-        for g in haar_unitaries(d, 100, rng, special=True):
+        for g in haar_unitaries(d, 100, rng):
             u = pair_conjugate_unitary(g)
             assert np.max(np.abs(u @ phi - phi)) < 1e-10
 
@@ -87,11 +87,6 @@ class TestHaarUnitary:
         for dim in (2, 3, 5):
             u = haar_unitary(dim, rng)
             assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
-
-    def test_special_determinant(self):
-        rng = np.random.default_rng(5)
-        u = haar_unitary(3, rng, special=True)
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
     def test_first_moment_vanishes(self):
         d, n = 2, 100000
@@ -344,10 +339,10 @@ def _reference_samples(action, count, rng):
         gs = haar_unitaries(d * d - 1, count, rng)
         factors = [[orthocomplement_unitary(g, d)] * copies for g in gs]
     elif kind == "local_independent":
-        gs = [haar_unitaries(d, count, rng, special=True) for _ in range(copies)]
+        gs = [haar_unitaries(d, count, rng) for _ in range(copies)]
         factors = [[np.kron(g[i], g[i].conj()) for g in gs] for i in range(count)]
     else:
-        gs = haar_unitaries(d, count, rng, special=True)
+        gs = haar_unitaries(d, count, rng)
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind == "local_phase" else None
         factors = []
         for i, g in enumerate(gs):
@@ -393,13 +388,17 @@ class TestSampledStream:
 
 
 class TestBlockedConjugation:
-    """Per-block conjugation against the dense per-sample reference, and the memory guard."""
+    """Conjugation as the vector twirl of vec(T), one pair factor at a time,
+    against the dense per-sample reference, and the memory guard."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("copies", [2, 3])
-    def test_matches_dense_reference(self, kind, copies):
-        # d = 3: dims 81 and 729, both split into one block per pair
-        action = GroupAction(kind, 3, copies)
+    @pytest.mark.parametrize(
+        "d,copies",
+        [(3, 2), (3, 3), (2, 2), (2, 3), (3, 1)],
+        ids=["2", "3", "d2-2", "d2-3", "d3-1"],
+    )
+    def test_matches_dense_reference(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
         g = np.random.default_rng(6).standard_normal((2, action.dim, action.dim))
         op = g[0] + 1j * g[1]  # any matrix; conjugation is linear
         samples = 3
@@ -409,16 +408,6 @@ class TestBlockedConjugation:
         assert np.max(np.abs(got - want)) <= 1e-12
         est = mc_twirl(op, action, samples, np.random.default_rng(44))
         assert np.max(np.abs(est.mean - want.mean(axis=0))) <= 1e-12
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_block_layout(self, kind):
-        rng = np.random.default_rng(0)
-        # one block, hence the dense f T f^dag, for every action up to dim 64
-        for d, copies in [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (8, 1)]:
-            action = GroupAction(kind, d, copies)
-            assert [b.shape for b in action._blocks(2, rng)] == [(2, action.dim, action.dim)]
-        for d, copies, dims in [(3, 2, [9, 9]), (3, 3, [9, 9, 9]), (4, 2, [16, 16]), (2, 4, [64, 4])]:
-            assert [b.shape[-1] for b in GroupAction(kind, d, copies)._blocks(2, rng)] == dims
 
     def test_three_source_test_invariant_at_dim_729(self):
         action = GroupAction("local_independent", 3, 3)
