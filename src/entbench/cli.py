@@ -289,8 +289,8 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 def _check_reference_fits(target: str, d: int, copies: int) -> None:
     """Refuse a reference operator, d^(2 copies) square, that would not fit in RAM."""
     dim = d ** (2 * copies)
-    twirl._check_d_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
-                        d, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
+    twirl._check_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
+                      "d", d, 2, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
 
 
 def _twirl_case(target: str, d: int):

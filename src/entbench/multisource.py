@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import beta_poisson
-from .states import Ket, TestOperator, doubled_ket, max_entangled_ket, mixed_tensor_sum, proj
+from .states import Ket, TestOperator, doubled_ket, proj, sector_operator
 
 
 class TripleTermNote(UserWarning):
@@ -78,15 +78,9 @@ def three_source_covariant_test(d: int) -> TestOperator:
     1/((d+1)^2 (d-1)) when exactly one factor is on P, and 0 otherwise.
     """
     check_triple_dimension(d)
-    p = proj(max_entangled_ket(d))
-    q = np.eye(d * d) - p
-    # coefficient per number of factors on q; exactly one gets 0
-    coeffs = {
-        0: 1.0,
-        2: 1.0 / ((d + 1.0) ** 2 * (d - 1.0)),
-        3: (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0)),
-    }
-    mat = sum(c * mixed_tensor_sum(p, q, 3, k) for k, c in coeffs.items())
+    # coefficient per number of pairs off the maximally entangled vector
+    coeffs = [1.0, 0.0, 1.0 / ((d + 1.0) ** 2 * (d - 1.0)), (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))]
+    mat = sector_operator(d, coeffs)
     labels = ("A1", "B1", "A2", "B2", "A3", "B3")
     return TestOperator(mat, (d, d) * 3, labels)
 

@@ -116,8 +116,8 @@ def _check_fits(config: ExperimentConfig) -> None:
     one-way batch arrays would not fit in physical RAM."""
     rounds = {"one_way_single": config.trials, "one_way_repeated": config.trials * config.n}
     batch = min(_ROUND_BATCH, rounds.get(config.protocol, 0))
-    twirl._check_d_fits(f"{config.protocol} at d={config.d}", config.d,
-                        lambda d: 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d))
+    twirl._check_fits(f"{config.protocol} at d={config.d}", "d", config.d, 2,
+                      lambda d: 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d))
 
 
 @dataclass(frozen=True)

@@ -82,27 +82,15 @@ class BlockDecomposition:
 
 
 def bell_block(sigma) -> BlockDecomposition:
-    """Project a two-qubit state onto the Bell basis."""
+    """Project a two-qubit state onto the Bell basis; a ``BlockDecomposition``
+    is returned as it is."""
+    if isinstance(sigma, BlockDecomposition):
+        return sigma
     mat = sigma.mat if isinstance(sigma, Operator) else np.asarray(sigma, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError("qubit-pair analysis needs a 4 x 4 state")
     x = BELL_VECTORS.conj() @ mat @ BELL_VECTORS.T
     return BlockDecomposition(a=float(x[0, 0].real), b=x[1:, 0], c=x[1:, 1:])
-
-
-@dataclass(frozen=True)
-class IrrepProjectors:
-    """The six orthogonal block projectors on the pair-major two-pair space."""
-
-    sym5_c0: np.ndarray
-    sym3_c1: np.ndarray
-    sym1_c2: np.ndarray
-    sym1_c0: np.ndarray
-    anti3_c0: np.ndarray
-    anti3_c1: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in BLOCK_NAMES)
 
 
 def _bb(i: int, j: int) -> np.ndarray:
@@ -111,7 +99,9 @@ def _bb(i: int, j: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def irrep_projectors() -> IrrepProjectors:
+def irrep_projectors() -> tuple[np.ndarray, ...]:
+    """The six orthogonal block projectors on the pair-major two-pair space,
+    in ``BLOCK_NAMES`` order."""
     omega = np.exp(2j * np.pi / 3.0)
 
     def span(*vectors) -> np.ndarray:
@@ -139,7 +129,7 @@ def irrep_projectors() -> IrrepProjectors:
     sym1_c0 = span((_bb(1, 1) + _bb(2, 2) + _bb(3, 3)) / math.sqrt(3.0))
     anti3_c0 = span(anti(1, 2), anti(2, 3), anti(3, 1))
     anti3_c1 = span(anti(0, 1), anti(0, 2), anti(0, 3))
-    return IrrepProjectors(sym5, sym3, sym1_c2, sym1_c0, anti3_c0, anti3_c1)
+    return sym5, sym3, sym1_c2, sym1_c0, anti3_c0, anti3_c1
 
 
 def block_traces(sigma) -> np.ndarray:
@@ -158,7 +148,7 @@ def block_traces(sigma) -> np.ndarray:
     these six numbers determine the acceptance of every swap-even covariant
     test.
     """
-    blk = sigma if isinstance(sigma, BlockDecomposition) else bell_block(sigma)
+    blk = bell_block(sigma)
     a, b, c = blk.a, blk.b, blk.c
     tr_c = float(np.trace(c).real)
     tr_c2 = float(np.trace(c @ c).real)
@@ -179,7 +169,7 @@ def block_traces(sigma) -> np.ndarray:
 def block_weights(u: np.ndarray) -> np.ndarray:
     """<u (x) conj(u)| Pi_k |u (x) conj(u)> for a unit vector u on A1 (x) A2."""
     w = doubled_ket(u, 2).vec
-    return np.array([float(np.real(w.conj() @ pi @ w)) for pi in irrep_projectors().as_tuple()])
+    return np.array([float(np.real(w.conj() @ pi @ w)) for pi in irrep_projectors()])
 
 
 def optimal_seed_vector() -> np.ndarray:
@@ -195,7 +185,7 @@ def optimal_seed_vector() -> np.ndarray:
 
 def _effective_test(weights) -> TestOperator:
     mat = np.zeros((16, 16), dtype=complex)
-    for w, dim, pi in zip(weights, BLOCK_DIMS, irrep_projectors().as_tuple()):
+    for w, dim, pi in zip(weights, BLOCK_DIMS, irrep_projectors()):
         mat += (4.0 * w / dim) * pi
     return TestOperator(mat, (2, 2, 2, 2), ("A1", "B1", "A2", "B2"))
 
@@ -225,7 +215,7 @@ def beta_optimal_two_sample(sigma) -> float:
 
         (1-p)^2 + p^2/3 - (3/5) (Tr V^2/3 - (Tr V/3)^2),  V = Re C.
     """
-    blk = sigma if isinstance(sigma, BlockDecomposition) else bell_block(sigma)
+    blk = bell_block(sigma)
     p = blk.defect
     if p > 0.5:
         warnings.warn(
@@ -241,7 +231,7 @@ def beta_sequential_two_sample(sigma) -> float:
 
         (1 - 2p/3)^2 - (1/5) (Tr V^2/3 - (Tr V/3)^2).
     """
-    blk = sigma if isinstance(sigma, BlockDecomposition) else bell_block(sigma)
+    blk = bell_block(sigma)
     p = blk.defect
     return (1.0 - 2.0 * p / 3.0) ** 2 - 0.2 * _variance_term(blk.v)
 
@@ -251,7 +241,7 @@ def beta_sequential_expanded(sigma) -> float:
 
         (1 - Tr C)^2 + (2/3) Tr C - (8/15)(Tr C)^2 - (1/15) Tr (Re C)^2.
     """
-    blk = sigma if isinstance(sigma, BlockDecomposition) else bell_block(sigma)
+    blk = bell_block(sigma)
     tr_c = blk.defect
     tr_v2 = float(np.trace(blk.v @ blk.v))
     return (1.0 - tr_c) ** 2 + 2.0 / 3.0 * tr_c - 8.0 / 15.0 * tr_c**2 - tr_v2 / 15.0
@@ -271,7 +261,7 @@ def block_trace_inequalities(sigma) -> tuple[bool, bool, bool]:
 
 def communication_gain(sigma) -> float:
     """Improvement of the sequential test over two independent single-pair tests."""
-    blk = sigma if isinstance(sigma, BlockDecomposition) else bell_block(sigma)
+    blk = bell_block(sigma)
     return 0.2 * _variance_term(blk.v)
 
 

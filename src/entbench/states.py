@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -209,9 +208,9 @@ def isotropic_state(d: int, p: float, labels=("A", "B")) -> DensityMatrix:
     """(1-p)|phi0><phi0| + p (I - |phi0><phi0|) / (d^2 - 1); defect is exactly p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"defect p must lie in [0, 1], got {p}")
-    pr = proj(max_entangled_ket(d))
-    mat = (1.0 - p) * pr + (p / (d * d - 1)) * (np.eye(d * d) - pr)
-    return DensityMatrix(mat, (d, d), labels)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return DensityMatrix(sector_operator(d, [1.0 - p, p / (d * d - 1)]), (d, d), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +320,32 @@ def partial_trace(a: Operator, keep) -> Operator:
     return op
 
 
-def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Sum over all placements of k copies of ``b`` and n-k copies of ``a``."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    dim = a.shape[0]
-    total = np.zeros((dim**n, dim**n), dtype=complex)
-    for positions in combinations(range(n), k):
-        term = np.ones((1, 1), dtype=complex)
-        for i in range(n):
-            term = np.kron(term, b if i in positions else a)
-        total += term
-    return total
+def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
+    """``sum_k coeffs[k] S_k`` on n = len(coeffs) - 1 factors, where S_k is the
+    sum of every tensor product with k factors ``b`` and n - k factors ``a``.
+
+    Built right to left: ``h_j`` starts as ``[[coeffs[j]]]``, and each factor
+    added on the left sends it to ``kron(a, h_j) + kron(b, h_{j+1})``, so the
+    whole sum costs two full-size products, not one per placement.
+    """
+    if len(coeffs) == 0:
+        raise ValueError("need at least one coefficient")
+    h = [np.full((1, 1), c, dtype=complex) for c in coeffs]
+    while len(h) > 1:
+        h = [np.kron(a, lo) + np.kron(b, hi) for lo, hi in zip(h, h[1:])]
+    return h[0]
+
+
+def sector_operator(d: int, coeffs) -> np.ndarray:
+    """``coeffs[k]`` on each charge sector of n = len(coeffs) - 1 pairs, pair-major.
+
+    Sector k is the span of the tensor products in which k pairs lie in the
+    orthocomplement of |phi0> and n - k on it, so this is
+    ``mixed_tensor_sum(P, I - P, coeffs)`` with P = |phi0><phi0|.  Every
+    covariant acceptance operator is of this form.
+    """
+    p = proj(max_entangled_ket(d))
+    return mixed_tensor_sum(p, np.eye(d * d) - p, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ supported:
 
 ``mc_twirl`` is the Monte-Carlo group average used as the verification oracle
 for every covariant closed form; ``phase_twirl`` is the exact average over the
-phase action, which just zeroes matrix blocks between charge sectors.
+n-fold phase action, a mean over n + 1 equally spaced angles.
 
 Every sampled element is a tensor power ``u_1 (x) ... (x) u_copies`` of
 single-pair unitaries, so the dim x dim unitary is never formed.  The local
@@ -56,7 +56,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .states import Ket, Operator, max_entangled_ket, mixed_tensor_sum, proj
+from .states import Ket, Operator, max_entangled_ket, proj
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
 # batch-sized complex arrays alive at once in a twirl, of (batch, dim) vectors
@@ -253,17 +253,17 @@ def _ram_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_d_fits(what: str, d: int, need) -> None:
-    """Refuse ``what`` at pair dimension d when its ``need(d)`` bytes exceed
-    physical RAM, naming the largest d that fits."""
+def _check_fits(what: str, name: str, value: int, least: int, need) -> None:
+    """Refuse ``what`` at ``name`` = ``value`` when its ``need(value)`` bytes
+    exceed physical RAM, naming the largest ``name`` >= ``least`` that fits."""
     ram = _ram_bytes()
-    if need(d) > ram:
-        fits = 1
+    if need(value) > ram:
+        fits = least - 1
         while need(fits + 1) <= ram:
             fits += 1
         raise ValueError(
-            f"{what} needs about {need(d)} bytes, more than the {ram} bytes of RAM; "
-            + (f"the largest d that fits is {fits}" if fits >= 2 else "no d fits")
+            f"{what} needs about {need(value)} bytes, more than the {ram} bytes of RAM; "
+            + (f"the largest {name} that fits is {fits}" if fits >= least else f"no {name} fits")
         )
 
 
@@ -408,19 +408,15 @@ def mc_twirl(
     return TwirlEstimate(mean, stderr, samples)
 
 
-@lru_cache(maxsize=None)
-def _charge_projectors(d: int, copies: int) -> tuple[np.ndarray, ...]:
-    p = proj(max_entangled_ket(d))
-    q = np.eye(d * d) - p
-    return tuple(mixed_tensor_sum(q, p, copies, k) for k in range(copies + 1))
-
-
 def phase_twirl(op, d: int) -> np.ndarray:
     """Exact average over the n-fold phase action.
 
-    The action has eigenvalue ``e^{i k theta}`` on the sector spanned by tensor
-    products with exactly k factors along the maximally entangled vector, so
-    the average keeps the diagonal sector blocks and zeroes the rest.  It is a
+    The action has eigenvalue ``e^{i k theta}`` on the charge sector spanned
+    by tensor products with exactly k factors along the maximally entangled
+    vector, so it multiplies the block between sectors k and k' by
+    ``e^{i (k - k') theta}``.  Since |k - k'| <= n, the mean over the n + 1
+    angles ``2 pi j / (n + 1)`` keeps the diagonal blocks and zeroes the rest;
+    each angle conjugates ``vec(op)`` through ``_apply_factors``.  It is a
     projection, hence idempotent.
     """
     mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
@@ -428,10 +424,9 @@ def phase_twirl(op, d: int) -> np.ndarray:
     copies = round(math.log(dim, d * d))
     if (d * d) ** copies != dim:
         raise ValueError(f"dim {dim} is not a power of {d * d}")
-    out = np.zeros_like(mat)
-    for q in _charge_projectors(d, copies):
-        out += q @ mat @ q
-    return out
+    factors = [phase_unitary(2.0 * np.pi * np.arange(copies + 1) / (copies + 1), d)] * copies
+    conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
+    return conj.mean(axis=0).reshape(dim, dim)
 
 
 def check_invariance(

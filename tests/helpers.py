@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from entbench.quantum import bell_pair_test, to_group_major
@@ -60,6 +62,19 @@ def linear_walk_threshold(cdf, pmf, alpha: float) -> tuple[int, float]:
     mass = pmf(l)
     gamma = (target - below) / mass if mass > 0 else 0.0
     return l, min(max(gamma, 0.0), 1.0)
+
+
+def placement_sum(a: np.ndarray, b: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Sum over all placements of k copies of ``b`` and n-k copies of ``a``,
+    one Kronecker chain per placement."""
+    dim = a.shape[0]
+    total = np.zeros((dim**n, dim**n), dtype=complex)
+    for positions in combinations(range(n), k):
+        term = np.ones((1, 1), dtype=complex)
+        for i in range(n):
+            term = np.kron(term, b if i in positions else a)
+        total += term
+    return total
 
 
 def random_state_with_defect(d: int, p: float, rng: np.random.Generator) -> DensityMatrix:

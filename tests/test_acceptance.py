@@ -138,7 +138,7 @@ def test_criterion_05_two_sample_identity():
 def test_criterion_06_qubit_two_sample_suite():
     rng = np.random.default_rng(600)
     mc_rng = np.random.default_rng(601)
-    pis = qp.irrep_projectors().as_tuple()
+    pis = qp.irrep_projectors()
     teff = qp.optimal_two_sample_test().mat
     worst_blocks = worst_opt = worst_seq = 0.0
     mc_ok = ineq_ok = True

@@ -23,7 +23,7 @@ from entbench.quantum import (
     two_sample_covariant_test,
     two_sample_trace,
 )
-from entbench import quantum, states
+from entbench import quantum, states, twirl
 from entbench.states import (
     RankOnePOVM,
     bell_basis,
@@ -125,12 +125,22 @@ class TestBinomialOperatorTest:
 
         p = proj(max_entangled_ket(2))
         comp = np.eye(4) - p
-        total = sum(mixed_tensor_sum(p, comp, 3, k) for k in range(4))
+        total = mixed_tensor_sum(p, comp, [1.0] * 4)
         assert np.max(np.abs(total - np.eye(64))) < 1e-12
         # terms for distinct k are orthogonal when built from a projector
-        a = mixed_tensor_sum(p, comp, 3, 1)
-        b = mixed_tensor_sum(p, comp, 3, 2)
+        a = mixed_tensor_sum(p, comp, [0.0, 1.0, 0.0, 0.0])
+        b = mixed_tensor_sum(p, comp, [0.0, 0.0, 1.0, 0.0])
         assert np.max(np.abs(a @ b)) < 1e-12
+
+    def test_memory_guard_names_the_largest_n(self, monkeypatch):
+        # a 4-dim test on n copies builds 4^n x 4^n operators: n = 2 fits in
+        # 100 kB, n = 3 does not
+        t = one_sample_covariant_test(2)
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        assert binomial_operator_test(t, 0.1, 0.1, 2).dim == 16
+        monkeypatch.setattr(quantum, "mixed_tensor_sum", lambda *a: pytest.fail("operator was built"))
+        with pytest.raises(ValueError, match="the largest n that fits is 2$"):
+            binomial_operator_test(t, 0.1, 0.1, 3)
 
 
 class TestOneSampleCovariant:
@@ -236,6 +246,10 @@ class TestPooled:
         a = pooled_covariant_test(2, 1)
         b = one_sample_covariant_test(2)
         assert np.allclose(a.mat, b.mat)
+
+    def test_rejects_zero_pairs(self):
+        with pytest.raises(ValueError):
+            pooled_covariant_test(2, 0)
 
     def test_trace_value_example(self):
         assert abs(pooled_trace(2, 2, 0.25) - 0.65) < 1e-15

@@ -37,11 +37,11 @@ class TestBellBlock:
 
 class TestIrrepProjectors:
     def test_ranks(self):
-        pis = qp.irrep_projectors().as_tuple()
+        pis = qp.irrep_projectors()
         assert [int(round(np.trace(p).real)) for p in pis] == list(qp.BLOCK_DIMS)
 
     def test_mutually_orthogonal_and_complete(self):
-        pis = qp.irrep_projectors().as_tuple()
+        pis = qp.irrep_projectors()
         for i, a in enumerate(pis):
             assert np.max(np.abs(a @ a - a)) < 1e-12
             for b in pis[i + 1 :]:
@@ -52,7 +52,7 @@ class TestIrrepProjectors:
         theta = 0.7
         u = np.kron(phase_unitary(theta, 2), phase_unitary(theta, 2))
         charges = (0, 1, 2, 0, 0, 1)
-        for pi, k in zip(qp.irrep_projectors().as_tuple(), charges):
+        for pi, k in zip(qp.irrep_projectors(), charges):
             # the action multiplies the block by e^{i k theta}
             assert np.max(np.abs(u @ pi - np.exp(1j * k * theta) * pi)) < 1e-12
 
@@ -60,7 +60,7 @@ class TestIrrepProjectors:
         swap = np.eye(16).reshape(2, 2, 2, 2, 2, 2, 2, 2).transpose(2, 3, 0, 1, 4, 5, 6, 7)
         swap = swap.reshape(16, 16)
         signs = (1, 1, 1, 1, -1, -1)
-        for pi, s in zip(qp.irrep_projectors().as_tuple(), signs):
+        for pi, s in zip(qp.irrep_projectors(), signs):
             # every vector in the block is a swap eigenvector with this sign
             assert np.max(np.abs(swap @ pi - s * pi)) < 1e-12
 
@@ -75,13 +75,13 @@ class TestBlockTraces:
     def test_formulas_match_projectors_isotropic(self):
         sigma = isotropic_state(2, 0.3)
         direct = np.array(
-            [np.real(np.trace(two_copies(sigma) @ pi)) for pi in qp.irrep_projectors().as_tuple()]
+            [np.real(np.trace(two_copies(sigma) @ pi)) for pi in qp.irrep_projectors()]
         )
         assert np.max(np.abs(qp.block_traces(sigma) - direct)) <= 1e-10
 
     def test_formulas_match_projectors_random(self):
         rng = np.random.default_rng(1)
-        pis = qp.irrep_projectors().as_tuple()
+        pis = qp.irrep_projectors()
         for _ in range(100):
             sigma = random_density((2, 2), rng)
             direct = np.array([np.real(np.trace(two_copies(sigma) @ pi)) for pi in pis])

@@ -14,6 +14,7 @@ from entbench.states import (
     generalized_pauli,
     isotropic_state,
     max_entangled_ket,
+    mixed_tensor_sum,
     partial_trace,
     permute_systems,
     proj,
@@ -24,6 +25,7 @@ from entbench.states import (
     tensor,
 )
 from entbench.twirl import haar_unitary, pair_conjugate_unitary
+from helpers import placement_sum
 
 
 class TestMaxEntangledKet:
@@ -85,6 +87,10 @@ class TestIsotropicState:
         with pytest.raises(ValueError):
             isotropic_state(2, 1.2)
 
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            isotropic_state(1, 0.1)
+
     def test_invariant_under_local_conjugate_action(self):
         d, p = 2, 0.35
         sigma = isotropic_state(d, p).mat
@@ -94,6 +100,22 @@ class TestIsotropicState:
             u = pair_conjugate_unitary(haar_unitary(d, rng))
             worst = max(worst, np.max(np.abs(u @ sigma @ u.conj().T - sigma)))
         assert worst < 1e-10
+
+
+class TestMixedTensorSum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_placement_sum(self, n):
+        # a and b do not commute, so every placement order is checked
+        rng = np.random.default_rng(40 + n)
+        a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        assert np.max(np.abs(a @ b - b @ a)) > 1e-3
+        coeffs = rng.standard_normal(n + 1)
+        expected = sum(c * placement_sum(a, b, n, k) for k, c in enumerate(coeffs))
+        assert np.max(np.abs(mixed_tensor_sum(a, b, coeffs) - expected)) <= 1e-12
+
+    def test_rejects_empty_coefficients(self):
+        with pytest.raises(ValueError):
+            mixed_tensor_sum(np.eye(2), np.eye(2), [])
 
 
 class TestTensorAndPermute:

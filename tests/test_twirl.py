@@ -25,6 +25,7 @@ from entbench.twirl import (
     phase_twirl,
     phase_unitary,
 )
+from helpers import placement_sum
 
 
 class TestPhaseUnitary:
@@ -213,12 +214,10 @@ class TestPhaseTwirl:
     def test_sector_scaling_identity_any_state(self, d, n):
         # exact for every sigma: the twirl rescales each charge block of
         # sigma^{(x)n} by ((1-q)/(1-p))^k (q/p)^(n-k)
-        from entbench.twirl import _charge_projectors
-
         rng = np.random.default_rng(12)
         sigma = random_density((d, d), rng).mat
         q = 0.55
-        sigma_q, p, _, _ = self._reweighted(sigma, d, q)
+        sigma_q, p, p_op, q_op = self._reweighted(sigma, d, q)
         rho = sigma_q.copy()
         sig_n = sigma.copy()
         for _ in range(n - 1):
@@ -226,7 +225,8 @@ class TestPhaseTwirl:
             sig_n = np.kron(sig_n, sigma)
         twirled = phase_twirl(rho, d)
         expected = np.zeros_like(twirled)
-        for k, q_proj in enumerate(_charge_projectors(d, n)):
+        for k in range(n + 1):
+            q_proj = placement_sum(q_op, p_op, n, k)
             expected += ((1 - q) / (1 - p)) ** k * (q / p) ** (n - k) * (q_proj @ sig_n @ q_proj)
         assert np.max(np.abs(twirled - expected)) <= 1e-10
 
@@ -248,9 +248,8 @@ class TestPhaseTwirl:
         for _ in range(n - 1):
             rho = np.kron(rho, sigma_q)
         twirled = phase_twirl(rho, d)
-        expected = np.zeros_like(twirled)
-        for k in range(n + 1):
-            expected += q**k * (1 - q) ** (n - k) * mixed_tensor_sum(p_op, sigma_prime, n, k)
+        weights = [q**k * (1 - q) ** (n - k) for k in range(n + 1)]
+        expected = mixed_tensor_sum(p_op, sigma_prime, weights)
         assert np.max(np.abs(twirled - expected)) <= 1e-10
 
     def test_generic_state_residual_is_cross_placement(self):
@@ -263,9 +262,8 @@ class TestPhaseTwirl:
         sigma_prime = q_op @ sigma @ q_op / p
         rho = np.kron(sigma_q, sigma_q)
         twirled = phase_twirl(rho, d)
-        mixture = np.zeros_like(twirled)
-        for k in range(n + 1):
-            mixture += q**k * (1 - q) ** (n - k) * mixed_tensor_sum(p_op, sigma_prime, n, k)
+        weights = [q**k * (1 - q) ** (n - k) for k in range(n + 1)]
+        mixture = mixed_tensor_sum(p_op, sigma_prime, weights)
         pq = p_op @ sigma_q @ q_op
         qp = q_op @ sigma_q @ p_op
         cross = np.kron(pq, qp) + np.kron(qp, pq)
