@@ -46,10 +46,10 @@ from .twirl import (
     mc_twirl,
 )
 
-# result-sized complex arrays alive at once while binomial_operator_test builds
-# and validates its operator: peak RSS growth (getrusage, one BLAS thread) was
-# 4.00 results at dims 1024 and 4096
-_BINOMIAL_ARRAYS = 4
+# result-sized complex arrays alive at once while binomial_operator_test or
+# pooled_covariant_test builds and validates its operator: peak RSS growth
+# (getrusage, one BLAS thread) was 4.00 results for each at dims 1024 and 4096
+_BUILD_ARRAYS = 4
 
 
 def _pair_labels(k: int) -> tuple[str, ...]:
@@ -122,7 +122,7 @@ def binomial_operator_test(t: TestOperator, eps: float, alpha: float, n: int) ->
     """
     ct = binomial_ump_test(n, eps, alpha)
     _check_fits(f"binomial_operator_test on n={n} copies of a {t.dim}-dim test", "n", n, 1,
-                lambda m: _BINOMIAL_ARRAYS * 16 * t.dim ** (2 * m))
+                lambda m: _BUILD_ARRAYS * 16 * t.dim ** (2 * m))
     coeffs = [1.0] * ct.threshold + [ct.gamma] + [0.0] * (n - ct.threshold)
     mat = mixed_tensor_sum(t.mat, np.eye(t.dim) - t.mat, coeffs)
     dims = t.dims * n
@@ -160,11 +160,17 @@ def bell_pair_test(d: int) -> TestOperator:
 
 
 def pooled_covariant_test(d: int, n: int) -> TestOperator:
-    """The one-sample covariant test applied to the pooled d^n x d^n pair."""
+    """The one-sample covariant test applied to the pooled d^n x d^n pair.
+
+    An operator of more than 4096 dimensions, or one that would not fit in
+    physical RAM, raises ``ValueError`` before it is built.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 pairs, got {n}")
     if (d * d) ** n > 4096:
         raise ValueError("pooled operator too large; use pooled_trace for big n")
+    _check_fits(f"pooled_covariant_test on n={n} pairs at d={d}", "n", n, 1,
+                lambda m: _BUILD_ARRAYS * 16 * d ** (4 * m))
     mat = sector_operator(d, [1.0] + [1.0 / (d**n + 1)] * n)
     return TestOperator(mat, (d, d) * n, _pair_labels(n))
 

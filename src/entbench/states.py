@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -106,36 +107,71 @@ class Operator:
         return complex(np.trace(self.mat))
 
 
+def _certify(m: np.ndarray, what: str, upper: bool) -> None:
+    """Raise ``ValueError`` unless ``m`` is finite and Hermitian within
+    ``HERMITIAN_TOL``, ``m + PSD_TOL I > 0`` and, if ``upper``,
+    ``(1 + PSD_TOL) I - m > 0``.
+
+    Each bound is certified by a Cholesky factorization (LAPACK ``zpotrf``),
+    which succeeds on a Hermitian matrix exactly when it is positive definite.
+    One workspace copy of ``m`` is shifted on its diagonal and factored in
+    place, then refilled with ``-m`` for the upper bound.  ``zpotrf`` runs on
+    the Fortran-ordered view ``a.T = conj(a)``, which is positive definite
+    exactly when ``a`` is, and reads the same triangle of ``m`` as
+    ``np.linalg.eigvalsh``.  The verdict can differ from the eigenvalue test
+    only within the factorization's backward error, about ``dim * eps``
+    relative to the norm of ``m`` (1e-13 at dim 729), around the band edges.
+    Only a failed factorization computes the eigenvalues, to name them.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+            raise ValueError(f"{what} is not finite and Hermitian within tolerance")
+    n = m.shape[0]
+    a = np.array(m, order="C")
+    a.flat[:: n + 1] += PSD_TOL
+    ok = lapack.zpotrf(a.T, clean=False, overwrite_a=True)[1] == 0
+    if ok and upper:
+        np.negative(m, out=a)
+        a.flat[:: n + 1] += 1.0 + PSD_TOL
+        ok = lapack.zpotrf(a.T, clean=False, overwrite_a=True)[1] == 0
+    if ok:
+        return
+    evals = np.linalg.eigvalsh(m)
+    if upper:
+        raise ValueError(f"{what} eigenvalues [{evals.min()}, {evals.max()}] leave [0, 1]")
+    raise ValueError(f"{what} has negative eigenvalue {evals.min()}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix(Operator):
-    """Trace-one positive semidefinite operator (a quantum state)."""
+    """Trace-one positive semidefinite operator (a quantum state).
+
+    Construction rejects a matrix that is not finite and Hermitian within
+    ``HERMITIAN_TOL``, has an eigenvalue below ``-PSD_TOL`` (certified by a
+    Cholesky factorization, see ``_certify``) or a trace off 1 by more than
+    ``TRACE_TOL``.
+    """
 
     def __post_init__(self):
         super().__post_init__()
         m = self.mat
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min()}")
+        _certify(m, "density matrix", upper=False)
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {np.trace(m)} is not 1")
 
 
 @dataclass(frozen=True)
 class TestOperator(Operator):
-    """Acceptance operator T of a two-outcome test {T, I - T}, 0 <= T <= I."""
+    """Acceptance operator T of a two-outcome test {T, I - T}, 0 <= T <= I.
+
+    Construction rejects a matrix that is not finite and Hermitian within
+    ``HERMITIAN_TOL`` or whose spectrum leaves ``[-PSD_TOL, 1 + PSD_TOL]``,
+    certified by two Cholesky factorizations (see ``_certify``).
+    """
 
     def __post_init__(self):
         super().__post_init__()
-        m = self.mat
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("test operator is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_TOL or evals.max() > 1.0 + PSD_TOL:
-            raise ValueError(
-                f"test operator eigenvalues [{evals.min()}, {evals.max()}] leave [0, 1]"
-            )
+        _certify(self.mat, "test operator", upper=True)
 
 
 @dataclass(frozen=True)

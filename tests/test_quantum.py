@@ -251,6 +251,15 @@ class TestPooled:
         with pytest.raises(ValueError):
             pooled_covariant_test(2, 0)
 
+    def test_memory_guard_names_the_largest_n(self, monkeypatch):
+        # n pairs at d = 2 build 4^n x 4^n operators: n = 2 fits in 100 kB,
+        # n = 3 does not
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        assert pooled_covariant_test(2, 2).dim == 16
+        monkeypatch.setattr(quantum, "sector_operator", lambda *a: pytest.fail("operator was built"))
+        with pytest.raises(ValueError, match="the largest n that fits is 2$"):
+            pooled_covariant_test(2, 3)
+
     def test_trace_value_example(self):
         assert abs(pooled_trace(2, 2, 0.25) - 0.65) < 1e-15
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from entbench import states
 from entbench.states import (
+    PSD_TOL,
     DensityMatrix,
     Ket,
     Operator,
@@ -301,3 +303,76 @@ class TestFactorBookkeeping:
             from entbench.states import TestOperator
 
             TestOperator(TestMatrix, (2, 2))
+
+
+def _hermitian_with_spectrum(evals, rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((evals.size,) * 2)
+                        + 1j * rng.standard_normal((evals.size,) * 2))
+    m = (q * evals) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+class TestValidityCertificate:
+    """0 <= T <= I and rho >= 0 are certified by Cholesky factorizations; the
+    verdict must be the eigenvalue test's away from the band edges."""
+
+    @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
+    def test_verdict_matches_eigvalsh(self, cls):
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 33))
+            evals = rng.uniform(0.1, 0.9, n)
+            # the extreme eigenvalue sits 1e-9 to 1e-8 inside or outside a band edge
+            edge = -PSD_TOL if cls is DensityMatrix or rng.random() < 0.5 else 1.0 + PSD_TOL
+            evals[0] = edge + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-9, -8)
+            if cls is DensityMatrix:
+                evals[1:] *= (1.0 - evals[0]) / evals[1:].sum()
+            m = _hermitian_with_spectrum(evals, rng)
+            e = np.linalg.eigvalsh(m)
+            want = e.min() >= -PSD_TOL and (cls is DensityMatrix or e.max() <= 1.0 + PSD_TOL)
+            try:
+                cls(m, (n,))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (n, evals[0])
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_valid_operators_compute_no_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        m = random_test((3, 3), rng).mat
+        rho = random_density((3, 3), rng).mat
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh ran"))
+        states.TestOperator(m, (3, 3))
+        DensityMatrix(rho, (3, 3))
+
+    def test_rejections_name_the_eigenvalues(self):
+        with pytest.raises(ValueError, match=r"eigenvalues \[-0\.25, 1\.5\] leave \[0, 1\]"):
+            states.TestOperator(np.diag([-0.25, 1.5]), (2,))
+        with pytest.raises(ValueError, match=r"eigenvalues \[0\.0, 1\.5\] leave \[0, 1\]"):
+            states.TestOperator(np.diag([0.0, 1.5]), (2,))
+        with pytest.raises(ValueError, match=r"negative eigenvalue -0\.25$"):
+            DensityMatrix(np.diag([1.25, -0.25]), (2,))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_callers_matrix_is_unchanged(self, order):
+        rng = np.random.default_rng(23)
+        m = np.array(_hermitian_with_spectrum(np.array([0.2, 0.5, 0.9]), rng), order=order)
+        before = m.copy()
+        assert np.array_equal(states.TestOperator(m, (3,)).mat, before)
+        assert np.array_equal(m, before)
+        # fails the upper bound, after the workspace was refilled with -m
+        m = np.array(_hermitian_with_spectrum(np.array([0.2, 0.5, 1.5]), rng), order=order)
+        before = m.copy()
+        with pytest.raises(ValueError):
+            states.TestOperator(m, (3,))
+        assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
+    def test_rejects_non_finite(self, cls, bad):
+        for m in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [bad, 0.5]]):
+            with pytest.raises(ValueError, match="not finite and Hermitian"):
+                cls(m, (2,))
