@@ -87,9 +87,11 @@ TWIRL_TARGETS = {
 }
 
 _CONCLUSIVE_STDERR = 5e-3
-# reference-sized complex arrays alive in twirl-verify: measured 4 while the
-# reference is built and validated, 6 with the twirl's accumulators, at dim 2401
-_REFERENCE_ARRAYS = 6
+# reference-sized complex arrays alive in twirl-verify: peak RSS growth
+# (getrusage, one BLAS thread, 64 samples of two-sample) is 4 while the
+# reference is built and validated and 6.12 with the twirl's accumulators at
+# dim 2401, 6.38 at dim 1296 and 6.86 at dim 625
+_REFERENCE_ARRAYS = 7
 
 
 def _fmt(x) -> str:
@@ -362,27 +364,23 @@ def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 
 def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
-    rows = []
     alpha = float(config.get("alpha", 0.05))
+    # (kind, n, boundary, test, beta at an alternative, key of the alternatives)
+    families = []
     if config.get("n") is not None:
-        n = _integer("n", config["n"])
-        eps = float(config.get("epsilon", 0.0))
-        t = classical.binomial_ump_test(n, eps, alpha)
-        for q in _as_list(config.get("q", [])):
-            rows.append(
-                ["binomial", n, eps, alpha, t.threshold, t.gamma, q,
-                 classical.beta_binomial(n, eps, alpha, float(q))]
-            )
-        if not _as_list(config.get("q", [])):
-            rows.append(["binomial", n, eps, alpha, t.threshold, t.gamma, None, None])
+        n, eps = _integer("n", config["n"]), float(config.get("epsilon", 0.0))
+        families.append(("binomial", n, eps, classical.binomial_ump_test(n, eps, alpha),
+                         lambda q: classical.beta_binomial(n, eps, alpha, q), "q"))
     if config.get("delta") is not None:
         delta = float(config["delta"])
-        t = classical.poisson_ump_test(delta, alpha)
-        for tp in _as_list(config.get("tprime", [])):
-            rows.append(
-                ["poisson", None, delta, alpha, t.threshold, t.gamma, tp,
-                 classical.beta_poisson(delta, alpha, float(tp))]
-            )
+        families.append(("poisson", None, delta, classical.poisson_ump_test(delta, alpha),
+                         lambda t: classical.beta_poisson(delta, alpha, t), "tprime"))
+    rows = []
+    for kind, n, boundary, test, beta, key in families:
+        head = [kind, n, boundary, alpha, test.threshold, test.gamma]
+        # without alternatives a family still writes its threshold row
+        alternatives = _as_list(config.get(key, []))
+        rows += [[*head, x, beta(float(x))] for x in alternatives] or [[*head, None, None]]
     header = ["kind", "n", "boundary", "alpha", "threshold", "gamma", "alternative", "beta"]
     _write_csv(out_dir / "classical.csv", header, rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'classical.csv'}")

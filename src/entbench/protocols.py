@@ -1,18 +1,21 @@
 """Monte-Carlo simulation of the measurement protocols.
 
-Each protocol samples actual measurement outcomes (Born rule) and feeds the
-counts through the classical threshold test; the exact closed-form value is
-attached to the result for comparison only, never used on the sampling path.
-Runs are deterministic functions of (config, seed): sampling uses a single
-PCG64 generator and fixed batch order.
+Each protocol samples actual measurement outcomes (Born rule).  The repeated
+ones then share one decision path, ``_thresholded``: each trial's count of
+failed rounds goes through the binomial UMP test at the null boundary mapped
+per round by ``ROUNDS``, and the exact value is that test's acceptance at the
+state's per-round failure.  The exact value is attached to the result for
+comparison only, never used on the sampling path.  Runs are deterministic
+functions of (config, seed): sampling uses a single PCG64 generator and fixed
+batch order, the acceptance uniforms last.
 
 No protocol forms an operator larger than its d^2 x d^2 states.  In the
 one-way protocol Alice's outcome probabilities are ``<g_i| rho_A |g_i>`` with
 ``rho_A = Tr_B sigma``, and Bob's acceptance needs only the picked outcome's
 vector ``g_i (x) conj(g_i)``, so a batch of rounds holds a few (batch, d^2)
 arrays.  The Bell-pair tables are expectations of vectors, contracted one
-source at a time.  A configuration whose states and batch arrays would not fit
-in physical RAM is refused before any state is built.
+source at a time.  A configuration whose states, batch arrays or per-trial
+arrays would not fit in physical RAM is refused before any state is built.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ _STATE_ARRAYS = 8
 # complex (batch, d^2) arrays alive at once in a one-way batch: the Ginibre
 # draws, the sampler's columns and result, x and sigma x (measured 5.2 at d = 12)
 _ROUND_ARRAYS = 6
+# protocol -> bytes its per-trial arrays hold (per trial, per round of a trial).
+# Peak RSS growth over the trials (getrusage, d = 2 and 3, one BLAS thread):
+# 33.98 a trial for the threshold test's counts, uniforms and weights
+# (global_projective), 24.97 a Bell pair for its uniforms, outcomes and
+# acceptances, and 0.93 a one-way round for the acceptance sequence, which
+# one_way_repeated holds twice while it counts failures (108.9 a trial of 50)
+_TRIAL_BYTES = {"global_projective": (34, 0), "bell_pairs": (34, 25),
+                "one_way_single": (0, 1), "one_way_repeated": (34, 2)}
 
 # repeatable protocol -> (copies per round, failure probability of one round
 # when every copy has defect x); the binomial test runs on the round count
@@ -100,6 +111,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
             raise ValueError("need at least one copy")
+        # checked here, before any draw, for every protocol
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if any(s.d != self.d for s in (self.state, self.state2) if s is not None):
             raise ValueError(f"every state must be a pair of dimension d={self.d}")
         copies, _ = ROUNDS.get(self.protocol, (1, None))
@@ -113,11 +129,21 @@ class ExperimentConfig:
 
 def _check_fits(config: ExperimentConfig) -> None:
     """Refuse, before any state is built, a run whose d^2 x d^2 states and
-    one-way batch arrays would not fit in physical RAM."""
-    rounds = {"one_way_single": config.trials, "one_way_repeated": config.trials * config.n}
-    batch = min(_ROUND_BATCH, rounds.get(config.protocol, 0))
+    one-way batch arrays would not fit in physical RAM, naming the largest d
+    that fits, or whose per-trial arrays would not fit beside them, naming the
+    largest trials."""
+    copies, _ = ROUNDS.get(config.protocol, (1, None))
+    rounds = 1 if config.protocol == "one_way_single" else config.n // copies  # per trial
+    per_trial, per_round = _TRIAL_BYTES[config.protocol]
+
+    def states(d, trials):
+        batch = min(_ROUND_BATCH, trials * rounds) if config.protocol.startswith("one_way") else 0
+        return 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d)
+
     twirl._check_fits(f"{config.protocol} at d={config.d}", "d", config.d, 2,
-                      lambda d: 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d))
+                      lambda d: states(d, config.trials))
+    twirl._check_fits(f"{config.protocol} at d={config.d} with {config.trials} trials", "trials",
+                      config.trials, 1, lambda t: states(config.d, t) + t * (per_trial + per_round * rounds))
 
 
 @dataclass(frozen=True)
@@ -138,16 +164,29 @@ class ExperimentResult:
 
 def _result(protocol, trials, accepted, exact, counts=None, extra=None) -> ExperimentResult:
     rate = accepted / trials
-    return ExperimentResult(
-        protocol=protocol,
-        trials=trials,
-        accepted=int(accepted),
-        rate=rate,
-        ci95=1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials),
-        exact=float(exact),
-        counts=dict(counts or {}),
-        extra=dict(extra or {}),
-    )
+    ci95 = 1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+    return ExperimentResult(protocol=protocol, trials=trials, accepted=int(accepted), rate=rate,
+                            ci95=ci95, exact=float(exact), counts=dict(counts or {}),
+                            extra=dict(extra or {}))
+
+
+def _thresholded(config: ExperimentConfig, rng, k: np.ndarray, failure: float,
+                 extra: dict) -> ExperimentResult:
+    """The decision every repeated protocol ends with.
+
+    ``k`` holds each trial's count of failed rounds.  The binomial UMP test on
+    ``n // copies`` rounds at the null boundary mapped per round,
+    ``fail(d, epsilon)`` from ``ROUNDS``, accepts each trial with one uniform
+    draw; ``exact`` is the test's acceptance at the per-round ``failure``.
+    """
+    copies, fail = ROUNDS[config.protocol]
+    rounds, boundary = config.n // copies, fail(config.d, config.epsilon)
+    test = classical.binomial_ump_test(rounds, boundary, config.alpha)
+    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
+    exact = classical.beta_binomial(rounds, boundary, config.alpha, failure)
+    vals, freq = np.unique(k, return_counts=True)
+    counts = {int(v): int(c) for v, c in zip(vals, freq)}
+    return _result(config.protocol, config.trials, accepted, exact, counts, extra)
 
 
 def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
@@ -173,19 +212,8 @@ def run_global(config: ExperimentConfig) -> ExperimentResult:
     """Projective {P, I-P} on each copy, then the binomial threshold test."""
     rng = np.random.default_rng(config.seed)
     p = fidelity_defect(config.state.build())
-    test = classical.binomial_ump_test(config.n, config.epsilon, config.alpha)
     k = rng.binomial(config.n, p, size=config.trials)
-    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
-    exact = classical.beta_binomial(config.n, config.epsilon, config.alpha, p)
-    vals, freq = np.unique(k, return_counts=True)
-    return _result(
-        "global_projective",
-        config.trials,
-        accepted,
-        exact,
-        counts={int(v): int(c) for v, c in zip(vals, freq)},
-        extra={"per_copy_failure": p},
-    )
+    return _thresholded(config, rng, k, p, {"per_copy_failure": p})
 
 
 def _bell_tables(sigma1, sigma2, d):
@@ -228,35 +256,18 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     """Bell measurement per pair of copies, then the binomial test at the
     two-sample boundary.  Dual-source runs pair one copy from each source."""
     rng = np.random.default_rng(config.seed)
-    d = config.d
-    copies, fail = ROUNDS["bell_pairs"]
-    pairs = config.n // copies
     sigma1 = config.state.build()
     sigma2 = (config.state2 or config.state).build()
-    p_alice, accept_given, per_pair = _bell_tables(sigma1, sigma2, d)
-    eps2 = fail(d, config.epsilon)
-    test = classical.binomial_ump_test(pairs, eps2, config.alpha)
-
-    cum = np.cumsum(p_alice)
-    u = rng.random((config.trials, pairs))
-    outcome = np.searchsorted(cum, u)
-    accept_pair = rng.random((config.trials, pairs)) < accept_given[outcome]
-    k = (~accept_pair).sum(axis=1)
-    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
-    exact = classical.beta_binomial(pairs, eps2, config.alpha, 1.0 - per_pair)
-    vals, freq = np.unique(k, return_counts=True)
-    return _result(
-        "bell_pairs",
-        config.trials,
-        accepted,
-        exact,
-        counts={int(v): int(c) for v, c in zip(vals, freq)},
-        extra={
-            "per_pair_accept_exact": per_pair,
-            "per_pair_accept_rate": float(accept_pair.mean()),
-            "pair_trials": int(accept_pair.size),
-        },
-    )
+    p_alice, accept_given, per_pair = _bell_tables(sigma1, sigma2, config.d)
+    shape = (config.trials, config.n // ROUNDS["bell_pairs"][0])
+    outcome = np.searchsorted(np.cumsum(p_alice), rng.random(shape))
+    accept_pair = rng.random(shape) < accept_given[outcome]
+    extra = {
+        "per_pair_accept_exact": per_pair,
+        "per_pair_accept_rate": float(accept_pair.mean()),
+        "pair_trials": int(accept_pair.size),
+    }
+    return _thresholded(config, rng, (~accept_pair).sum(axis=1), 1.0 - per_pair, extra)
 
 
 def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, g: np.ndarray, u: np.ndarray):
@@ -306,8 +317,8 @@ def run_one_way_single(config: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(config.seed)
     sigma = config.state.build()
     accepts = _one_way_rounds(sigma.mat, config.d, config.trials, rng)
-    p = fidelity_defect(sigma)
-    exact = 1.0 - config.d * p / (config.d + 1.0)
+    _, fail = ROUNDS["one_way_repeated"]
+    exact = 1.0 - fail(config.d, fidelity_defect(sigma))
     return _result("one_way_single", config.trials, int(accepts.sum()), exact)
 
 
@@ -315,25 +326,12 @@ def run_one_way_repeated(config: ExperimentConfig) -> ExperimentResult:
     """n independent rounds of the one-way protocol per trial, then the
     binomial threshold test at the mapped boundary d eps/(d+1)."""
     rng = np.random.default_rng(config.seed)
-    d = config.d
     sigma = config.state.build()
-    accepts = _one_way_rounds(sigma.mat, d, config.trials * config.n, rng)
+    accepts = _one_way_rounds(sigma.mat, config.d, config.trials * config.n, rng)
     k = (~accepts).reshape(config.trials, config.n).sum(axis=1)
     _, fail = ROUNDS["one_way_repeated"]
-    eps_eff = fail(d, config.epsilon)
-    test = classical.binomial_ump_test(config.n, eps_eff, config.alpha)
-    accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
-    p = fidelity_defect(sigma)
-    exact = classical.beta_binomial(config.n, eps_eff, config.alpha, fail(d, p))
-    vals, freq = np.unique(k, return_counts=True)
-    return _result(
-        "one_way_repeated",
-        config.trials,
-        accepted,
-        exact,
-        counts={int(v): int(c) for v, c in zip(vals, freq)},
-        extra={"per_round_accept_rate": float(accepts.mean())},
-    )
+    extra = {"per_round_accept_rate": float(accepts.mean())}
+    return _thresholded(config, rng, k, fail(config.d, fidelity_defect(sigma)), extra)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -370,18 +368,10 @@ def asymptotic_sweep(
     limit = classical.beta_poisson(delta, alpha, t_alt)
     # every run is configured, and so size-checked, before the first one starts
     runs = {
-        n: ExperimentConfig(
-            protocol=protocol,
-            d=d,
-            n=n,
-            epsilon=delta / n,
-            alpha=alpha,
-            trials=trials,
-            seed=seed + n,
-            state=StateSpec("isotropic", d, (t_alt / n,)),
-        )
-        for n in n_list
-        if trials and n <= 1000
+        n: ExperimentConfig(protocol=protocol, d=d, n=n, epsilon=delta / n, alpha=alpha,
+                            trials=trials, seed=seed + n,
+                            state=StateSpec("isotropic", d, (t_alt / n,)))
+        for n in n_list if trials and n <= 1000
     }
     rows = []
     for n in n_list:

@@ -415,8 +415,51 @@ def bell_basis(d: int, labels=("A", "B")) -> list[Ket]:
 # random instances (Ginibre-based; bit-reproducible for a fixed Generator state)
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _ginibre(dim: int, rng: np.random.Generator, *batch: int) -> np.ndarray:
+    """Complex Ginibre matrices of shape ``batch + (dim, dim)``: every real part
+    is drawn first, then every imaginary part."""
+    shape = (*batch, dim, dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary; see ``haar_unitaries``."""
+    return haar_unitaries(dim, 1, rng)[0]
+
+
+def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries, shape (count, dim, dim).
+
+    Each is a complex Ginibre matrix with its columns orthonormalized in
+    order.  That is the Q of its QR decomposition with a positive real R
+    diagonal, which is exactly Haar (Mezzadri, Notices AMS 54, 2007).
+    """
+    return _orthonormal_columns(_ginibre(dim, rng, count))
+
+
+def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """The columns of each matrix in a (count, dim, dim) batch, orthonormalized in order.
+
+    Classical Gram-Schmidt with each column projected twice against the ones
+    before it, which keeps Q unitary to rounding for any input of full rank
+    with cond(a) eps < 1 ("twice is enough": Giraud, Langou & Rozloznik,
+    2005).  The loops run over column pairs, each a few operations on
+    (count, dim) arrays.  Against one LAPACK QR per matrix, ``haar_unitaries``
+    took 2.7 ms instead of 13.7 per 8192 draws at dim 2 and 14 instead of 36
+    at dim 4 (one BLAS thread); the two run about even at dim 8, and at dim 15
+    this is about 1.8x slower.
+    """
+    cols: list[np.ndarray] = []
+    for j in range(a.shape[-1]):
+        v = a[..., j].copy()
+        for _ in range(2):
+            overlaps = [np.einsum("ni,ni->n", q.conj(), v) for q in cols]
+            for q, r in zip(cols, overlaps):
+                v -= r[:, np.newaxis] * q
+        norm2 = np.einsum("ni,ni->n", v.real, v.real) + np.einsum("ni,ni->n", v.imag, v.imag)
+        v /= np.sqrt(norm2)[:, np.newaxis]
+        cols.append(v)
+    return np.stack(cols, axis=-1)
 
 
 def random_ket(dims, rng: np.random.Generator, labels=()) -> Ket:
@@ -448,11 +491,5 @@ def random_test(dims, rng: np.random.Generator, labels=()) -> TestOperator:
 def random_rank_one_povm(d: int, rng: np.random.Generator, parts: int = 2) -> RankOnePOVM:
     """Mixture of ``parts`` random orthonormal bases: a d*parts element rank-one POVM."""
     mix = rng.dirichlet(np.ones(parts))
-    weights, vectors = [], []
-    for lam in mix:
-        q, r = np.linalg.qr(_ginibre(d, rng))
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        for i in range(d):
-            weights.append(lam)
-            vectors.append(q[:, i])
-    return RankOnePOVM(np.array(weights), np.array(vectors))
+    bases = [haar_unitary(d, rng).T for _ in mix]  # a basis's vectors are a unitary's columns
+    return RankOnePOVM(np.repeat(mix, d), np.concatenate(bases))

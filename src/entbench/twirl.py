@@ -1,4 +1,4 @@
-"""Group actions on bipartite pair spaces, Haar sampling, and twirling.
+"""Group actions on bipartite pair spaces and twirling.
 
 Five unitary actions on a d x d pair (and their n-fold tensor powers) are
 supported:
@@ -56,7 +56,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .states import Ket, Operator, max_entangled_ket, proj
+# the Haar sampler lives in states, which random_rank_one_povm shares; its
+# names stay importable from here as well
+from .states import Ket, Operator, haar_unitaries, haar_unitary, max_entangled_ket, proj
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
 # batch-sized complex arrays alive at once in a twirl, of (batch, dim) vectors
@@ -79,48 +81,6 @@ _LIVE_ACCUMULATORS = 12
 _CANCELLATION = 1e-8
 
 KINDS = ("phase", "local", "local_phase", "ortho", "local_independent")
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary; see ``haar_unitaries``."""
-    return haar_unitaries(dim, 1, rng)[0]
-
-
-def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed unitaries, shape (count, dim, dim).
-
-    Each is a complex Ginibre matrix (real parts drawn first, then imaginary
-    parts) with its columns orthonormalized in order.  That is the Q of its QR
-    decomposition with a positive real R diagonal, which is exactly Haar
-    (Mezzadri, Notices AMS 54, 2007).
-    """
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    return _orthonormal_columns(g)
-
-
-def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """The columns of each matrix in a (count, dim, dim) batch, orthonormalized in order.
-
-    Classical Gram-Schmidt with each column projected twice against the ones
-    before it, which keeps Q unitary to rounding for any input of full rank
-    with cond(a) eps < 1 ("twice is enough": Giraud, Langou & Rozloznik,
-    2005).  The loops run over column pairs, each a few operations on
-    (count, dim) arrays.  Against one LAPACK QR per matrix, ``haar_unitaries``
-    took 2.7 ms instead of 13.7 per 8192 draws at dim 2 and 14 instead of 36
-    at dim 4 (one BLAS thread); the two run about even at dim 8, and at dim 15
-    this is about 1.8x slower.
-    """
-    cols: list[np.ndarray] = []
-    for j in range(a.shape[-1]):
-        v = a[..., j].copy()
-        for _ in range(2):
-            overlaps = [np.einsum("ni,ni->n", q.conj(), v) for q in cols]
-            for q, r in zip(cols, overlaps):
-                v -= r[:, np.newaxis] * q
-        norm2 = np.einsum("ni,ni->n", v.real, v.real) + np.einsum("ni,ni->n", v.imag, v.imag)
-        v /= np.sqrt(norm2)[:, np.newaxis]
-        cols.append(v)
-    return np.stack(cols, axis=-1)
 
 
 def phase_unitary(theta, d: int) -> np.ndarray:
@@ -255,12 +215,14 @@ def _ram_bytes() -> int:
 
 def _check_fits(what: str, name: str, value: int, least: int, need) -> None:
     """Refuse ``what`` at ``name`` = ``value`` when its ``need(value)`` bytes
-    exceed physical RAM, naming the largest ``name`` >= ``least`` that fits."""
+    exceed physical RAM, naming the largest ``name`` >= ``least`` that fits.
+    ``need`` must not decrease; the largest fit is found by bisection."""
     ram = _ram_bytes()
     if need(value) > ram:
-        fits = least - 1
-        while need(fits + 1) <= ram:
-            fits += 1
+        fits, over = least - 1, value  # need(over) > ram; fits is least - 1 or fits
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            fits, over = (mid, over) if need(mid) <= ram else (fits, mid)
         raise ValueError(
             f"{what} needs about {need(value)} bytes, more than the {ram} bytes of RAM; "
             + (f"the largest {name} that fits is {fits}" if fits >= least else f"no {name} fits")

@@ -244,6 +244,27 @@ class TestTwirlVerify:
         assert "the largest d that fits is 2" in capsys.readouterr().err
 
 
+    def test_reference_between_six_and_seven_arrays_refused(self, tmp_path, monkeypatch, capsys):
+        # twirl-verify peaks at 6.1 to 6.9 reference-sized arrays, so a RAM
+        # holding six and a half 16 x 16 references must refuse d = 2
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 13 * 16 * 16**2 // 2)
+        monkeypatch.setattr(quantum, "two_sample_covariant_test",
+                            lambda d: pytest.fail("reference was built"))
+        rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=2"])
+        assert rc == 2
+        assert "no d fits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["global_projective", "bell_pairs", "one_way_repeated"])
+def test_too_many_trials_refused_before_any_state(tmp_path, monkeypatch, capsys, protocol):
+    # 10^12 trials of two copies need terabytes of per-trial arrays
+    monkeypatch.setattr(StateSpec, "build", lambda self: pytest.fail("state was built"))
+    rc = main(["simulate", "--out", str(tmp_path / "x"), f"protocol={protocol}", "n=2",
+               "trials=1000000000000"])
+    assert rc == 2
+    assert "the largest trials that fits is" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -327,6 +348,20 @@ class TestClassicalCommand:
         rows = read_csv(out / "classical.csv")
         kinds = [r["kind"] for r in rows]
         assert kinds == ["binomial", "poisson"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["delta=1", "alpha=0.1"], ["delta=1", "alpha=0.1", "tprime=[]"],
+         ["n=50", "epsilon=0.05", "alpha=0.1"], ["n=50", "epsilon=0.05", "alpha=0.1", "q=[]"]],
+        ids=["delta", "delta-empty", "n", "n-empty"],
+    )
+    def test_threshold_row_without_alternatives(self, tmp_path, args):
+        out = tmp_path / "run"
+        assert main(["classical", "--out", str(out), *args]) == 0
+        (row,) = read_csv(out / "classical.csv")
+        assert row["kind"] == ("poisson" if "delta=1" in args else "binomial")
+        assert row["threshold"] and row["gamma"]
+        assert row["alternative"] == row["beta"] == ""
 
     def test_infinite_rate_is_invalid_input(self, tmp_path):
         rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])

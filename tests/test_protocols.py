@@ -279,6 +279,54 @@ class TestDispatchAndDeterminism:
             iso_config(protocol, 2, 2, 0.0, 0.1, 10, 0, 0.1, state2=other)
 
 
+class TestDecisionPath:
+    # (protocol, d, n, epsilon, alpha, trials, seed, defect, second source's
+    # defect) -> (accepted, exact, counts), computed before the runners shared
+    # one threshold tail; they pin the sampling stream and the tail together
+    PINNED = [
+        (("global_projective", 2, 12, 0.1, 0.1, 200, 3, 0.2, None),
+         (113, 0.5884720584252529, {0: 9, 1: 38, 2: 61, 3: 59, 4: 21, 5: 11, 8: 1})),
+        (("bell_pairs", 2, 8, 0.05, 0.1, 200, 4, 0.1, 0.15),
+         (133, 0.6965379271013101, {0: 79, 1: 68, 2: 45, 3: 8})),
+        (("one_way_single", 3, 1, 0.0, 0.1, 300, 5, 0.2, None), (259, 0.8500000000000003, {})),
+        (("one_way_repeated", 2, 6, 0.1, 0.1, 150, 6, 0.2, None),
+         (112, 0.7537052412342393, {0: 61, 1: 59, 2: 28, 3: 2})),
+    ]
+
+    @pytest.mark.parametrize("case, pinned", PINNED, ids=[c[0][0] for c in PINNED])
+    def test_seeded_result_is_pinned(self, case, pinned):
+        *args, p2 = case
+        state2 = pr.StateSpec("isotropic", args[1], (p2,)) if p2 is not None else None
+        res = pr.run_experiment(iso_config(*args, state2=state2))
+        accepted, exact, counts = pinned
+        assert (res.accepted, res.counts) == (accepted, counts)
+        assert res.exact == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
+    @pytest.mark.parametrize(
+        "eps, alpha",
+        [(-0.01, 0.1), (1.01, 0.1), (math.nan, 0.1), (0.1, 0.0), (0.1, 1.0), (0.1, math.nan)],
+    )
+    def test_out_of_range_level_refused_before_any_draw(self, protocol, eps, alpha, monkeypatch):
+        monkeypatch.setattr(pr.StateSpec, "build", lambda self: pytest.fail("state was built"))
+        monkeypatch.setattr(pr.np.random, "default_rng", lambda *a: pytest.fail("rng was made"))
+        with pytest.raises(ValueError, match="epsilon must lie" if alpha == 0.1 else "alpha must lie"):
+            pr.run_experiment(iso_config(protocol, 2, 2, eps, alpha, 10, 0, 0.1))
+
+    @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
+    def test_memory_check_names_the_largest_trials(self, protocol, monkeypatch):
+        # 10 MB holds the d = 2 states and a one-way batch but not 10^8 trials
+        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**7)
+        monkeypatch.setattr(pr.StateSpec, "build", lambda self: pytest.fail("state was built"))
+        with pytest.raises(ValueError, match="the largest trials that fits is") as err:
+            iso_config(protocol, 2, 4, 0.0, 0.1, 10**8, 0, 0.1)
+        fits = int(str(err.value).rsplit(" ", 1)[1])
+        assert fits >= 1
+        iso_config(protocol, 2, 4, 0.0, 0.1, fits, 0, 0.1)  # no error
+        with pytest.raises(ValueError, match=f"with {fits + 1} trials needs"):
+            iso_config(protocol, 2, 4, 0.0, 0.1, fits + 1, 0, 0.1)
+
+
 class TestAsymptoticSweep:
     def test_bell_gap_shrinks_toward_poisson(self):
         rows = pr.asymptotic_sweep(1.0, 3.0, 0.05, [100, 1000, 10000], "bell_pairs")

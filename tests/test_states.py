@@ -281,6 +281,16 @@ class TestRandomInstances:
         gram = (povm.vectors.conj().T * povm.weights) @ povm.vectors
         assert np.max(np.abs(gram - np.eye(3))) < 1e-9
 
+    def test_povm_bases_come_from_the_haar_sampler(self):
+        # after the mixture weights, one Haar unitary per basis, its columns in order
+        d, parts = 3, 3
+        povm = random_rank_one_povm(d, np.random.default_rng(10), parts)
+        rng = np.random.default_rng(10)
+        mix = rng.dirichlet(np.ones(parts))
+        bases = [haar_unitary(d, rng).T for _ in range(parts)]
+        assert np.array_equal(povm.weights, np.repeat(mix, d))
+        assert np.array_equal(povm.vectors, np.concatenate(bases))
+
     def test_povm_validation_rejects_incomplete(self):
         with pytest.raises(ValueError):
             RankOnePOVM([1.0], np.array([[1.0, 0.0]]))

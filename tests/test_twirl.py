@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entbench import twirl
+from entbench import states, twirl
 from entbench.multisource import three_source_covariant_test
 from entbench.states import (
     Ket,
@@ -124,7 +124,7 @@ class TestOrthonormalColumns:
     def test_matches_phase_normalized_qr(self, dim):
         rng = np.random.default_rng(60 + dim)
         a = rng.standard_normal((500, dim, dim)) + 1j * rng.standard_normal((500, dim, dim))
-        got = twirl._orthonormal_columns(a)
+        got = states._orthonormal_columns(a)
         assert np.max(np.abs(got - self._qr_reference(a))) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -133,7 +133,7 @@ class TestOrthonormalColumns:
         u, v = haar_unitaries(dim, 2, rng)
         a = (u * np.logspace(0, -10, dim)) @ v.conj().T
         assert 0.5e10 <= np.linalg.cond(a) <= 2e10
-        q = twirl._orthonormal_columns(a[np.newaxis])[0]
+        q = states._orthonormal_columns(a[np.newaxis])[0]
         assert np.max(np.abs(q.conj().T @ q - np.eye(dim))) <= 1e-14
 
     @pytest.mark.parametrize("d", [2, 3, 4])
