@@ -12,10 +12,11 @@ batch order, the acceptance uniforms last.
 No protocol forms an operator larger than its d^2 x d^2 states.  In the
 one-way protocol Alice's outcome probabilities are ``<g_i| rho_A |g_i>`` with
 ``rho_A = Tr_B sigma``, and Bob's acceptance needs only the picked outcome's
-vector ``g_i (x) conj(g_i)``, so a batch of rounds holds a few (batch, d^2)
-arrays.  The Bell-pair tables are expectations of vectors, contracted one
-source at a time.  A configuration whose states, batch arrays or per-trial
-arrays would not fit in physical RAM is refused before any state is built.
+vector ``g_i (x) conj(g_i)``, so a batch of rounds holds a few (d^2, batch)
+arrays, batch last so that each party's step is one 2-D matrix product.  The
+Bell-pair tables are expectations of vectors, contracted one source at a
+time.  A configuration whose states, batch arrays or per-trial arrays would
+not fit in physical RAM is refused before any state is built.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classical, quantum, states, twirl
-from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
-from .twirl import _chunks, haar_unitaries
+from .states import DensityMatrix, fidelity_defect, haar_columns, max_entangled_ket, proj
+from .twirl import _chunks
 
 # protocol -> name of its runner in this module; run_experiment looks the
 # runner up at call time, so a rebound run_* attribute is seen
@@ -44,9 +45,11 @@ _ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on
 # validated and the Bell tables contracted (peak RSS measured at 5.0 for one
 # state at d = 50, 6.7 for bell_pairs' two states at d = 20)
 _STATE_ARRAYS = 8
-# complex (batch, d^2) arrays alive at once in a one-way batch: the Ginibre
-# draws, the sampler's columns and result, x and sigma x (measured 5.2 at d = 12)
-_ROUND_ARRAYS = 6
+# complex (d^2, batch) arrays alive at once in a one-way batch: the sampler's
+# columns, rho_A's product with them (reused for sigma x) and x, plus smaller
+# temporaries (peak RSS growth over one batch, getrusage, one BLAS thread:
+# 3.50 at d = 12, 3.45 at d = 16, 2.91 at d = 24)
+_ROUND_ARRAYS = 4
 # protocol -> bytes its per-trial arrays hold (per trial, per round of a trial).
 # Peak RSS growth over the trials (getrusage, d = 2 and 3, one BLAS thread):
 # 33.98 a trial for the threshold test's counts, uniforms and weights
@@ -270,27 +273,31 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     return _thresholded(config, rng, (~accept_pair).sum(axis=1), 1.0 - per_pair, extra)
 
 
-def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, g: np.ndarray, u: np.ndarray):
+def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, q: np.ndarray, u: np.ndarray):
     """Alice's outcome probabilities, her outcome and Bob's acceptance probability
-    for one batch of rounds.
+    for one batch of rounds, batch last: round n measures in the columns
+    ``q[:, i, n]`` of a (d, d, batch) array and draws the uniform ``u[n]``.
 
     Alice measures {g|i><i|g^dag}, so outcome i has probability
-    ``p[n, i] = <g_i| rho_A |g_i>`` with ``rho_A = Tr_B sigma``, and she reports
-    the first i whose cumulative probability exceeds the uniform ``u[n]``.  Bob
-    checks conj(g_i), so he accepts with probability ``<x|sigma|x> / p[n, i]``
-    for ``x = g_i (x) conj(g_i)``: one (batch, d^2) x (d^2, d^2) product.
-    Returns ``(p, pick, accept)``; ``p`` is normalized.
+    ``p[i, n] = <g_i| rho_A |g_i>`` with ``rho_A = Tr_B sigma``: one
+    (d, d) x (d, d batch) product.  She reports the first i whose cumulative
+    probability exceeds ``u[n]``.  Bob checks conj(g_i), so he accepts with
+    probability ``<x|sigma|x> / p[i, n]`` for ``x = g_i (x) conj(g_i)``: one
+    (d^2, d^2) x (d^2, batch) product.  Returns ``(p, pick, accept)``; ``p``,
+    of shape (d, batch), is normalized.
     """
-    batch, d = len(g), g.shape[-1]
-    raw = np.real(np.einsum("nai,nai->ni", g.conj(), rho_a @ g))
+    d, _, batch = q.shape
+    y = (rho_a @ q.reshape(d, d * batch)).reshape(q.shape)
+    raw = np.einsum("ain,ain->in", q.real, y.real) + np.einsum("ain,ain->in", q.imag, y.imag)
     p = np.clip(raw, 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    pick = (u > np.cumsum(p, axis=1)).sum(axis=1)
-    rows = np.arange(batch)
-    gi = g[rows, :, pick]
-    x = (gi[:, :, np.newaxis] * gi.conj()[:, np.newaxis, :]).reshape(batch, d * d)
-    num = np.real(np.einsum("nj,nj->n", x.conj(), x @ sigma_mat.T))
-    return p, pick, np.clip(num / raw[rows, pick], 0.0, 1.0)
+    p /= p.sum(axis=0)
+    pick = (u > np.cumsum(p, axis=0)).sum(axis=0)
+    cols = np.arange(batch)
+    gi = q[:, pick, cols]
+    x = (gi[:, np.newaxis] * gi.conj()).reshape(d * d, batch)
+    sx = np.matmul(sigma_mat, x, out=y.reshape(x.shape))  # y is spent
+    num = np.einsum("jn,jn->n", x.real, sx.real) + np.einsum("jn,jn->n", x.imag, sx.imag)
+    return p, pick, np.clip(num / raw[pick, cols], 0.0, 1.0)
 
 
 def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarray:
@@ -298,14 +305,16 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
 
     Per round, Alice draws Haar g and measures {g|i><i|g^dag}; Bob measures
     the conjugate of Alice's observed vector on his conditional state (see
-    ``_one_way_outcomes``).  Returns the boolean acceptance sequence.
+    ``_one_way_outcomes``).  A batch draws its unitaries, then Alice's
+    uniforms, then the acceptance uniforms.  Returns the boolean acceptance
+    sequence.
     """
     rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
     out = np.empty(rounds, dtype=bool)
     done = 0
     for batch in _chunks(rounds, _ROUND_BATCH):
-        g = haar_unitaries(d, batch, rng)
-        _, _, accept = _one_way_outcomes(sigma_mat, rho_a, g, rng.random((batch, 1)))
+        q = haar_columns(d, batch, rng)
+        _, _, accept = _one_way_outcomes(sigma_mat, rho_a, q, rng.random(batch))
         out[done : done + batch] = rng.random(batch) < accept
         done += batch
     return out
@@ -366,6 +375,11 @@ def asymptotic_sweep(
             f"{protocol} sweep needs every n >= 1 and a multiple of {copies}, got {n_list}"
         )
     limit = classical.beta_poisson(delta, alpha, t_alt)
+    # every row's null boundary and alternative defect is a probability
+    for n in n_list:
+        for name, x in (("epsilon = delta/n", delta / n), ("defect = tprime/n", t_alt / n)):
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {x} at n={n}")
     # every run is configured, and so size-checked, before the first one starts
     runs = {
         n: ExperimentConfig(protocol=protocol, d=d, n=n, epsilon=delta / n, alpha=alpha,

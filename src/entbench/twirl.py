@@ -252,7 +252,9 @@ def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
 
     Factor f_c, of dimension k with ``lead`` dimensions before its axes and
     ``tail`` after, multiplies ``w.reshape(batch, lead, k, tail)`` from the
-    left; the last one is ``w @ f_c^T``.
+    left; the last one is ``w @ f_c^T``.  The first factor (lead 1) meets the
+    one shared ``vec``, so its whole batch is one 2-D product,
+    ``(batch k, k) x (k, tail)``.
     """
     w, lead = vec[np.newaxis], 1
     for factor in factors:
@@ -260,6 +262,8 @@ def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
         tail = vec.size // (lead * k)
         if tail == 1:  # one wide product in place of lead k x 1 ones
             w = w.reshape(len(w), lead, k) @ factor.transpose(0, 2, 1)
+        elif lead == 1:  # the shared vec: the whole batch in one 2-D product
+            w = (factor.reshape(-1, k) @ w.reshape(k, tail)).reshape(len(factor), k * tail)
         else:
             w = factor[:, np.newaxis] @ w.reshape(len(w), lead, k, tail)
         lead *= k

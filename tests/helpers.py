@@ -97,6 +97,25 @@ def singular_value_max_entangled(u: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(s - 1.0 / np.sqrt(d))) <= tol)
 
 
+def haar_batch_first(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitaries of shape (count, dim, dim) drawn batch first: Ginibre
+    matrices a + 1j b with every real part drawn first, then classical
+    Gram-Schmidt applied twice to the strided columns ``g[..., j]``."""
+    shape = (count, dim, dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cols: list[np.ndarray] = []
+    for j in range(dim):
+        v = g[..., j].copy()
+        for _ in range(2):
+            overlaps = [np.einsum("ni,ni->n", q.conj(), v) for q in cols]
+            for q, r in zip(cols, overlaps):
+                v -= r[:, np.newaxis] * q
+        norm2 = np.einsum("ni,ni->n", v.real, v.real) + np.einsum("ni,ni->n", v.imag, v.imag)
+        v /= np.sqrt(norm2)[:, np.newaxis]
+        cols.append(v)
+    return np.stack(cols, axis=-1)
+
+
 def one_way_reference(sigma_mat: np.ndarray, d: int, g: np.ndarray, u: np.ndarray):
     """One batch of the covariant one-way protocol from Bob's full conditional states.
 

@@ -338,6 +338,23 @@ class TestSweep:
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=5"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            ["protocol=bell_pairs", "delta=2.4", "n_list=[2]"],
+            ["protocol=one_way_repeated", "delta=2.4", "n_list=[100,2]"],
+            ["protocol=bell_pairs", "delta=2.4", "n_list=[2]", "trials=10"],
+            ["protocol=global_projective", "tprime=5", "n_list=[2]"],
+        ],
+        ids=["bell-epsilon", "one-way-epsilon", "bell-epsilon-trials", "global-defect"],
+    )
+    def test_probability_outside_unit_interval_is_invalid_input(self, tmp_path, capsys, rest):
+        out = tmp_path / "x"
+        rc = main(["sweep", "--out", str(out), *rest])
+        assert rc == 2
+        assert "must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestClassicalCommand:
     def test_binomial_and_poisson_rows(self, tmp_path):

@@ -10,6 +10,7 @@ from entbench.quantum import bell_pair_test
 from entbench.states import (
     Operator,
     fidelity_defect,
+    haar_columns,
     isotropic_state,
     max_entangled_ket,
     proj,
@@ -204,11 +205,11 @@ class TestReducedStateTables:
         rng = np.random.default_rng(90 + d)
         sigma = random_density((d, d), rng).mat
         rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
-        g = twirl.haar_unitaries(d, 2000, rng)
-        u = rng.random((2000, 1))
-        p, pick, accept = pr._one_way_outcomes(sigma, rho_a, g, u)
-        p_ref, pick_ref, accept_ref = one_way_reference(sigma, d, g, u)
-        assert np.max(np.abs(p - p_ref)) <= 1e-12
+        q = haar_columns(d, 2000, rng)  # batch last
+        u = rng.random(2000)
+        p, pick, accept = pr._one_way_outcomes(sigma, rho_a, q, u)
+        p_ref, pick_ref, accept_ref = one_way_reference(sigma, d, q.transpose(2, 0, 1), u[:, None])
+        assert np.max(np.abs(p.T - p_ref)) <= 1e-12
         assert np.array_equal(pick, pick_ref)
         assert np.max(np.abs(accept - accept_ref)) <= 1e-12
 

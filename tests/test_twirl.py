@@ -25,7 +25,7 @@ from entbench.twirl import (
     phase_twirl,
     phase_unitary,
 )
-from helpers import placement_sum
+from helpers import haar_batch_first, placement_sum
 
 
 class TestPhaseUnitary:
@@ -124,7 +124,7 @@ class TestOrthonormalColumns:
     def test_matches_phase_normalized_qr(self, dim):
         rng = np.random.default_rng(60 + dim)
         a = rng.standard_normal((500, dim, dim)) + 1j * rng.standard_normal((500, dim, dim))
-        got = states._orthonormal_columns(a)
+        got = states._orthonormal_columns(a.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
         assert np.max(np.abs(got - self._qr_reference(a))) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -133,8 +133,18 @@ class TestOrthonormalColumns:
         u, v = haar_unitaries(dim, 2, rng)
         a = (u * np.logspace(0, -10, dim)) @ v.conj().T
         assert 0.5e10 <= np.linalg.cond(a) <= 2e10
-        q = states._orthonormal_columns(a[np.newaxis])[0]
+        q = states._orthonormal_columns(a[:, :, np.newaxis].copy())[:, :, 0]
         assert np.max(np.abs(q.conj().T @ q - np.eye(dim))) <= 1e-14
+
+    @pytest.mark.parametrize("dim, count", [(2, 8192), (3, 5000), (4, 8192), (5, 7), (3, 1), (15, 40)])
+    def test_batch_last_sampler_is_the_batch_first_stream(self, dim, count):
+        rngs = [np.random.default_rng(dim * count) for _ in range(3)]
+        q = states.haar_columns(dim, count, rngs[0])
+        u = haar_unitaries(dim, count, rngs[1])
+        assert q.shape == (dim, dim, count) and u.shape == (count, dim, dim)
+        assert np.array_equal(q.transpose(2, 0, 1), u)
+        assert np.array_equal(u, haar_batch_first(dim, count, rngs[2]))
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_haar_moments(self, d):
