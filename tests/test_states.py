@@ -380,6 +380,20 @@ class TestValidityCertificate:
             states.TestOperator(m, (3,))
         assert np.array_equal(m, before)
 
+    @pytest.mark.parametrize("bad", [1e-9, np.nan, np.inf])
+    def test_blockwise_hermitian_check_sees_every_entry(self, monkeypatch, bad):
+        # two rows per block over a 5 x 5 matrix, so the last block is short
+        monkeypatch.setattr(states, "_HERMITIAN_BLOCK", 10)
+        m = np.diag([0.1, 0.2, 0.3, 0.4, 0.5]).astype(complex)
+        m[0, 4] = m[4, 0] = 0.05
+        states.TestOperator(m, (5,))
+        for i in range(5):
+            for j in range(5):
+                e = m.copy()
+                e[i, j] += 1j * bad
+                with pytest.raises(ValueError, match="not finite and Hermitian"):
+                    states.TestOperator(e, (5,))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
     def test_rejects_non_finite(self, cls, bad):
