@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classical, multisource, qubit_pair, quantum, states, twirl
+from . import __version__, classical, memory, multisource, qubit_pair, quantum, states
 from .protocols import ExperimentConfig, StateSpec, asymptotic_sweep, run_experiment
 from .twirl import GroupAction, mc_twirl
 
@@ -172,12 +172,15 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _state_spec(node, d: int) -> StateSpec:
+def _state_spec(config: dict, key: str, d: int) -> StateSpec:
+    node = config.get(key)
     if node is None:
         return StateSpec("max_entangled", d)
+    if not isinstance(node, dict):
+        raise ValueError(f"{key} must be a JSON object, got {node!r}")
     return StateSpec(
         family=node.get("family", "isotropic"),
-        d=_integer("state.d", node.get("d", d)),
+        d=_integer(f"{key}.d", node.get("d", d)),
         params=tuple(node.get("params", ())),
     )
 
@@ -218,7 +221,7 @@ def _exact_arg(config: dict, formula: str, key: str):
     input (exit 2), except ``state``, which defaults to the maximally entangled
     qubit pair."""
     if key == "state":
-        return _state_spec(config.get("state"), 2).build()
+        return _state_spec(config, "state", 2).build()
     if config.get(key) is None:
         raise ValueError(f"formula {formula!r} needs {key}=...")
     return _integer(key, config[key]) if key == "n" else config[key]
@@ -260,8 +263,8 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         alpha=float(config.get("alpha", 0.05)),
         trials=_integer("trials", config.get("trials", 10000)),
         seed=_integer("seed", config.get("seed", 0)),
-        state=_state_spec(config.get("state"), d),
-        state2=_state_spec(config.get("state2"), d) if config.get("state2") else None,
+        state=_state_spec(config, "state", d),
+        state2=_state_spec(config, "state2", d) if config.get("state2") else None,
     )
     result = run_experiment(spec)
     payload = {
@@ -288,13 +291,6 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     return 0, ["result.json", "trace.csv"]
 
 
-def _check_reference_fits(target: str, d: int, copies: int) -> None:
-    """Refuse a reference operator, d^(2 copies) square, that would not fit in RAM."""
-    dim = d ** (2 * copies)
-    twirl._check_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
-                      "d", d, 2, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
-
-
 def _twirl_case(target: str, d: int):
     """Seed ket, group action, and closed-form target for each check.
 
@@ -310,7 +306,9 @@ def _twirl_case(target: str, d: int):
     copies = 1
     while d**copies < len(u):  # doubled_ket checks that len(u) == d^copies
         copies += 1
-    _check_reference_fits(target, d, copies)
+    dim = d ** (2 * copies)
+    memory.check_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
+                      "d", d, 2, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
     ket = states.doubled_ket(u, d)
     seed = states.Ket(math.sqrt(d**copies) * ket.vec, ket.dims, ket.labels)
     return seed, GroupAction(kind, d, copies), make_reference(d).mat

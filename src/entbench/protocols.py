@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classical, quantum, states, twirl
+from . import classical, memory, quantum, states
 from .states import DensityMatrix, fidelity_defect, haar_columns, max_entangled_ket, proj
 from .twirl import _chunks
 
@@ -139,14 +139,15 @@ def _check_fits(config: ExperimentConfig) -> None:
     rounds = 1 if config.protocol == "one_way_single" else config.n // copies  # per trial
     per_trial, per_round = _TRIAL_BYTES[config.protocol]
 
-    def states(d, trials):
+    def fixed_bytes(d, trials):
         batch = min(_ROUND_BATCH, trials * rounds) if config.protocol.startswith("one_way") else 0
         return 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d)
 
-    twirl._check_fits(f"{config.protocol} at d={config.d}", "d", config.d, 2,
-                      lambda d: states(d, config.trials))
-    twirl._check_fits(f"{config.protocol} at d={config.d} with {config.trials} trials", "trials",
-                      config.trials, 1, lambda t: states(config.d, t) + t * (per_trial + per_round * rounds))
+    memory.check_fits(f"{config.protocol} at d={config.d}", "d", config.d, 2,
+                      lambda d: fixed_bytes(d, config.trials))
+    memory.check_fits(f"{config.protocol} at d={config.d} with {config.trials} trials",
+                      "trials", config.trials, 1,
+                      lambda t: fixed_bytes(config.d, t) + t * (per_trial + per_round * rounds))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import linalg
 
 from .classical import beta_binomial, binomial_ump_test
+from .memory import check_fits
 from .states import (
     Ket,
     Operator,
@@ -39,7 +40,6 @@ from .twirl import (
     GroupAction,
     TwirlEstimate,
     _batch_moments,
-    _check_fits,
     _chunks,
     _mean_stderr,
     haar_unitaries,
@@ -121,8 +121,8 @@ def binomial_operator_test(t: TestOperator, eps: float, alpha: float, n: int) ->
     ``ValueError`` before it is built.
     """
     ct = binomial_ump_test(n, eps, alpha)
-    _check_fits(f"binomial_operator_test on n={n} copies of a {t.dim}-dim test", "n", n, 1,
-                lambda m: _BUILD_ARRAYS * 16 * t.dim ** (2 * m))
+    check_fits(f"binomial_operator_test on n={n} copies of a {t.dim}-dim test", "n", n, 1,
+               lambda m: _BUILD_ARRAYS * 16 * t.dim ** (2 * m))
     coeffs = [1.0] * ct.threshold + [ct.gamma] + [0.0] * (n - ct.threshold)
     mat = mixed_tensor_sum(t.mat, np.eye(t.dim) - t.mat, coeffs)
     dims = t.dims * n
@@ -169,8 +169,8 @@ def pooled_covariant_test(d: int, n: int) -> TestOperator:
         raise ValueError(f"need n >= 1 pairs, got {n}")
     if (d * d) ** n > 4096:
         raise ValueError("pooled operator too large; use pooled_trace for big n")
-    _check_fits(f"pooled_covariant_test on n={n} pairs at d={d}", "n", n, 1,
-                lambda m: _BUILD_ARRAYS * 16 * d ** (4 * m))
+    check_fits(f"pooled_covariant_test on n={n} pairs at d={d}", "n", n, 1,
+               lambda m: _BUILD_ARRAYS * 16 * d ** (4 * m))
     mat = sector_operator(d, [1.0] + [1.0 / (d**n + 1)] * n)
     return TestOperator(mat, (d, d) * n, _pair_labels(n))
 

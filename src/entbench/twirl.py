@@ -42,19 +42,20 @@ and sample on a vector of size n.
   against ``16 dim^3`` = 6.2 GFLOP for the dense product).  At one copy it
   is exactly the dense ``(f @ T) @ f^dag``.
 
-Both paths check their batch's footprint against physical RAM before any
-draw, and feed one accumulator that merges per-batch moments with Chan's
-pairwise update.
+Both paths check their batch's footprint with ``memory.check_fits`` before
+any draw, naming the largest ``samples`` that fits, and feed one accumulator
+that merges per-batch moments with Chan's pairwise update.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+
+from .memory import check_fits
 
 # the Haar sampler lives in states, which random_rank_one_povm shares; its
 # names stay importable from here as well
@@ -209,26 +210,6 @@ def _chunks(total: int, size: int = _CHUNK):
         yield min(size, total - start)
 
 
-def _ram_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_fits(what: str, name: str, value: int, least: int, need) -> None:
-    """Refuse ``what`` at ``name`` = ``value`` when its ``need(value)`` bytes
-    exceed physical RAM, naming the largest ``name`` >= ``least`` that fits.
-    ``need`` must not decrease; the largest fit is found by bisection."""
-    ram = _ram_bytes()
-    if need(value) > ram:
-        fits, over = least - 1, value  # need(over) > ram; fits is least - 1 or fits
-        while over - fits > 1:
-            mid = (fits + over) // 2
-            fits, over = (mid, over) if need(mid) <= ram else (fits, mid)
-        raise ValueError(
-            f"{what} needs about {need(value)} bytes, more than the {ram} bytes of RAM; "
-            + (f"the largest {name} that fits is {fits}" if fits >= least else f"no {name} fits")
-        )
-
-
 def _check_batch(
     size: int, action: GroupAction, samples: int, per_sample: int, fixed: int = 0
 ) -> None:
@@ -239,12 +220,8 @@ def _check_batch(
     dim = action.dim
     if size != dim:
         raise ValueError(f"operator dim {size} != action dim {dim}")
-    need, ram = min(_CHUNK, samples) * per_sample + fixed, _ram_bytes()
-    if need > ram:
-        raise ValueError(
-            f"{samples} samples at dim {dim} need about {need} bytes per batch, more than "
-            f"the {ram} bytes of RAM; at most {max(ram - fixed, 0) // per_sample} samples fit"
-        )
+    check_fits(f"the batch of a {samples}-sample twirl at dim {dim}", "samples", samples, 1,
+               lambda s: min(_CHUNK, s) * per_sample + fixed)
 
 
 def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entbench import quantum, states, twirl
+from entbench import memory, quantum, states
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
 from entbench.protocols import ROUNDS, StateSpec
 from entbench.quantum import beta_one_way
@@ -227,7 +227,7 @@ class TestTwirlVerify:
         # the seed is rank one, so a 2000-sample batch at dim 729 is a batch
         # of vectors and fits an 8 GiB machine; a conclusive verdict needs
         # about 1700 samples
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 8 * 2**30)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 8 * 2**30)
         out = tmp_path / "run"
         rc = main(["twirl-verify", "--out", str(out), "--samples", "2000",
                    "target=three-source", "d=3"])
@@ -236,7 +236,7 @@ class TestTwirlVerify:
 
     def test_reference_too_large_refused_before_it_is_built(self, tmp_path, monkeypatch, capsys):
         # two-sample references are d^4 square: 16 x 16 fits in 100 kB, 81 x 81 does not
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**5)
         monkeypatch.setattr(quantum, "two_sample_covariant_test",
                             lambda d: pytest.fail("reference was built"))
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=3"])
@@ -247,7 +247,7 @@ class TestTwirlVerify:
     def test_reference_between_six_and_seven_arrays_refused(self, tmp_path, monkeypatch, capsys):
         # twirl-verify peaks at 6.1 to 6.9 reference-sized arrays, so a RAM
         # holding six and a half 16 x 16 references must refuse d = 2
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 13 * 16 * 16**2 // 2)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 13 * 16 * 16**2 // 2)
         monkeypatch.setattr(quantum, "two_sample_covariant_test",
                             lambda d: pytest.fail("reference was built"))
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=2"])
@@ -300,6 +300,22 @@ def test_fractional_integer_key_is_invalid_input(tmp_path, capsys, args):
     rc = main([command, "--out", str(tmp_path / "x"), *rest])
     assert rc == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["simulate", "state=5", "--trials", "10"], "state"),
+        (["exact", "formula=qubit-optimal", "state=5"], "state"),
+        (["simulate", "state2=[1]", "--trials", "10"], "state2"),
+    ],
+    ids=["simulate-state", "exact-state", "simulate-state2"],
+)
+def test_state_that_is_not_an_object_is_invalid_input(tmp_path, capsys, args, key):
+    command, *rest = args
+    rc = main([command, "--out", str(tmp_path / "x"), *rest])
+    assert rc == 2
+    assert f"{key} must be a JSON object" in capsys.readouterr().err
 
 
 def test_integral_float_is_read_as_integer(tmp_path):

@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+
+from entbench import memory, protocols, quantum, states
+from entbench.cli import main
+from entbench.twirl import GroupAction, check_invariance, mc_twirl
+
+# the one wording every refusal shares, at a faked RAM of 1000 bytes
+SHARED = r"needs about \d+ bytes, more than the 1000 bytes of RAM; (the largest \w+ that fits is \d+|no \w+ fits)$"
+
+
+# (need, least, value): a power law like an operator's d^(4k) entries, and
+# the twirl's batch, which stops growing at the 4096-sample chunk
+@pytest.mark.parametrize(
+    "need, least, value",
+    [(lambda x: 16 * x**4, 2, 40), (lambda s: min(4096, s) * 768 + 1536, 1, 5000)],
+    ids=["power-law", "saturating"],
+)
+def test_names_the_largest_fit_of_a_brute_force_scan(monkeypatch, need, least, value):
+    edges = {need(k) + e for k in (least, 7, 300, 4095, value) if least <= k <= value for e in (-1, 0)}
+    for ram in sorted({0, 1000, 10**9} | edges | {int(r) for r in np.geomspace(10, 10**9, 40)}):
+        monkeypatch.setattr(memory, "ram_bytes", lambda: ram)
+        fits = max((x for x in range(least, value + 1) if need(x) <= ram), default=None)
+        if fits == value:
+            memory.check_fits("the case", "x", value, least, need)
+            continue
+        tail = "no x fits" if fits is None else f"the largest x that fits is {fits}"
+        with pytest.raises(ValueError, match=f"^the case needs about {need(value)} bytes.*; {tail}$"):
+            memory.check_fits("the case", "x", value, least, need)
+
+
+def test_bisection_takes_logarithmically_many_calls(monkeypatch):
+    monkeypatch.setattr(memory, "ram_bytes", lambda: 10**12)
+    calls = []
+
+    def need(trials):
+        calls.append(trials)
+        return 16 * trials
+
+    value = 10**18
+    with pytest.raises(ValueError, match=f"the largest trials that fits is {10**12 // 16}$"):
+        memory.check_fits("the run", "trials", value, 1, need)
+    assert len(calls) <= value.bit_length() + 3
+
+
+# faking memory.ram_bytes alone makes every guarded entry refuse before it
+# draws or builds: no entry keeps a RAM query of its own
+
+
+@pytest.fixture
+def tiny_ram(monkeypatch):
+    monkeypatch.setattr(memory, "ram_bytes", lambda: 1000)
+
+
+@pytest.mark.parametrize("kind", ["ket", "dense", "invariance"])
+def test_twirls_refuse_before_any_draw(tiny_ram, kind):
+    ket = states.max_entangled_ket(2)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=SHARED):
+        if kind == "invariance":
+            check_invariance(states.proj(ket), GroupAction("local", 2), 100, rng)
+        else:
+            mc_twirl(ket if kind == "ket" else states.proj(ket), GroupAction("local", 2), 100, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_twirl_verify_refuses_before_any_build(tiny_ram, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+    monkeypatch.setattr(quantum, "one_sample_covariant_test", lambda d: pytest.fail("reference was built"))
+    rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=one-sample", "--samples", "10"])
+    assert rc == 2
+    assert "bytes of RAM;" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", protocols.PROTOCOLS)
+def test_experiment_config_refuses_before_any_state(tiny_ram, monkeypatch, protocol):
+    monkeypatch.setattr(protocols.StateSpec, "build", lambda self: pytest.fail("state was built"))
+    with pytest.raises(ValueError, match=SHARED):
+        protocols.ExperimentConfig(protocol, 2, 2, 0.0, 0.05, 10, 0, protocols.StateSpec("max_entangled", 2))
+
+
+def test_operator_builders_refuse_before_building(monkeypatch):
+    t = quantum.one_sample_covariant_test(2)
+    monkeypatch.setattr(memory, "ram_bytes", lambda: 1000)
+    monkeypatch.setattr(quantum, "mixed_tensor_sum", lambda *a: pytest.fail("operator was built"))
+    monkeypatch.setattr(quantum, "sector_operator", lambda *a: pytest.fail("operator was built"))
+    with pytest.raises(ValueError, match=SHARED):
+        quantum.binomial_operator_test(t, 0.1, 0.05, 2)
+    with pytest.raises(ValueError, match=SHARED):
+        quantum.pooled_covariant_test(2, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entbench import protocols as pr
-from entbench import twirl
+from entbench import memory, twirl
 from entbench.classical import beta_binomial, beta_poisson
 from entbench.quantum import bell_pair_test
 from entbench.states import (
@@ -249,7 +249,7 @@ class TestDispatchAndDeterminism:
 
     @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
     def test_memory_check_names_the_largest_d(self, protocol, monkeypatch):
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**9)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**9)
         monkeypatch.setattr(pr.StateSpec, "build", lambda self: pytest.fail("state was built"))
         with pytest.raises(ValueError, match="the largest d that fits is") as err:
             iso_config(protocol, 1000, 2, 0.0, 0.1, 10**4, 0, 0.1)
@@ -317,7 +317,7 @@ class TestDecisionPath:
     @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
     def test_memory_check_names_the_largest_trials(self, protocol, monkeypatch):
         # 10 MB holds the d = 2 states and a one-way batch but not 10^8 trials
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**7)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**7)
         monkeypatch.setattr(pr.StateSpec, "build", lambda self: pytest.fail("state was built"))
         with pytest.raises(ValueError, match="the largest trials that fits is") as err:
             iso_config(protocol, 2, 4, 0.0, 0.1, 10**8, 0, 0.1)

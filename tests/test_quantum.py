@@ -23,7 +23,7 @@ from entbench.quantum import (
     two_sample_covariant_test,
     two_sample_trace,
 )
-from entbench import quantum, states, twirl
+from entbench import memory, quantum, states
 from entbench.states import (
     RankOnePOVM,
     bell_basis,
@@ -136,7 +136,7 @@ class TestBinomialOperatorTest:
         # a 4-dim test on n copies builds 4^n x 4^n operators: n = 2 fits in
         # 100 kB, n = 3 does not
         t = one_sample_covariant_test(2)
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**5)
         assert binomial_operator_test(t, 0.1, 0.1, 2).dim == 16
         monkeypatch.setattr(quantum, "mixed_tensor_sum", lambda *a: pytest.fail("operator was built"))
         with pytest.raises(ValueError, match="the largest n that fits is 2$"):
@@ -254,7 +254,7 @@ class TestPooled:
     def test_memory_guard_names_the_largest_n(self, monkeypatch):
         # n pairs at d = 2 build 4^n x 4^n operators: n = 2 fits in 100 kB,
         # n = 3 does not
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**5)
         assert pooled_covariant_test(2, 2).dim == 16
         monkeypatch.setattr(quantum, "sector_operator", lambda *a: pytest.fail("operator was built"))
         with pytest.raises(ValueError, match="the largest n that fits is 2$"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entbench import states, twirl
+from entbench import memory, states, twirl
 from entbench.multisource import three_source_covariant_test
 from entbench.states import (
     Ket,
@@ -425,10 +425,10 @@ class TestBlockedConjugation:
     def test_memory_guard(self, monkeypatch):
         action = GroupAction("local", 3, 2)
         per_sample = action.dim**2 * 16 * twirl._LIVE_BATCHES
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 300 * per_sample + 1)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 300 * per_sample + 1)
         rng = np.random.default_rng(19)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="at most 300 samples fit"):
+        with pytest.raises(ValueError, match="the largest samples that fits is 300$"):
             mc_twirl(np.eye(action.dim), action, 301, rng)
         assert rng.bit_generator.state == state  # refused before any draw
         assert mc_twirl(np.eye(action.dim), action, 300, rng).samples == 300
@@ -504,11 +504,11 @@ class TestRankOneTwirl:
         # 126 MB, the rank-one path under 4 MB
         action = GroupAction("local", 3, 2)
         v = _random_ket(3, 2, 24)
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 50 * 10**6)
-        with pytest.raises(ValueError, match="samples fit"):
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 50 * 10**6)
+        with pytest.raises(ValueError, match="the largest samples that fits is 158$"):
             mc_twirl(proj(v), action, 300, np.random.default_rng(50))
         assert mc_twirl(v, action, 300, np.random.default_rng(50)).samples == 300
-        monkeypatch.setattr(twirl, "_ram_bytes", lambda: 10**5)
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 10**5)
         rng = np.random.default_rng(50)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="samples fit"):
