@@ -17,6 +17,12 @@ Hypotheses, sec. 3.4): it starts at the ``1 - alpha`` quantile from scipy's
 ``ppf`` and settles the inequalities above with two short walks, so its cost
 does not grow with n or the Poisson rate.  The accept-large binomial test is
 the mirror image of the accept-small one, since ``n - X ~ Bin(n, 1 - eps)``.
+
+``scipy.stats`` takes about a second to import, so this module imports it at
+first use and stores it as the module global ``stats`` (reading
+``classical.stats`` from outside imports it too).  Every pmf, cdf and
+quantile reads that global at call time through ``_stats()``, so a rebound
+``stats`` (a counting stand-in, say) is seen.
 """
 
 from __future__ import annotations
@@ -26,7 +32,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+
+def _stats():
+    """The module global ``stats``: ``scipy.stats``, imported at the first
+    call, unless something has rebound it."""
+    if "stats" not in globals():
+        from scipy import stats
+
+        globals()["stats"] = stats
+    return globals()["stats"]
+
+
+def __getattr__(name: str):
+    if name == "stats":
+        return _stats()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +84,12 @@ class ClassicalRandomizedTest:
 
 def binom_pmf(n: int, k, p: float):
     """C(n, k) (1-p)^(n-k) p^k."""
-    return stats.binom.pmf(k, n, p)
+    return _stats().binom.pmf(k, n, p)
 
 
 def poisson_pmf(rate: float, k):
     """e^(-rate) rate^k / k!."""
-    return stats.poisson.pmf(k, rate)
+    return _stats().poisson.pmf(k, rate)
 
 
 def beta_one_sample(eps: float, alpha: float, q: float) -> float:
@@ -116,13 +137,13 @@ def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTe
     _require(n >= 1, "need n >= 1")
     _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    l, gamma = _threshold(stats.binom, (n, eps), alpha)
+    l, gamma = _threshold(_stats().binom, (n, eps), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=n)
 
 
 def beta_binomial(n: int, eps: float, alpha: float, q: float) -> float:
     """Type-2 error of the binomial UMP test at alternative parameter q."""
-    return _accepted_mass(stats.binom, (n, q), binomial_ump_test(n, eps, alpha))
+    return _accepted_mass(_stats().binom, (n, q), binomial_ump_test(n, eps, alpha))
 
 
 def binomial_ump_test_ge(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
@@ -139,13 +160,13 @@ def poisson_ump_test(delta: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null rate <= delta."""
     _require(0.0 <= delta < math.inf, "delta must be finite and nonnegative")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    l, gamma = _threshold(stats.poisson, (delta,), alpha)
+    l, gamma = _threshold(_stats().poisson, (delta,), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=None)
 
 
 def beta_poisson(delta: float, alpha: float, t_alt: float) -> float:
     """Type-2 error of the Poisson UMP test at alternative rate t_alt."""
-    return _accepted_mass(stats.poisson, (t_alt,), poisson_ump_test(delta, alpha))
+    return _accepted_mass(_stats().poisson, (t_alt,), poisson_ump_test(delta, alpha))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -178,11 +179,11 @@ def _state_spec(config: dict, key: str, d: int) -> StateSpec:
         return StateSpec("max_entangled", d)
     if not isinstance(node, dict):
         raise ValueError(f"{key} must be a JSON object, got {node!r}")
-    return StateSpec(
-        family=node.get("family", "isotropic"),
-        d=_integer(f"{key}.d", node.get("d", d)),
-        params=tuple(node.get("params", ())),
-    )
+    family = node.get("family", "isotropic")
+    params = tuple(node.get("params", ()))
+    if family == "random":  # the generator's seed, never truncated
+        params = tuple(_integer(f"{key}.params", p) for p in params)
+    return StateSpec(family=family, d=_integer(f"{key}.d", node.get("d", d)), params=params)
 
 
 def _manifest(command: str, config: dict, outputs: list[str], started: str,
@@ -264,7 +265,7 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         trials=_integer("trials", config.get("trials", 10000)),
         seed=_integer("seed", config.get("seed", 0)),
         state=_state_spec(config, "state", d),
-        state2=_state_spec(config, "state2", d) if config.get("state2") else None,
+        state2=_state_spec(config, "state2", d) if config.get("state2") is not None else None,
     )
     result = run_experiment(spec)
     payload = {
@@ -394,7 +395,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared after it
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="entbench", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"entbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -105,7 +105,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     state: StateSpec
-    state2: StateSpec | None = None  # second source for dual-source runs
+    state2: StateSpec | None = None  # second source, for bell_pairs only
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -121,6 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if any(s.d != self.d for s in (self.state, self.state2) if s is not None):
             raise ValueError(f"every state must be a pair of dimension d={self.d}")
+        if self.state2 is not None and self.protocol != "bell_pairs":
+            raise ValueError(f"state2 is the second source of bell_pairs; {self.protocol} "
+                             "has one source")
         copies, _ = ROUNDS.get(self.protocol, (1, None))
         if self.n % copies:
             raise ValueError(

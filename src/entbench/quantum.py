@@ -20,7 +20,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .classical import beta_binomial, binomial_ump_test
 from .memory import check_fits
@@ -177,6 +176,8 @@ def pooled_covariant_test(d: int, n: int) -> TestOperator:
 
 def pooled_trace(d: int, n: int, p: float) -> float:
     """(d^n (1-p)^n + 1) / (d^n + 1): acceptance of the pooled test on defect p."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 pairs, got {n}")
     return (d**n * (1.0 - p) ** n + 1.0) / (d**n + 1.0)
 
 
@@ -318,6 +319,8 @@ def simplex_completion(phi) -> list[Ket]:
     Offsets from phi/sqrt(d) are the vertices of a regular simplex in the
     orthocomplement of phi, so the pairwise offset inner products are -1/d.
     """
+    from scipy import linalg  # here, so importing the package skips scipy.linalg
+
     vec = phi.vec if isinstance(phi, Ket) else np.asarray(phi, dtype=complex).reshape(-1)
     d = vec.size
     if d < 2:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -125,8 +124,12 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     relative to the norm of ``m`` (1e-13 at dim 729), around the band edges.
     Only a failed factorization computes the eigenvalues, to name them.  The
     Hermitian check compares ``_HERMITIAN_BLOCK`` entries at a time, so the
-    workspace is the one full-size array this makes.
+    workspace is the one full-size array this makes.  ``scipy.linalg`` is
+    imported here, at the first certificate, so importing the package does
+    not pay for it.
     """
+    from scipy.linalg import lapack
+
     n = m.shape[0]
     rows = max(1, _HERMITIAN_BLOCK // n)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test

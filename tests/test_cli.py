@@ -308,14 +308,65 @@ def test_fractional_integer_key_is_invalid_input(tmp_path, capsys, args):
         (["simulate", "state=5", "--trials", "10"], "state"),
         (["exact", "formula=qubit-optimal", "state=5"], "state"),
         (["simulate", "state2=[1]", "--trials", "10"], "state2"),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2=0", "--trials", "10"], "state2"),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2=[]", "--trials", "10"], "state2"),
     ],
-    ids=["simulate-state", "exact-state", "simulate-state2"],
+    ids=["simulate-state", "exact-state", "simulate-state2", "simulate-state2-zero",
+         "simulate-state2-empty"],
 )
 def test_state_that_is_not_an_object_is_invalid_input(tmp_path, capsys, args, key):
     command, *rest = args
     rc = main([command, "--out", str(tmp_path / "x"), *rest])
     assert rc == 2
     assert f"{key} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["global_projective", "one_way_single", "one_way_repeated"])
+def test_state2_outside_bell_pairs_is_invalid_input(tmp_path, capsys, protocol):
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--trials", "10", f"protocol={protocol}",
+               "state2.family=isotropic", "state2.params=[0.5]"])
+    assert rc == 2
+    assert f"state2 is the second source of bell_pairs; {protocol}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_pooled_without_pairs_is_invalid_input(tmp_path, capsys, n):
+    out = tmp_path / "x"
+    rc = main(["exact", "--out", str(out), "formula=pooled", "d=2", f"n={n}", "p=[0.1]"])
+    assert rc == 2
+    assert f"need n >= 1 pairs, got {n}" in capsys.readouterr().err
+    assert not (out / "exact.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["simulate", "state.family=random", "state.params=[1.5]", "--trials", "10"], "state.params"),
+        (["simulate", "state.family=random", "state.params=[1.9]", "--trials", "10"], "state.params"),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2.family=random", "state2.params=[1.5]",
+          "--trials", "10"], "state2.params"),
+        (["exact", "formula=qubit-optimal", "state.family=random", "state.params=[1.5]"],
+         "state.params"),
+    ],
+    ids=["simulate-1.5", "simulate-1.9", "simulate-state2", "exact"],
+)
+def test_fractional_random_seed_is_invalid_input(tmp_path, capsys, args, key):
+    command, *rest = args
+    rc = main([command, "--out", str(tmp_path / "x"), *rest])
+    assert rc == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_random_seed_is_that_seed(tmp_path):
+    results = []
+    for seed in ("2", "2.0"):
+        out = tmp_path / seed
+        assert main(["simulate", "--out", str(out), "--trials", "50", "state.family=random",
+                     f"state.params=[{seed}]"]) == 0
+        result = json.loads((out / "result.json").read_text())
+        del result["config"]  # echoes the seed as written
+        results.append((result, (out / "trace.csv").read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_integral_float_is_read_as_integer(tmp_path):

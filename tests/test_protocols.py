@@ -273,6 +273,12 @@ class TestDispatchAndDeterminism:
         with pytest.raises(ValueError):
             iso_config("teleport", 2, 2, 0.0, 0.1, 10, 0, 0.0)
 
+    @pytest.mark.parametrize("protocol", [p for p in pr.PROTOCOLS if p != "bell_pairs"])
+    def test_state2_only_for_bell_pairs(self, protocol):
+        other = pr.StateSpec("isotropic", 2, (0.5,))
+        with pytest.raises(ValueError, match="state2 is the second source of bell_pairs"):
+            iso_config(protocol, 2, 2, 0.0, 0.1, 10, 0, 0.1, state2=other)
+
     @pytest.mark.parametrize("protocol", pr.PROTOCOLS)
     def test_state_dimension_must_match(self, protocol):
         other = pr.StateSpec("isotropic", 3, (0.1,))

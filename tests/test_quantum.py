@@ -263,6 +263,11 @@ class TestPooled:
     def test_trace_value_example(self):
         assert abs(pooled_trace(2, 2, 0.25) - 0.65) < 1e-15
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_trace_refuses_fewer_than_one_pair(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 1 pairs, got {n}"):
+            pooled_trace(2, n, 0.1)
+
     def test_operator_trace_matches_formula(self):
         d, n = 2, 2
         t = pooled_covariant_test(d, n)
