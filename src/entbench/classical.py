@@ -94,8 +94,8 @@ def poisson_pmf(rate: float, k):
 
 def beta_one_sample(eps: float, alpha: float, q: float) -> float:
     """Minimum type-2 error at q for a single coin flip with null p <= eps."""
-    _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
-    _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
+    check_level(eps, alpha)
+    check_defects(q)
     if q <= eps:
         warnings.warn(
             f"alternative q={q} lies inside the null (<= {eps}); value is the "
@@ -110,6 +110,19 @@ def beta_one_sample(eps: float, alpha: float, q: float) -> float:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+def check_level(eps: float, alpha: float) -> None:
+    """Refuse a null boundary eps outside [0, 1] or a level alpha outside (0, 1)."""
+    _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
+    _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
+
+
+def check_defects(*ps: float) -> None:
+    """Refuse a defect (a failure probability) outside [0, 1]; NaN fails every
+    comparison, so it is refused too."""
+    for p in ps:
+        _require(0.0 <= p <= 1.0, f"defect {p} outside [0, 1]")
 
 
 def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
@@ -135,8 +148,7 @@ def _accepted_mass(family, params: tuple, t: ClassicalRandomizedTest) -> float:
 def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null p <= eps on n Bernoulli trials."""
     _require(n >= 1, "need n >= 1")
-    _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
-    _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
+    check_level(eps, alpha)
     l, gamma = _threshold(_stats().binom, (n, eps), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=n)
 

@@ -319,6 +319,8 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     target = config.get("target")
     d = _integer("d", config.get("d", 2))
     samples = _integer("samples", config.get("samples", 100000))
+    if samples < 2:  # the standard error of fewer samples is undefined
+        raise ValueError(f"twirl-verify needs samples >= 2 for a standard error, got {samples}")
     seed, action, reference = _twirl_case(target, d)
     rng = np.random.default_rng(_integer("seed", config.get("seed", 0)))
     est = mc_twirl(seed, action, samples, rng)
@@ -364,21 +366,25 @@ def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     alpha = float(config.get("alpha", 0.05))
-    # (kind, n, boundary, test, beta at an alternative, key of the alternatives)
+    # (kind, n, boundary, test, beta at an alternative, key of the alternatives,
+    # largest alternative)
     families = []
     if config.get("n") is not None:
         n, eps = _integer("n", config["n"]), float(config.get("epsilon", 0.0))
         families.append(("binomial", n, eps, classical.binomial_ump_test(n, eps, alpha),
-                         lambda q: classical.beta_binomial(n, eps, alpha, q), "q"))
+                         lambda q: classical.beta_binomial(n, eps, alpha, q), "q", 1.0))
     if config.get("delta") is not None:
         delta = float(config["delta"])
         families.append(("poisson", None, delta, classical.poisson_ump_test(delta, alpha),
-                         lambda t: classical.beta_poisson(delta, alpha, t), "tprime"))
+                         lambda t: classical.beta_poisson(delta, alpha, t), "tprime", math.inf))
     rows = []
-    for kind, n, boundary, test, beta, key in families:
+    for kind, n, boundary, test, beta, key, top in families:
         head = [kind, n, boundary, alpha, test.threshold, test.gamma]
         # without alternatives a family still writes its threshold row
         alternatives = _as_list(config.get(key, []))
+        for x in alternatives:
+            if not (math.isfinite(float(x)) and 0.0 <= float(x) <= top):
+                raise ValueError(f"{key} must be a finite number in [0, {top:g}], got {x!r}")
         rows += [[*head, x, beta(float(x))] for x in alternatives] or [[*head, None, None]]
     header = ["kind", "n", "boundary", "alpha", "threshold", "gamma", "alternative", "beta"]
     _write_csv(out_dir / "classical.csv", header, rows)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import beta_poisson
+from .classical import beta_poisson, check_defects
 from .states import Ket, TestOperator, doubled_ket, proj, sector_operator
 
 
@@ -43,7 +43,7 @@ def beta_two_source(d: int, p1: float, p2: float) -> ConditionedValue:
 
     optimal when p1 p2/(d^2-1) <= (1-p1) p2 and <= p1 (1-p2).
     """
-    _check_defects(p1, p2)
+    check_defects(p1, p2)
     value = (1.0 - p1) * (1.0 - p2) + p1 * p2 / (d * d - 1)
     cross = p1 * p2 / (d * d - 1)
     cond = cross <= (1.0 - p1) * p2 + 1e-15 and cross <= p1 * (1.0 - p2) + 1e-15
@@ -53,15 +53,9 @@ def beta_two_source(d: int, p1: float, p2: float) -> ConditionedValue:
 def beta_two_source_local(d: int, p1: float, p2: float) -> float:
     """Optimal level-0 error under per-sample locality: the product of the
     one-sample covariant values, (1 - d p1/(d+1)) (1 - d p2/(d+1))."""
-    _check_defects(p1, p2)
+    check_defects(p1, p2)
     r = d / (d + 1.0)
     return (1.0 - r * p1) * (1.0 - r * p2)
-
-
-def _check_defects(*ps: float) -> None:
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"defect {p} outside [0, 1]")
 
 
 def check_triple_dimension(d: int) -> None:
@@ -142,7 +136,7 @@ def beta_three_source(d: int, p1: float, p2: float, p3: float) -> ConditionedVal
 
     flagged optimal when every p_i <= (d-1)/d.
     """
-    _check_defects(p1, p2, p3)
+    check_defects(p1, p2, p3)
     warnings.warn(
         "three-source value uses the operator coefficient "
         "(d+2)/((d+1)^3 (d-1)) on the triple term; the commonly quoted closed "
@@ -163,7 +157,7 @@ def beta_three_source(d: int, p1: float, p2: float, p3: float) -> ConditionedVal
 
 def beta_three_source_local(d: int, p1: float, p2: float, p3: float) -> float:
     """Product of the three one-sample covariant values (per-sample locality)."""
-    _check_defects(p1, p2, p3)
+    check_defects(p1, p2, p3)
     r = d / (d + 1.0)
     return (1.0 - r * p1) * (1.0 - r * p2) * (1.0 - r * p3)
 

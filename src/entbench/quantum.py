@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import beta_binomial, binomial_ump_test
+from .classical import beta_binomial, binomial_ump_test, check_defects, check_level
 from .memory import check_fits
 from .states import (
     Ket,
@@ -148,6 +148,7 @@ def two_sample_covariant_test(d: int) -> TestOperator:
 
 def two_sample_trace(d: int, p: float) -> float:
     """(1-p)^2 + p^2/(d^2-1): acceptance of the two-sample covariant test."""
+    check_defects(p)
     return (1.0 - p) ** 2 + p * p / (d * d - 1)
 
 
@@ -178,6 +179,7 @@ def pooled_trace(d: int, n: int, p: float) -> float:
     """(d^n (1-p)^n + 1) / (d^n + 1): acceptance of the pooled test on defect p."""
     if n < 1:
         raise ValueError(f"need n >= 1 pairs, got {n}")
+    check_defects(p)
     return (d**n * (1.0 - p) ** n + 1.0) / (d**n + 1.0)
 
 
@@ -188,6 +190,8 @@ def mapped_boundary(d: int, x: float) -> float:
 
 def beta_one_way(d: int, eps: float, alpha: float, p: float) -> float:
     """Exact type-2 error of the level-adjusted one-sample covariant test."""
+    check_level(eps, alpha)
+    check_defects(p)
     r = d / (d + 1.0)
     if r * eps <= alpha:
         return (1.0 - alpha) * (1.0 - r * p) / (1.0 - r * eps)
@@ -196,6 +200,8 @@ def beta_one_way(d: int, eps: float, alpha: float, p: float) -> float:
 
 def beta_pair_repeated(d: int, n: int, eps: float, alpha: float, p: float) -> float:
     """Type-2 error of n repetitions of the two-sample covariant test (2n copies)."""
+    check_level(eps, alpha)
+    check_defects(p)
     cap = (d * d - 1) / (d * d)
     if eps > cap:
         warnings.warn(

@@ -24,23 +24,34 @@ actions are defined with g in SU(d) but sampled from Haar U(d): a Haar U(d)
 element is a Haar SU(d) element times the global phase det(g)^(1/d), which
 cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.
 
-One kernel, ``_apply_factors``, contracts a sample's factors with a flat
-vector, each factor on its own pair axes: ``8 n d^2`` real flops per factor
-and sample on a vector of size n.
-
-* A rank-one input, given as a ``Ket`` v, is twirled as the vectors f v.  A
-  batch W of them gives the sum of ``|f v><f v|`` as one GEMM,
-  ``W^T conj(W)``, and the sum of the squared moduli as a second,
-  ``(|W|^2)^T |W|^2``: ``10 dim^2`` real flops per sample, which dominate at
-  large dim (5.3 MFLOP at dim 729, against 0.23 GFLOP to conjugate a dense
-  operator there).
+* A rank-one input, given as a ``Ket`` v, is twirled as the vectors f v,
+  batch last: a (dim, batch) array W.  For the phase and local actions each
+  g and conj(g) acts on its own d-axis of W (``_apply_columns``), so
+  g (x) conj(g) is never formed: ``16 copies d dim`` real flops per sample,
+  the first factor one matmul with the shared v, the rest multiply-adds over
+  rows that run over the batch, and Ph(theta) rank-one updates of v before
+  any g.  ``ortho``, and kets of two or more pairs at dim >= 256, apply pair
+  factors instead, ``8 copies d^2 dim`` flops per sample as per-sample
+  products (``_apply_factors``), which measured faster there.  The sum of
+  ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum of the
+  squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops per
+  sample, which dominate at large dim (5.3 MFLOP at dim 729, against
+  0.23 GFLOP to conjugate a dense operator there).  Median ``mc_twirl``
+  times at one BLAS thread, 8192 samples, against the pair-factor kernel
+  with the batch first: one-sample d=3 20 -> 8.5 ms, d=8 526 -> 119 ms,
+  two-sample d=2 19 -> 11 ms, qubit-weights 23 -> 11 ms, three-source d=2
+  73 -> 53 ms.  Forcing either kernel on two-sample d=4 (dim 256) gave
+  354 ms batch last against 324 ms in pair factors, and on three-source d=3
+  (dim 729, 512 samples) 139 against 111 ms; at dim 81 the two were even
+  (73 against 75 ms).
 * A dense operator T is conjugated as the vector twirl of its row-major
-  flattening, since ``vec(f T f^dag) = (f (x) conj(f)) vec(T)``: the same
-  kernel applies the factors and then their conjugates to ``vec(T)``, a
-  vector of size dim^2 with twice as many pair factors.  That is
-  ``16 copies d^2 dim^2`` real flops per sample (about 0.23 GFLOP at dim 729,
-  against ``16 dim^3`` = 6.2 GFLOP for the dense product).  At one copy it
-  is exactly the dense ``(f @ T) @ f^dag``.
+  flattening, since ``vec(f T f^dag) = (f (x) conj(f)) vec(T)``:
+  ``_apply_factors`` contracts each sample's pair factors and then their
+  conjugates with ``vec(T)``, a vector of size dim^2, batch first, each
+  factor on its own pair axes.  That is ``16 copies d^2 dim^2`` real flops
+  per sample (about 0.23 GFLOP at dim 729, against ``16 dim^3`` = 6.2 GFLOP
+  for the dense product).  At one copy it is exactly the dense
+  ``(f @ T) @ f^dag``.
 
 Both paths check their batch's footprint with ``memory.check_fits`` before
 any draw, naming the largest ``samples`` that fits, and feed one accumulator
@@ -59,20 +70,33 @@ from .memory import check_fits
 
 # the Haar sampler lives in states, which random_rank_one_povm shares; its
 # names stay importable from here as well
-from .states import Ket, Operator, haar_unitaries, haar_unitary, max_entangled_ket, proj
+from .states import (
+    Ket,
+    Operator,
+    haar_columns,
+    haar_unitaries,
+    haar_unitary,
+    max_entangled_ket,
+    proj,
+)
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
-# batch-sized complex arrays alive at once in a twirl, of (batch, dim) vectors
-# or (batch, dim, dim) conjugates: a contraction's input and output, plus
-# |W|^2 at half size and one gathered slice of the cancellation guard for
-# vectors, or c - T and its modulus in check_invariance.  Peak RSS growth over
-# one batch (getrusage, one BLAS thread): 2.0 batches for a dense mc_twirl at
-# dims 64, 81 and 729, 2.5 for check_invariance there, and about 2 for a
-# vector batch at dim 729
+# batch-sized complex arrays alive at once in a dense twirl, of (batch, dim,
+# dim) conjugates: a contraction's input and output, or c - T and its modulus
+# in check_invariance.  Peak RSS growth over one batch (getrusage, one BLAS
+# thread): 2.0 batches for a dense mc_twirl at dims 64, 81 and 729, and 2.5
+# for check_invariance there
 _LIVE_BATCHES = 3
+# a rank-one twirl budgets (dim, batch) vectors instead: the three rows of the
+# work buffer of ``_apply_columns`` (or a product's input and output), then
+# conj(W) or the two gathered rows of the cancellation guard.  Peak RSS growth
+# over one 4096-sample batch, factors included: 3.7-5.0 batches on random
+# kets at dims 4-256, and 4.5-5.3 at dims 64-729 with every entry on the
+# guard (the maximally entangled vector on every pair)
+_KET_BATCHES = 5
 # a vector twirl also budgets arrays of one factor's size that a factor draw
-# holds while it is built (ortho: g, b g and b g b^dag), on top of the one
-# kept per copy ...
+# holds while it is built (ortho: g, b g and b g b^dag; U(d): the Ginibre
+# draws), on top of the ones kept per copy: g (x) conj(g), or g and conj(g) ...
 _FACTOR_TEMPS = 3
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
 # merged, complex ones counting twice (measured 10 at dim 2401)
@@ -80,6 +104,9 @@ _LIVE_ACCUMULATORS = 12
 # a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
 # digits or more to cancellation, so it is recomputed from explicit deviations
 _CANCELLATION = 1e-8
+# a ket of two or more pairs at or above this dimension is twirled by pair
+# factors g (x) conj(g), applied as per-sample products (``_apply_factors``)
+_PAIR_PRODUCT_DIM = 256
 
 KINDS = ("phase", "local", "local_phase", "ortho", "local_independent")
 
@@ -263,13 +290,117 @@ def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.rand
         yield conj.reshape(batch, dim, dim)
 
 
-def _vectors(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
-    """Batches of f(g) vec, shape (batch, dim), over ``samples`` sampled group elements."""
-    dim, q = action.dim, action.d * action.d
-    per_sample = 16 * (_LIVE_BATCHES * dim + (action.copies + _FACTOR_TEMPS) * q * q)
-    _check_batch(vec.size, action, samples, per_sample, 8 * _LIVE_ACCUMULATORS * dim * dim)
+def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
+    """Batches of f(g) vec, batch last: shape (dim, batch), over ``samples``
+    sampled group elements.
+
+    ``ortho``, and a vector of two or more pairs at dim >= ``_PAIR_PRODUCT_DIM``,
+    take the pair factors of ``GroupAction._factors`` through
+    ``_apply_factors``.  Every other vector takes ``_local_kets``, whose
+    buffers are allocated once and reused by every batch, so each batch must
+    be consumed before the next is drawn.
+    """
+    dim, q, copies = action.dim, action.d * action.d, action.copies
+    pairwise = action.kind == "ortho" or (copies > 1 and dim >= _PAIR_PRODUCT_DIM)
+    # complex factor entries a sample holds: q x q pair factors, or d x d ones
+    factor_entries = ((copies + _FACTOR_TEMPS) * q if pairwise else 2 * copies + _FACTOR_TEMPS) * q
+    _check_batch(vec.size, action, samples, 16 * (_KET_BATCHES * dim + factor_entries),
+                 8 * _LIVE_ACCUMULATORS * dim * dim)
+    if pairwise:
+        for batch in _chunks(samples):
+            yield _apply_factors(vec, action._factors(batch, rng)).T
+        return
+    work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
     for batch in _chunks(samples):
-        yield _apply_factors(vec, action._factors(batch, rng))
+        yield _local_kets(vec, action, batch, rng, work)
+
+
+def _local_kets(
+    vec: np.ndarray, action: GroupAction, count: int, rng: np.random.Generator, work: np.ndarray
+) -> np.ndarray:
+    """f(g) vec for ``count`` samples of a phase or local action, shape (dim, count),
+    computed in ``work`` (see ``_apply_columns``).
+
+    The group elements are those of ``GroupAction._factors``, drawn in its
+    order, but each U(d) batch comes batch last from ``haar_columns``, whose
+    draws are those of ``haar_unitaries``.  Ph(theta), the rightmost factor,
+    meets the shared vec first (``_phase_kets``); then each g and conj(g) acts
+    on its own d-axis (``_apply_columns``), so g (x) conj(g) is never formed.
+    """
+    d, kind = action.d, action.kind
+    if kind == "local_independent":
+        pairs = [(g, g.conj()) for g in (haar_columns(d, count, rng) for _ in range(action.copies))]
+    elif kind == "phase":
+        pairs = []
+    else:  # the same g on every copy
+        g = haar_columns(d, count, rng)
+        pairs = [(g, g.conj())] * action.copies
+    factors = [f for pair in pairs for f in pair]
+    if kind in ("phase", "local_phase"):
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        vec = _phase_kets(vec, d, action.copies, theta, work[0, : vec.size * count])
+    return _apply_columns(vec, factors, work)
+
+
+def _phase_kets(
+    vec: np.ndarray, d: int, copies: int, theta: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Ph(theta) on every pair of vec, one angle per sample, written to the
+    flat buffer ``out`` as shape (dim, count).
+
+    Ph(theta) = I + (e^{i theta} - 1) P with P = |phi><phi|, so the product
+    over the pairs is the sum over m of (e^{i theta} - 1)^m y_m, where y_m sums
+    P_S vec over the sets S of m pairs.  The y_m come from rank-one updates of
+    the shared vec, pair by pair, and the batch from one
+    ``(dim, copies + 1) x (copies + 1, count)`` product.
+    """
+    phi, q = max_entangled_ket(d).vec, d * d
+    ys = [vec]
+    for c in range(copies):
+        projected = [(phi[:, None] * (phi.conj() @ y.reshape(q**c, q, -1))[:, None]).reshape(-1)
+                     for y in ys]
+        ys = [a + b for a, b in zip([*ys, 0], [0, *projected])]
+    powers = np.vander(np.exp(1j * theta) - 1.0, copies + 1, increasing=True)
+    return np.matmul(np.array(ys).T, powers.T, out=out.reshape(vec.size, len(theta)))
+
+
+def _apply_columns(w: np.ndarray, factors: list[np.ndarray], work: np.ndarray) -> np.ndarray:
+    """``(f_1 (x) ... (x) f_n) w`` per sample, batch last: shape (dim, batch).
+
+    Each factor is a (k, k, batch) stack on its own k-axis of w, ``8 k``
+    real flops per entry of w and sample.  A 1-D w is one vector every
+    sample shares, so the first factor meets it as one matmul,
+    ``(rest, k) x (k, k, batch)``.  Each later factor, with ``lead``
+    dimensions before its axis and ``tail`` after, is k^2 multiply-adds of
+    (lead, tail, batch) slices whose rows run over the batch.
+
+    ``work`` is a (3, n) complex array with n >= dim batch.  Its rows 0 and 1
+    hold w and its image in turn, and row 2 one term; a 2-D w must be row 0.
+    The result is a view of row 0 or 1.
+    """
+    if not factors:
+        return w
+    dim, batch = w.shape[0], factors[0].shape[-1]
+    w_buf, out, spare = (row[: dim * batch] for row in work)
+    lead = 1
+    if w.ndim == 1:
+        f, factors = factors[0], factors[1:]
+        lead = len(f)
+        np.matmul(w.reshape(lead, -1).T, f, out=w_buf.reshape(lead, -1, batch))
+    w = w_buf
+    for f in factors:
+        k = len(f)
+        tail = dim // (lead * k)
+        src, dst = w.reshape(lead, k, tail, batch), out.reshape(lead, k, tail, batch)
+        term = spare[: dim * batch // k].reshape(lead, tail, batch)
+        for i in range(k):
+            row = dst[:, i]
+            np.multiply(src[:, 0], f[i, 0], out=row)
+            for j in range(1, k):
+                np.add(row, np.multiply(src[:, j], f[i, j], out=term), out=row)
+        w, out = out, w
+        lead *= k
+    return w.reshape(dim, batch)
 
 
 def _batch_moments(x: np.ndarray):
@@ -286,23 +417,29 @@ def _batch_moments(x: np.ndarray):
 
 
 def _outer_moments(w: np.ndarray):
-    """``(count, sum, M2)`` of the outer products ``w_s w_s^dag`` of a batch of vectors.
+    """``(count, sum, M2)`` of the outer products ``w_s w_s^dag`` of a batch-last
+    (dim, count) batch of vectors.
 
-    The sum is ``W^T conj(W)`` and the sum of squared moduli is
-    ``S2 = (|W|^2)^T |W|^2``, so M2 = S2 - |sum|^2/k.  That difference cancels
+    The sum is ``W W^dag`` and the sum of squared moduli is
+    ``S2 = |W|^2 (|W|^2)^T``, so M2 = S2 - |sum|^2/k.  That difference cancels
     on an entry every sample shares (one the action fixes); where it is at or
     below ``_CANCELLATION * S2``, M2 is recomputed from the gathered products
     ``w_i conj(w_j)``, ``dim`` entries at a time.
     """
-    k, dim = w.shape
-    part = w.T @ w.conj()
-    a = w.real**2 + w.imag**2
-    s2 = a.T @ a
+    dim, k = w.shape
+    part = w @ w.conj().T
+    a = np.square(w.real)
+    a += np.square(w.imag)
+    s2 = a @ a.T
+    del a
     m2 = s2 - (part.real**2 + part.imag**2) / k
     rows, cols = np.nonzero((m2 <= _CANCELLATION * s2) & (s2 > 0))
     for start in range(0, len(rows), dim):
         i, j = rows[start : start + dim], cols[start : start + dim]
-        m2[i, j] = _batch_moments(w[:, i] * w[:, j].conj())[2]
+        products = w[j]
+        np.conjugate(products, out=products)
+        products *= w[i]
+        m2[i, j] = _batch_moments(products.T)[2]
     return k, part, m2
 
 
@@ -331,19 +468,20 @@ def mc_twirl(
     """Average f(g) op f(g)^dag over ``samples`` group elements.
 
     A ``Ket`` v stands for the rank-one operator |v><v|.  It is twirled as
-    vectors (see ``_vectors``), ``8 dim d^2 copies`` real flops per sample,
-    and accumulated by two GEMMs (see ``_outer_moments``), ``10 dim^2`` more;
-    its memory is one batch of vectors and a few dim x dim accumulators.  Any
-    other operator is conjugated as the vector twirl of its flattening (see
-    ``_conjugates``), ``16 copies d^2 dim^2`` real flops instead of the dense
-    ``16 dim^3``, with batches of dim x dim conjugates in memory.  Both paths
-    draw the same group elements through one contraction kernel and
+    vectors, batch last (see ``_kets``), ``16 copies d dim`` real flops per
+    sample for the phase and local actions, and accumulated by two GEMMs
+    (see ``_outer_moments``), ``10 dim^2`` more; its memory is a few batches
+    of vectors and a few dim x dim accumulators.  Any other operator is
+    conjugated as the vector twirl of its flattening (see ``_conjugates``),
+    ``16 copies d^2 dim^2`` real flops instead of the dense ``16 dim^3``,
+    with batches of dim x dim conjugates in memory.  Both paths draw the
+    same group elements in the order of ``GroupAction._factors`` and
     accumulate in sample order with a fixed internal batch size, so the
     result is a deterministic function of (seed, samples).  A batch that
     would not fit in physical RAM raises ``ValueError`` before any draw.
     """
     if isinstance(op, Ket):
-        moments = map(_outer_moments, _vectors(op.vec, action, samples, rng))
+        moments = map(_outer_moments, _kets(op.vec, action, samples, rng))
     else:
         mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
         moments = map(_batch_moments, _conjugates(mat, action, samples, rng))

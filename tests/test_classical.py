@@ -67,6 +67,11 @@ class TestBetaOneSample:
         with pytest.warns(UserWarning):
             beta_one_sample(0.3, 0.05, 0.2)
 
+    @pytest.mark.parametrize("q", [1.5, -0.1, math.nan])
+    def test_refuses_defect_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"defect .* outside \[0, 1\]"):
+            beta_one_sample(0.1, 0.05, q)
+
 
 class TestBinomialUmp:
     def test_single_trial_zero_boundary(self):

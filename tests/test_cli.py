@@ -87,6 +87,43 @@ class TestExact:
         assert len(notes) == count and all(isinstance(n, str) for n in notes)
         assert "Warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["epsilon=1.5", "alpha=2", "p=0.1"], "eps must lie in [0, 1]"),
+            (["epsilon=0.1", "alpha=7", "p=0.1"], "alpha must lie in (0, 1)"),
+            (["epsilon=0.1", "alpha=0", "p=0.1"], "alpha must lie in (0, 1)"),
+            (["epsilon=NaN", "alpha=0.05", "p=0.1"], "eps must lie in [0, 1]"),
+        ],
+        ids=["epsilon-and-alpha", "alpha-above", "alpha-zero", "epsilon-nan"],
+    )
+    def test_one_way_level_outside_its_domain_is_invalid_input(self, tmp_path, capsys, args,
+                                                                message):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), "formula=one-way", *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "exact.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["formula=pair-level0"],
+            ["formula=pooled", "n=2"],
+            ["formula=pair-repeated", "n=2", "epsilon=0.1", "alpha=0.05"],
+            ["formula=one-way", "epsilon=0.1", "alpha=0.05"],
+            ["formula=classical-one", "epsilon=0.1", "alpha=0.05"],
+        ],
+        ids=["pair-level0", "pooled", "pair-repeated", "one-way", "classical-one"],
+    )
+    @pytest.mark.parametrize("p", ["2", "-0.5", "NaN", "[0.1,1.5]"])
+    def test_one_source_defect_outside_unit_interval_is_invalid_input(self, tmp_path, capsys,
+                                                                      args, p):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), *args, f"p={p}"]) == 2
+        err = capsys.readouterr().err
+        assert "defect " in err and "outside [0, 1]" in err
+        assert not (out / "exact.csv").exists()
+
     def test_qubit_formulas_from_state(self, tmp_path):
         out = tmp_path / "run"
         rc = main(
@@ -195,6 +232,17 @@ class TestTwirlVerify:
                    "target=one-sample", "d=2"])
         assert rc == 0
         assert json.loads((out / "twirl_report.json").read_text())["status"] == "inconclusive"
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_fewer_than_two_samples_is_invalid_input(self, tmp_path, monkeypatch, capsys, samples):
+        # one sample has no standard error; refused before any draw
+        monkeypatch.setattr("entbench.cli.mc_twirl", lambda *a: pytest.fail("twirl ran"))
+        out = tmp_path / "run"
+        rc = main(["twirl-verify", "--out", str(out), "--samples", samples,
+                   "target=one-sample", "d=2"])
+        assert rc == 2
+        assert f"samples >= 2 for a standard error, got {samples}" in capsys.readouterr().err
+        assert not (out / "twirl_report.json").exists()
 
     def test_qubit_weights_target(self, tmp_path):
         out = tmp_path / "run"
@@ -450,6 +498,23 @@ class TestClassicalCommand:
     def test_infinite_rate_is_invalid_input(self, tmp_path):
         rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["n=10", "epsilon=0.1", "alpha=0.05", "q=NaN"],
+         ["n=10", "epsilon=0.1", "alpha=0.05", "q=[0.5,Infinity]"],
+         ["n=10", "epsilon=0.1", "alpha=0.05", "q=-0.1"],
+         ["delta=1", "alpha=0.1", "tprime=NaN"],
+         ["delta=1", "alpha=0.1", "tprime=[3,Infinity]"],
+         ["delta=1", "alpha=0.1", "tprime=-1"]],
+        ids=["q-nan", "q-inf", "q-negative", "tprime-nan", "tprime-inf", "tprime-negative"],
+    )
+    def test_alternative_outside_its_domain_is_invalid_input(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["classical", "--out", str(out), *args]) == 2
+        key = "q" if "n=10" in args else "tprime"
+        assert f"{key} must be a finite number in [0, " in capsys.readouterr().err
+        assert not (out / "classical.csv").exists()
 
     def test_subnormal_rate_is_invalid_input(self, tmp_path):
         # scipy's binomial pmf overflows at this subnormal success probability

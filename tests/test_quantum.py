@@ -465,6 +465,23 @@ class TestBetaFormulas:
         with pytest.warns(UserWarning):
             beta_pair_repeated(2, 1, 0.9, 0.1, 0.95)
 
+    @pytest.mark.parametrize("eps,alpha", [(1.5, 2.0), (0.1, 7.0), (-0.1, 0.05), (0.1, 0.0),
+                                           (math.nan, 0.05)])
+    def test_one_way_refuses_level_outside_its_domain(self, eps, alpha):
+        with pytest.raises(ValueError, match="must lie in"):
+            beta_one_way(2, eps, alpha, 0.1)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [lambda p: two_sample_trace(2, p), lambda p: pooled_trace(2, 2, p),
+         lambda p: beta_one_way(2, 0.1, 0.05, p), lambda p: beta_pair_repeated(2, 2, 0.1, 0.05, p)],
+        ids=["two-sample", "pooled", "one-way", "pair-repeated"],
+    )
+    @pytest.mark.parametrize("p", [2.0, -0.5, math.nan])
+    def test_one_source_formulas_refuse_defect_outside_unit_interval(self, formula, p):
+        with pytest.raises(ValueError, match=r"defect .* outside \[0, 1\]"):
+            formula(p)
+
 
 class TestSampledAdversaryOptimality:
     def test_no_invariant_separable_test_beats_closed_form(self):

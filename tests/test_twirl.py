@@ -333,8 +333,9 @@ class TestSampledActionUnitarity:
                 assert dev <= 1e-10, (kind, copies, dev)
 
 
-def _reference_samples(action, count, rng):
-    """Per-sample np.kron build of one sample_batch call, drawing in its documented order."""
+def _reference_samples(action, count, rng, keep=None):
+    """Per-sample np.kron build of one sample_batch call, drawing in its documented order;
+    only the samples at the indices ``keep`` (default all) are built."""
     d, kind, copies = action.d, action.kind, action.copies
     p = proj(max_entangled_ket(d))
 
@@ -359,7 +360,7 @@ def _reference_samples(action, count, rng):
                 u = u @ phase(thetas[i])
             factors.append([u] * copies)
     out = []
-    for per_copy in factors:
+    for per_copy in factors if keep is None else [factors[i] for i in keep]:
         f = per_copy[0]
         for u in per_copy[1:]:
             f = np.kron(f, u)
@@ -518,3 +519,74 @@ class TestRankOneTwirl:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="dim"):
             mc_twirl(_random_ket(2, 1, 25), GroupAction("local", 2, 2), 10, np.random.default_rng(0))
+
+
+def _ket_batches(v, action, samples, rng):
+    """The batches of ``twirl._kets`` side by side, copied, since each is a view
+    of a buffer that the next batch reuses."""
+    return np.concatenate([w.copy() for w in twirl._kets(v, action, samples, rng)], axis=1)
+
+
+class TestBatchLastKets:
+    """The rank-one path, batch last: g and conj(g) on their own d-axes, the
+    phase as rank-one updates, pair factors for ortho."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_reference_across_a_chunk_boundary(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
+        v = _random_ket(d, copies, 26).vec
+        got = _ket_batches(v, action, 4096 + 1, np.random.default_rng(51))
+        assert got.shape == (action.dim, 4096 + 1)
+        rng = np.random.default_rng(51)
+        keep = [0, 1, 2048, 4095]
+        f = np.concatenate([_reference_samples(action, 4096, rng, keep),
+                            _reference_samples(action, 1, rng)])
+        assert np.max(np.abs(got[:, keep + [4096]].T - f @ v)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,copies", [(2, 2), (3, 1)])
+    def test_generator_state_matches_factor_draws(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
+        rng = np.random.default_rng(52)
+        mc_twirl(_random_ket(d, copies, 27), action, 4096 + 1, rng)
+        ref = np.random.default_rng(52)
+        for count in (4096, 1):
+            action._factors(count, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cancellation_guard_matches_explicit_moments(self, kind, monkeypatch):
+        # every action fixes phi on every pair, so each entry of its outer
+        # product is shared by every sample; the phase action also fixes the
+        # entries of a random ket off the support of P
+        phi = max_entangled_ket(2).vec
+        v = _random_ket(2, 2, 28).vec if kind == "phase" else np.kron(phi, phi)
+        guarded, batch_moments = [], twirl._batch_moments
+        monkeypatch.setattr(twirl, "_batch_moments",
+                            lambda x: guarded.append(x.shape) or batch_moments(x))
+        action, samples = GroupAction(kind, 2, 2), 4096 + 1
+        est = mc_twirl(Ket(v, (2,) * 4), action, samples, np.random.default_rng(53))
+        assert guarded  # the guard ran
+        rng = np.random.default_rng(53)
+        f = np.concatenate([_reference_samples(action, 4096, rng), _reference_samples(action, 1, rng)])
+        w = f @ v
+        outer = w[:, :, None] * w[:, None, :].conj()
+        assert np.max(np.abs(est.mean - outer.mean(axis=0))) <= 1e-13
+        stderr = outer.std(axis=0, ddof=1) / np.sqrt(samples)
+        assert np.max(np.abs(est.stderr - stderr)) <= 1e-15
+
+    def test_memory_guard_budgets_d_by_d_factors(self, monkeypatch):
+        # a one-pair ket at d = 16 holds g and conj(g), 2 d^2 entries a
+        # sample, never g (x) conj(g) with d^4
+        action, dim = GroupAction("local", 16), 256
+        per_sample = 16 * (twirl._KET_BATCHES * dim + (2 + twirl._FACTOR_TEMPS) * dim)
+        fixed = 8 * twirl._LIVE_ACCUMULATORS * dim * dim
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 300 * per_sample + fixed)
+        v = _random_ket(16, 1, 29)
+        rng = np.random.default_rng(54)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="the largest samples that fits is 300$"):
+            mc_twirl(v, action, 301, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        assert mc_twirl(v, action, 300, rng).samples == 300
