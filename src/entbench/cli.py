@@ -247,7 +247,8 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         if isinstance(value, multisource.ConditionedValue):
             value, flag = value.value, "ok" if value.condition_holds else "outside-validity"
         cols = {**defect, **dict(zip(grid, point))}
-        rows.append([formula, d, config.get("n"), config.get("epsilon"), config.get("alpha"),
+        rows.append([formula, d, *(config.get(k) if k in reads else None
+                                   for k in ("n", "epsilon", "alpha")),
                      *(cols.get(k) for k in ("p", "p1", "p2", "p3")), value, flag])
     _write_csv(out_dir / "exact.csv", EXACT_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'exact.csv'}")

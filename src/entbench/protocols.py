@@ -9,14 +9,34 @@ comparison only, never used on the sampling path.  Runs are deterministic
 functions of (config, seed): sampling uses a single PCG64 generator and fixed
 batch order, the acceptance uniforms last.
 
-No protocol forms an operator larger than its d^2 x d^2 states.  In the
-one-way protocol Alice's outcome probabilities are ``<g_i| rho_A |g_i>`` with
-``rho_A = Tr_B sigma``, and Bob's acceptance needs only the picked outcome's
-vector ``g_i (x) conj(g_i)``, so a batch of rounds holds a few (d^2, batch)
-arrays, batch last so that each party's step is one 2-D matrix product.  The
-Bell-pair tables are expectations of vectors, contracted one source at a
-time.  A configuration whose states, batch arrays or per-trial arrays would
-not fit in physical RAM is refused before any state is built.
+No protocol forms an operator larger than its d^2 x d^2 states.  The Bell-pair
+tables are expectations of vectors, contracted one source at a time.  A
+configuration whose states, batch arrays or per-trial arrays would not fit in
+physical RAM is refused before any state is built.
+
+The one-way protocol draws Alice's reported vector v from its law, not from a
+Haar basis.  Measuring in the columns of Haar g, she sees i with probability
+``<g_i|rho_A|g_i>``, ``rho_A = Tr_B sigma``, and reports g_i; Bob checks
+conj(v) on his conditional state, so he accepts with
+``<v conj(v)|sigma|v conj(v)> / <v|rho_A|v>``.  The reported v has density
+``d <v|rho_A|v>`` with respect to the uniform measure:
+
+1. each column g_i is uniform, so the d columns, each kept with probability
+   ``<g_i|rho_A|g_i>``, add up to that density;
+2. for ``rho_A = sum_k w_k f_k f_k^dag`` with unit f_k, z ~ CN(0, I) whose
+   component ``c = <f_k|z>`` is tilted to ``|c|^2 + |w|^2`` (Gamma(2), for one
+   more complex normal w) has density ``|<f_k|z>|^2 e^{-|z|^2}`` up to a
+   constant, radial but for ``|<f_k|v>|^2``, so ``v = z/|z|`` has density
+   ``d |<f_k|v>|^2``;
+3. picking k with probability w_k mixes these into ``d sum_k w_k |<f_k|v>|^2
+   = d <v|rho_A|v>``.
+
+The f_k and w_k are the columns of rho_A's Cholesky factor
+(``_reporting_ensemble``).  A batch of rounds holds the (d + 1, batch) normals
+and two (d^2, batch) arrays, batch last, so Bob's step is one 2-D matrix
+product.  Each batch draws 2 (d + 1) batch normals (z, then w, see
+``_one_way_rounds``), then Alice's uniforms, then the acceptance uniforms;
+the threshold uniforms of ``one_way_repeated`` follow the last batch.
 """
 
 from __future__ import annotations
@@ -27,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classical, memory, quantum, states
-from .states import DensityMatrix, fidelity_defect, haar_columns, max_entangled_ket, proj
+from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
 from .twirl import _chunks
 
 # protocol -> name of its runner in this module; run_experiment looks the
@@ -45,11 +65,13 @@ _ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on
 # validated and the Bell tables contracted (peak RSS measured at 5.0 for one
 # state at d = 50, 6.7 for bell_pairs' two states at d = 20)
 _STATE_ARRAYS = 8
-# complex (d^2, batch) arrays alive at once in a one-way batch: the sampler's
-# columns, rho_A's product with them (reused for sigma x) and x, plus smaller
-# temporaries (peak RSS growth over one batch, getrusage, one BLAS thread:
-# 3.50 at d = 12, 3.45 at d = 16, 2.91 at d = 24)
-_ROUND_ARRAYS = 4
+# complex (d^2, batch) arrays alive at once in a one-way batch: x and sigma x,
+# plus (d, batch) and (batch,) temporaries (peak RSS growth over one batch,
+# getrusage, one BLAS thread: 2.15 at d = 12, 2.03 at d = 16, 1.88 at d = 24)
+_ROUND_ARRAYS = 3
+# a Cholesky pivot of rho_A at or below this is rounding, and its column is
+# left zero; a kept column of rounding noise (~1e-16) weighs under 1e-17
+_PIVOT_FLOOR = 1e-15
 # protocol -> bytes its per-trial arrays hold (per trial, per round of a trial).
 # Peak RSS growth over the trials (getrusage, d = 2 and 3, one BLAS thread):
 # 33.98 a trial for the threshold test's counts, uniforms and weights
@@ -196,25 +218,6 @@ def _thresholded(config: ExperimentConfig, rng, k: np.ndarray, failure: float,
     return _result(config.protocol, config.trials, accepted, exact, counts, extra)
 
 
-def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
-    """Draw one outcome index with probability Tr(state E_i).
-
-    Tiny negative probabilities (within -1e-12) are clamped before
-    renormalizing.
-    """
-    mat = state.mat if isinstance(state, states.Operator) else np.asarray(state, dtype=complex)
-    probs = []
-    for e in povm:
-        em = e.mat if isinstance(e, states.Operator) else np.asarray(e, dtype=complex)
-        probs.append(float(np.trace(mat @ em).real))
-    probs = np.array(probs)
-    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("POVM probabilities are not a distribution")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
-
-
 def run_global(config: ExperimentConfig) -> ExperimentResult:
     """Projective {P, I-P} on each copy, then the binomial threshold test."""
     rng = np.random.default_rng(config.seed)
@@ -277,49 +280,100 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     return _thresholded(config, rng, (~accept_pair).sum(axis=1), 1.0 - per_pair, extra)
 
 
-def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, q: np.ndarray, u: np.ndarray):
-    """Alice's outcome probabilities, her outcome and Bob's acceptance probability
-    for one batch of rounds, batch last: round n measures in the columns
-    ``q[:, i, n]`` of a (d, d, batch) array and draws the uniform ``u[n]``.
+def _reporting_ensemble(rho_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative weights and unit columns of ``rho_A = sum_k w_k f_k f_k^dag``.
 
-    Alice measures {g|i><i|g^dag}, so outcome i has probability
-    ``p[i, n] = <g_i| rho_A |g_i>`` with ``rho_A = Tr_B sigma``: one
-    (d, d) x (d, d batch) product.  She reports the first i whose cumulative
-    probability exceeds ``u[n]``.  Bob checks conj(g_i), so he accepts with
-    probability ``<x|sigma|x> / p[i, n]`` for ``x = g_i (x) conj(g_i)``: one
-    (d^2, d^2) x (d^2, batch) product.  Returns ``(p, pick, accept)``; ``p``,
-    of shape (d, batch), is normalized.
+    The ensemble is the columns ``l_k = sqrt(w_k) f_k`` of rho_A's lower
+    Cholesky factor, a unique and continuous function of rho_A, so seeded runs
+    do not depend on how LAPACK rotates a degenerate eigenspace (every
+    isotropic state has ``rho_A = I/d``, where the factor is ``I/sqrt(d)``).
+    A pivot at or below ``_PIVOT_FLOOR`` leaves its column zero, so a singular
+    rho_A (a pure product state) gets zero weights there.  Returns the
+    cumulative weights, scaled to end at exactly 1 so that
+    ``searchsorted(cum, u, side="right")`` of a uniform u in [0, 1) never picks
+    a zero weight, and the (d, d) unit columns f_k, zero where w_k is.
     """
-    d, _, batch = q.shape
-    y = (rho_a @ q.reshape(d, d * batch)).reshape(q.shape)
-    raw = np.einsum("ain,ain->in", q.real, y.real) + np.einsum("ain,ain->in", q.imag, y.imag)
-    p = np.clip(raw, 0.0, None)
-    p /= p.sum(axis=0)
-    pick = (u > np.cumsum(p, axis=0)).sum(axis=0)
-    cols = np.arange(batch)
-    gi = q[:, pick, cols]
-    x = (gi[:, np.newaxis] * gi.conj()).reshape(d * d, batch)
-    sx = np.matmul(sigma_mat, x, out=y.reshape(x.shape))  # y is spent
+    d = len(rho_a)
+    factor = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        col = rho_a[j:, j] - factor[j:, :j] @ factor[j, :j].conj()
+        if col[0].real > _PIVOT_FLOOR:
+            factor[j:, j] = col / math.sqrt(col[0].real)
+    weights = (factor.real**2 + factor.imag**2).sum(axis=0)
+    units = np.divide(factor, np.sqrt(weights), out=np.zeros_like(factor), where=weights > 0)
+    cum = np.cumsum(weights)
+    return cum / cum[-1], units
+
+
+def _alice_vectors(cum: np.ndarray, units: np.ndarray, zw: np.ndarray, u: np.ndarray):
+    """Alice's reported vectors, unnormalized, for one batch of rounds, batch last.
+
+    ``zw`` is a (d + 1, batch) array of complex normals: rows 0 to d - 1 are
+    z, row d is w.  Round n picks k with probability w_k by its uniform
+    ``u[n]`` and tilts z's component ``c = <f_k|z>`` to squared modulus
+    ``|c|^2 + |w|^2`` with c's phase, in place; the direction of the result
+    has density ``d <v|rho_A|v>`` (see the module docstring).  c = 0 has
+    probability zero.  Returns the tilted z, shape (d, batch).
+    """
+    d = len(units)
+    z, w = zw[:d], zw[d]
+    fk = units[:, np.searchsorted(cum, u, side="right")]
+    c = np.einsum("an,an->n", fk.conj(), z)
+    c2 = c.real**2 + c.imag**2
+    c *= np.sqrt(1.0 + (w.real**2 + w.imag**2) / c2) - 1.0
+    z += c * fk
+    return z
+
+
+def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, z: np.ndarray,
+                      work: np.ndarray) -> np.ndarray:
+    """Bob's acceptance probability for Alice's reported vectors, the columns
+    of ``z`` (d, batch), which need not be normalized.
+
+    Bob checks conj(v) on his conditional state, so for ``x = z (x) conj(z)`` he
+    accepts with ``<x|sigma|x> / (|z|^2 <z|rho_A|z>)``: one (d^2, d^2) x
+    (d^2, batch) product, at most 1 because ``|conj z><conj z| <= |z|^2 I``.
+    ``work`` is a (2, n) complex array with n >= d^2 batch; its rows hold x
+    and sigma x.
+    """
+    d, batch = z.shape
+    x = np.multiply(z[:, np.newaxis], z.conj(), out=work[0, : d * d * batch].reshape(d, d, batch))
+    x = x.reshape(d * d, batch)
+    sx = np.matmul(sigma_mat, x, out=work[1, : d * d * batch].reshape(d * d, batch))
     num = np.einsum("jn,jn->n", x.real, sx.real) + np.einsum("jn,jn->n", x.imag, sx.imag)
-    return p, pick, np.clip(num / raw[pick, cols], 0.0, 1.0)
+    rz = rho_a @ z
+    den = (np.einsum("an,an->n", z.real, rz.real) + np.einsum("an,an->n", z.imag, rz.imag)) * (
+        np.einsum("an,an->n", z.real, z.real) + np.einsum("an,an->n", z.imag, z.imag))
+    return np.clip(num / den, 0.0, 1.0)
 
 
 def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarray:
-    """Simulate independent rounds of the covariant one-way protocol.
+    """Simulate independent rounds of the covariant one-way protocol; returns
+    the boolean acceptance sequence.
 
-    Per round, Alice draws Haar g and measures {g|i><i|g^dag}; Bob measures
-    the conjugate of Alice's observed vector on his conditional state (see
-    ``_one_way_outcomes``).  A batch draws its unitaries, then Alice's
-    uniforms, then the acceptance uniforms.  Returns the boolean acceptance
-    sequence.
+    Alice's reported vector is drawn from its law (``_alice_vectors``) and Bob
+    accepts with his conditional probability (``_one_way_outcomes``).  Each
+    batch of ``_ROUND_BATCH`` rounds, the last one shorter, draws in this
+    order: one ``standard_normal`` call for 2 (d + 1) batch normals, written
+    into a (d + 1, batch) complex array in memory order (component r of
+    round n is ``N[r, 2n] + i N[r, 2n + 1]``; rows 0 to d - 1 are z, row d is
+    w); then Alice's batch uniforms; then the batch acceptance uniforms.  The
+    batch arrays are allocated once and reused.
     """
     rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
+    cum, units = _reporting_ensemble(rho_a)
+    size = min(rounds, _ROUND_BATCH)
+    normals = np.empty((d + 1) * size, dtype=complex)
+    uniforms = np.empty(2 * size)
+    work = np.empty((2, d * d * size), dtype=complex)
     out = np.empty(rounds, dtype=bool)
     done = 0
     for batch in _chunks(rounds, _ROUND_BATCH):
-        q = haar_columns(d, batch, rng)
-        _, _, accept = _one_way_outcomes(sigma_mat, rho_a, q, rng.random(batch))
-        out[done : done + batch] = rng.random(batch) < accept
+        zw = normals[: (d + 1) * batch].reshape(d + 1, batch)
+        rng.standard_normal(out=zw.view(float))
+        u = rng.random(out=uniforms[: 2 * batch].reshape(2, batch))
+        z = _alice_vectors(cum, units, zw, u[0])
+        np.less(u[1], _one_way_outcomes(sigma_mat, rho_a, z, work), out=out[done : done + batch])
         done += batch
     return out
 

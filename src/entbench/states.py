@@ -483,7 +483,8 @@ def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
             for i, r in enumerate(overlaps):
                 v -= r * a[:, i]
         norm2 = np.einsum("in,in->n", v.real, v.real) + np.einsum("in,in->n", v.imag, v.imag)
-        v /= np.sqrt(norm2)
+        # numpy's complex-by-real division computes v * (1/s), at three times the cost
+        v *= 1.0 / np.sqrt(norm2)
     return a
 
 

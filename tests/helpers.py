@@ -9,6 +9,7 @@ import numpy as np
 from entbench.quantum import bell_pair_test, to_group_major
 from entbench.states import (
     DensityMatrix,
+    Operator,
     bell_basis,
     fidelity_defect,
     max_entangled_ket,
@@ -75,6 +76,25 @@ def placement_sum(a: np.ndarray, b: np.ndarray, n: int, k: int) -> np.ndarray:
             term = np.kron(term, b if i in positions else a)
         total += term
     return total
+
+
+def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
+    """Draw one outcome index with probability Tr(state E_i).
+
+    Tiny negative probabilities (within -1e-12) are clamped before
+    renormalizing.
+    """
+    mat = state.mat if isinstance(state, Operator) else np.asarray(state, dtype=complex)
+    probs = []
+    for e in povm:
+        em = e.mat if isinstance(e, Operator) else np.asarray(e, dtype=complex)
+        probs.append(float(np.trace(mat @ em).real))
+    probs = np.array(probs)
+    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError("POVM probabilities are not a distribution")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    return int(rng.choice(len(probs), p=probs))
 
 
 def random_state_with_defect(d: int, p: float, rng: np.random.Generator) -> DensityMatrix:

@@ -49,6 +49,24 @@ class TestExact:
         assert text.endswith("\n")
 
     @pytest.mark.parametrize(
+        "args, written",
+        [
+            (["formula=qubit-sequential", "n=-1e400", "epsilon=7"], {}),
+            (["formula=pair-level0", "d=2", "p=0.1", "alpha=nan", "n=abc"], {}),
+            (["formula=pair-repeated", "n=3", "epsilon=0.05", "alpha=0.1", "p=0.1", "d=2"],
+             {"n": "3", "epsilon": "0.05", "alpha": "0.1"}),
+            (["formula=pooled", "n=2", "epsilon=0.3", "p=0.1", "d=2"], {"n": "2"}),
+        ],
+        ids=["qubit-sequential", "pair-level0", "pair-repeated", "pooled"],
+    )
+    def test_only_keys_the_formula_reads_are_written(self, tmp_path, args, written):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), *args]) == 0
+        (row,) = read_csv(out / "exact.csv")
+        assert {k: row[k] for k in ("n", "epsilon", "alpha")} == {
+            k: written.get(k, "") for k in ("n", "epsilon", "alpha")}
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["formula=nope"],
