@@ -28,6 +28,7 @@ quantile reads that global at call time through ``_stats()``, so a rebound
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -113,7 +114,11 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def check_level(eps: float, alpha: float) -> None:
-    """Refuse a null boundary eps outside [0, 1] or a level alpha outside (0, 1)."""
+    """Refuse a null boundary eps outside [0, 1] or a level alpha outside (0, 1),
+    and either one that is not a real number (a bool or a list, say)."""
+    for key, value in (("epsilon", eps), ("alpha", alpha)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key} must be a real number, got {value!r}")
     _require(0.0 <= eps <= 1.0, "eps must lie in [0, 1]")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
 

@@ -88,11 +88,11 @@ TWIRL_TARGETS = {
 }
 
 _CONCLUSIVE_STDERR = 5e-3
-# reference-sized complex arrays alive in twirl-verify: peak RSS growth
-# (getrusage, one BLAS thread, 64 samples of two-sample) is 4 while the
-# reference is built and validated and 6.12 with the twirl's accumulators at
-# dim 2401, 6.38 at dim 1296 and 6.86 at dim 625
-_REFERENCE_ARRAYS = 7
+# reference-sized complex arrays alive in twirl-verify: peak RSS growth over
+# the whole command (getrusage, one BLAS thread, 64 samples of two-sample) is
+# 4.16 at dim 2401, 4.48 at dim 1296 and 5.06 at dim 625, the twirl's
+# accumulators included
+_REFERENCE_ARRAYS = 6
 
 
 def _fmt(x) -> str:

@@ -186,10 +186,6 @@ class ExperimentResult:
     counts: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def within_ci(self, value: float, nsigma: float = 3.0) -> bool:
-        half = nsigma * math.sqrt(max(self.rate * (1.0 - self.rate), 0.0) / self.trials)
-        return abs(self.rate - value) <= half + 1e-12
-
 
 def _result(protocol, trials, accepted, exact, counts=None, extra=None) -> ExperimentResult:
     rate = accepted / trials

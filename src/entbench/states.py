@@ -113,10 +113,10 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     ``HERMITIAN_TOL``, ``m + PSD_TOL I > 0`` and, if ``upper``,
     ``(1 + PSD_TOL) I - m > 0``.
 
-    Each bound is certified by a Cholesky factorization (LAPACK ``zpotrf``),
+    Each bound is certified by a Cholesky factorization (LAPACK ``potrf``),
     which succeeds on a Hermitian matrix exactly when it is positive definite.
     One workspace copy of ``m`` is shifted on its diagonal and factored in
-    place, then refilled with ``-m`` for the upper bound.  ``zpotrf`` runs on
+    place, then refilled with ``-m`` for the upper bound.  ``potrf`` runs on
     the Fortran-ordered view ``a.T = conj(a)``, which is positive definite
     exactly when ``a`` is, and reads the same triangle of ``m`` as
     ``np.linalg.eigvalsh``.  The verdict can differ from the eigenvalue test
@@ -124,26 +124,35 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     relative to the norm of ``m`` (1e-13 at dim 729), around the band edges.
     Only a failed factorization computes the eigenvalues, to name them.  The
     Hermitian check compares ``_HERMITIAN_BLOCK`` entries at a time, so the
-    workspace is the one full-size array this makes.  ``scipy.linalg`` is
-    imported here, at the first certificate, so importing the package does
-    not pay for it.
+    workspace is the one full-size array this makes.
+
+    A real ``m``, of real dtype or with an imaginary part that is exactly
+    zero (NaN is not), is certified in real arithmetic: the Hermitian check
+    and ``dpotrf`` run on ``m.real``, with a float64 workspace of half the
+    size.  A real symmetric matrix is positive definite over C exactly when
+    it is over R, so the verdict, its caveat and the messages are those of
+    the complex path (``zpotrf``), which takes every other ``m``.
+    ``scipy.linalg`` is imported here, at the first certificate, so
+    importing the package does not pay for it.
     """
     from scipy.linalg import lapack
 
+    real = not np.iscomplexobj(m) or not m.imag.any()
+    src, potrf = (m.real, lapack.dpotrf) if real else (m, lapack.zpotrf)
     n = m.shape[0]
     rows = max(1, _HERMITIAN_BLOCK // n)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
         for start in range(0, n, rows):
-            block = m[start : start + rows] - m[:, start : start + rows].T.conj()
+            block = src[start : start + rows] - src[:, start : start + rows].T.conj()
             if not np.max(np.abs(block)) <= HERMITIAN_TOL:
                 raise ValueError(f"{what} is not finite and Hermitian within tolerance")
-    a = np.array(m, order="C")
+    a = np.array(src, dtype=float if real else complex, order="C")
     a.flat[:: n + 1] += PSD_TOL
-    ok = lapack.zpotrf(a.T, clean=False, overwrite_a=True)[1] == 0
+    ok = potrf(a.T, clean=False, overwrite_a=True)[1] == 0
     if ok and upper:
-        np.negative(m, out=a)
+        np.negative(src, out=a)
         a.flat[:: n + 1] += 1.0 + PSD_TOL
-        ok = lapack.zpotrf(a.T, clean=False, overwrite_a=True)[1] == 0
+        ok = potrf(a.T, clean=False, overwrite_a=True)[1] == 0
     if ok:
         return
     evals = np.linalg.eigvalsh(m)
@@ -372,13 +381,24 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
 
     Built right to left: ``h_j`` starts as ``[[coeffs[j]]]``, and each factor
     added on the left sends it to ``kron(a, h_j) + kron(b, h_{j+1})``, so the
-    whole sum costs two full-size products, not one per placement.
+    whole sum costs two full-size products, not one per placement.  Each
+    product is written straight into its preallocated output or into one
+    scratch array per level, with the same operations as ``np.kron``.
     """
     if len(coeffs) == 0:
         raise ValueError("need at least one coefficient")
+    # kron(x, y) is the broadcast product x[:, None, :, None] * y[:, None, :]
+    a, b = a[:, None, :, None], b[:, None, :, None]
     h = [np.full((1, 1), c, dtype=complex) for c in coeffs]
     while len(h) > 1:
-        h = [np.kron(a, lo) + np.kron(b, hi) for lo, hi in zip(h, h[1:])]
+        shape = (a.shape[0], h[0].shape[0], a.shape[2], h[0].shape[1])
+        scratch = np.empty(shape, dtype=complex)
+        level = []
+        for lo, hi in zip(h, h[1:]):
+            out = np.multiply(a, lo[:, None, :], out=np.empty(shape, dtype=complex))
+            out += np.multiply(b, hi[:, None, :], out=scratch)
+            level.append(out.reshape(shape[0] * shape[1], shape[2] * shape[3]))
+        h = level
     return h[0]
 
 

@@ -99,8 +99,10 @@ _KET_BATCHES = 5
 # draws), on top of the ones kept per copy: g (x) conj(g), or g and conj(g) ...
 _FACTOR_TEMPS = 3
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
-# merged, complex ones counting twice (measured 10 at dim 2401)
-_LIVE_ACCUMULATORS = 12
+# merged, complex ones counting twice: peak RSS growth (getrusage, one BLAS
+# thread) over two merged 64-sample ket batches is 9.03 at dim 2401, 9.37 at
+# dim 1296 and 9.66 at dim 625
+_LIVE_ACCUMULATORS = 10
 # a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
 # digits or more to cancellation, so it is recomputed from explicit deviations
 _CANCELLATION = 1e-8
@@ -424,16 +426,25 @@ def _outer_moments(w: np.ndarray):
     ``S2 = |W|^2 (|W|^2)^T``, so M2 = S2 - |sum|^2/k.  That difference cancels
     on an entry every sample shares (one the action fixes); where it is at or
     below ``_CANCELLATION * S2``, M2 is recomputed from the gathered products
-    ``w_i conj(w_j)``, ``dim`` entries at a time.
+    ``w_i conj(w_j)``, ``dim`` entries at a time.  M2 and S2 are the only
+    dim x dim float arrays: |sum|^2/k is built in M2 with S2's array as
+    scratch before the product fills it, and the guard scales S2 in place.
     """
     dim, k = w.shape
     part = w @ w.conj().T
     a = np.square(w.real)
     a += np.square(w.imag)
-    s2 = a @ a.T
+    m2 = np.square(part.real)
+    s2 = np.square(part.imag)
+    m2 += s2
+    m2 /= k
+    np.matmul(a, a.T, out=s2)
     del a
-    m2 = s2 - (part.real**2 + part.imag**2) / k
-    rows, cols = np.nonzero((m2 <= _CANCELLATION * s2) & (s2 > 0))
+    np.subtract(s2, m2, out=m2)
+    guard = s2 > 0
+    s2 *= _CANCELLATION
+    guard &= m2 <= s2
+    rows, cols = np.nonzero(guard)
     for start in range(0, len(rows), dim):
         i, j = rows[start : start + dim], cols[start : start + dim]
         products = w[j]
@@ -451,17 +462,36 @@ def _mean_stderr(moments):
     sum-of-squares cancellation.  One sample gives zero error.  Dividing by a
     count is written as multiplying by its reciprocal, which is what numpy's
     complex-by-real division computes, at half the cost.
+
+    The triples are consumed: the first batch's sum and M2 become the running
+    totals and then the results, later sums are overwritten, and each merge
+    writes its difference of means and that difference's squared modulus to
+    two arrays made once, at the first merge.  The operations and their
+    order are those of the update written with temporaries, so every bit is
+    the same.
     """
-    n = 0
-    total = m2 = 0.0
+    moments = iter(moments)
+    n, total, m2 = next(moments)
+    total, m2 = np.asarray(total), np.asarray(m2)  # 0-d for a batch of scalars
+    delta = square = None
     for k, part, part_m2 in moments:
-        m2 = m2 + part_m2
-        if n:
-            delta = part * (1.0 / k) - total * (1.0 / n)
-            m2 = m2 + (delta.real**2 + delta.imag**2) * (n * k / (n + k))
-        total = total + part
+        if delta is None:
+            delta, square = np.empty_like(total), np.empty_like(m2)
+        m2 += part_m2
+        np.multiply(total, 1.0 / n, out=delta)
+        total += part
+        part *= 1.0 / k
+        np.subtract(part, delta, out=delta)
+        np.square(delta.real, out=square)
+        if np.iscomplexobj(delta):  # a real delta's imaginary term is +0, which moves no bit
+            square += np.square(delta.imag, out=delta.imag)
+        square *= n * k / (n + k)
+        m2 += square
         n += k
-    return total * (1.0 / n), np.sqrt(m2 / max(n - 1, 1) / n)
+    total *= 1.0 / n
+    m2 /= max(n - 1, 1)
+    m2 /= n
+    return total, np.sqrt(m2, out=m2)
 
 
 def mc_twirl(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -78,6 +79,52 @@ def placement_sum(a: np.ndarray, b: np.ndarray, n: int, k: int) -> np.ndarray:
     return total
 
 
+def kron_fold(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
+    """``mixed_tensor_sum`` as a fold of ``np.kron``: ``h_j`` starts as
+    ``[[coeffs[j]]]`` and each level sends it to ``kron(a, h_j) + kron(b, h_{j+1})``."""
+    h = [np.full((1, 1), c, dtype=complex) for c in coeffs]
+    while len(h) > 1:
+        h = [np.kron(a, lo) + np.kron(b, hi) for lo, hi in zip(h, h[1:])]
+    return h[0]
+
+
+def outer_moments_reference(w: np.ndarray, cancellation: float = 1e-8):
+    """``(count, sum, M2)`` of the outer products of a batch-last batch of
+    vectors, computed with full-size temporaries: M2 = S2 - |sum|^2/k, with
+    entries at or below ``cancellation * S2`` recomputed from the products
+    ``w_i conj(w_j)``.  ``w`` is left unchanged."""
+    dim, k = w.shape
+    part = w @ w.conj().T
+    a = np.square(w.real)
+    a += np.square(w.imag)
+    s2 = a @ a.T
+    m2 = s2 - (part.real**2 + part.imag**2) / k
+    rows, cols = np.nonzero((m2 <= cancellation * s2) & (s2 > 0))
+    for start in range(0, len(rows), dim):
+        i, j = rows[start : start + dim], cols[start : start + dim]
+        products = (w[j].conj() * w[i]).T
+        products -= products.sum(axis=0) / k
+        m2[i, j] = (np.einsum("i...,i...->...", products.real, products.real)
+                    + np.einsum("i...,i...->...", products.imag, products.imag))
+    return k, part, m2
+
+
+def mean_stderr_reference(moments):
+    """Mean and standard error from ``(count, sum, M2)`` triples by Chan's
+    pairwise update, starting from zero and making a new array at every step;
+    the triples are left unchanged."""
+    n = 0
+    total = m2 = 0.0
+    for k, part, part_m2 in moments:
+        m2 = m2 + part_m2
+        if n:
+            delta = part * (1.0 / k) - total * (1.0 / n)
+            m2 = m2 + (delta.real**2 + delta.imag**2) * (n * k / (n + k))
+        total = total + part
+        n += k
+    return total * (1.0 / n), np.sqrt(m2 / max(n - 1, 1) / n)
+
+
 def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
     """Draw one outcome index with probability Tr(state E_i).
 
@@ -95,6 +142,13 @@ def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     return int(rng.choice(len(probs), p=probs))
+
+
+def within_ci(res, value: float, nsigma: float = 3.0) -> bool:
+    """Whether ``value`` lies within ``nsigma`` binomial standard errors of the
+    acceptance rate of the ``ExperimentResult`` ``res``."""
+    half = nsigma * math.sqrt(max(res.rate * (1.0 - res.rate), 0.0) / res.trials)
+    return abs(res.rate - value) <= half + 1e-12
 
 
 def random_state_with_defect(d: int, p: float, rng: np.random.Generator) -> DensityMatrix:

@@ -40,7 +40,7 @@ from entbench.states import (
     Ket,
 )
 from entbench.twirl import GroupAction, haar_unitary, mc_twirl
-from helpers import brute_force_min_beta, random_state_with_defect
+from helpers import brute_force_min_beta, random_state_with_defect, within_ci
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -220,7 +220,7 @@ def test_criterion_08_protocol_simulation():
             trials=100000, seed=800, state=pr.StateSpec("isotropic", 2, (0.3,)),
         )
     )
-    one_way_ok = res.within_ci(0.8, nsigma=3.0)
+    one_way_ok = within_ci(res, 0.8, nsigma=3.0)
 
     sandwich_ok = True
     t_bell = bell_pair_test(2)
@@ -243,7 +243,7 @@ def test_criterion_08_protocol_simulation():
             trials=100000, seed=803, state=pr.StateSpec("isotropic", 2, (0.05,)),
         )
     )
-    size_ok = size_res.within_ci(0.9, nsigma=3.0)
+    size_ok = within_ci(size_res, 0.9, nsigma=3.0)
     ok = one_way_ok and sandwich_ok and size_ok
     report(
         8,

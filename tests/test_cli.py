@@ -123,6 +123,25 @@ class TestExact:
         assert not (out / "exact.csv").exists()
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["formula=one-way", "p=0.1", "epsilon=[0.1]", "alpha=0.05"],
+             "epsilon must be a real number, got [0.1]"),
+            (["formula=pair-repeated", "n=2", "p=0.1", "epsilon=0.1", "alpha=[0.1]"],
+             "alpha must be a real number, got [0.1]"),
+            (["formula=classical-one", "p=0.1", "epsilon=true", "alpha=0.05"],
+             "epsilon must be a real number, got True"),
+        ],
+        ids=["one-way-epsilon-list", "pair-repeated-alpha-list", "classical-one-epsilon-bool"],
+    )
+    def test_level_that_is_not_a_real_number_is_invalid_input(self, tmp_path, capsys, args,
+                                                              message):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "exact.csv").exists()
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["formula=pair-level0"],
@@ -310,10 +329,10 @@ class TestTwirlVerify:
         assert "the largest d that fits is 2" in capsys.readouterr().err
 
 
-    def test_reference_between_six_and_seven_arrays_refused(self, tmp_path, monkeypatch, capsys):
-        # twirl-verify peaks at 6.1 to 6.9 reference-sized arrays, so a RAM
-        # holding six and a half 16 x 16 references must refuse d = 2
-        monkeypatch.setattr(memory, "ram_bytes", lambda: 13 * 16 * 16**2 // 2)
+    def test_reference_between_five_and_six_arrays_refused(self, tmp_path, monkeypatch, capsys):
+        # twirl-verify peaks at 4.2 to 5.1 reference-sized arrays, so a RAM
+        # holding five and a half 16 x 16 references must refuse d = 2
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 11 * 16 * 16**2 // 2)
         monkeypatch.setattr(quantum, "two_sample_covariant_test",
                             lambda d: pytest.fail("reference was built"))
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=2"])

@@ -17,7 +17,7 @@ from entbench.states import (
     random_ket,
     tensor,
 )
-from helpers import bell_tables_reference, one_way_reference, sample_povm_outcome
+from helpers import bell_tables_reference, one_way_reference, sample_povm_outcome, within_ci
 
 
 def iso_config(protocol, d, n, eps, alpha, trials, seed, p, **kw):
@@ -87,12 +87,12 @@ class TestRunGlobal:
     def test_size_at_null_boundary(self):
         cfg = iso_config("global_projective", 2, 40, 0.05, 0.1, 40000, 2, 0.05)
         res = pr.run_global(cfg)
-        assert res.within_ci(0.9)
+        assert within_ci(res, 0.9)
 
     def test_alternative_matches_exact(self):
         cfg = iso_config("global_projective", 2, 50, 0.05, 0.1, 40000, 3, 0.2)
         res = pr.run_global(cfg)
-        assert res.within_ci(res.exact)
+        assert within_ci(res, res.exact)
         assert abs(res.exact - beta_binomial(50, 0.05, 0.1, 0.2)) < 1e-12
 
     def test_perfect_state_deterministic_path(self):
@@ -104,7 +104,7 @@ class TestRunGlobal:
         # k = 0 always; acceptance probability is the k=0 acceptance weight
         expected = 1.0 if t.threshold > 0 else t.gamma
         assert res.counts == {0: 5000}
-        assert res.within_ci(expected)
+        assert within_ci(res, expected)
 
 
 class TestRunBellPairs:
@@ -115,7 +115,7 @@ class TestRunBellPairs:
         res = pr.run_bell_pairs(cfg)
         t = binomial_ump_test(5, 0.0, 0.1)
         expected = 1.0 if t.threshold > 0 else t.gamma
-        assert res.within_ci(expected)
+        assert within_ci(res, expected)
         assert res.extra["per_pair_accept_rate"] == 1.0
 
     def test_per_pair_rate_respects_sandwich(self):
@@ -142,7 +142,7 @@ class TestRunBellPairs:
     def test_end_to_end_matches_mapped_binomial(self):
         cfg = iso_config("bell_pairs", 2, 20, 0.02, 0.1, 20000, 8, 0.1)
         res = pr.run_bell_pairs(cfg)
-        assert res.within_ci(res.exact)
+        assert within_ci(res, res.exact)
 
     def test_dual_source_uses_trace_oracle(self):
         cfg = iso_config(
@@ -158,7 +158,7 @@ class TestRunBellPairs:
         t = bell_pair_test(2)
         per_pair = float(np.real(np.trace(joint.mat @ t.mat)))
         assert abs(res.extra["per_pair_accept_exact"] - per_pair) < 1e-12
-        assert res.within_ci(res.exact)
+        assert within_ci(res, res.exact)
 
     def test_odd_copies_rejected(self):
         with pytest.raises(ValueError):
@@ -175,13 +175,13 @@ class TestRunOneWay:
         cfg = iso_config("one_way_single", 2, 1, 0.0, 0.05, 50000, 11, 0.3)
         res = pr.run_one_way_single(cfg)
         assert abs(res.exact - 0.8) < 1e-12
-        assert res.within_ci(0.8)
+        assert within_ci(res, 0.8)
 
     def test_qutrit_isotropic(self):
         cfg = iso_config("one_way_single", 3, 1, 0.0, 0.05, 50000, 12, 0.4)
         res = pr.run_one_way_single(cfg)
         assert abs(res.exact - 0.7) < 1e-12
-        assert res.within_ci(0.7)
+        assert within_ci(res, 0.7)
 
     def test_generic_state(self):
         cfg = pr.ExperimentConfig(
@@ -189,12 +189,12 @@ class TestRunOneWay:
             trials=50000, seed=13, state=pr.StateSpec("random", 2, (3,)),
         )
         res = pr.run_one_way_single(cfg)
-        assert res.within_ci(res.exact)
+        assert within_ci(res, res.exact)
 
     def test_repeated_matches_exact(self):
         cfg = iso_config("one_way_repeated", 2, 60, 0.05, 0.1, 10000, 14, 0.12)
         res = pr.run_one_way_repeated(cfg)
-        assert res.within_ci(res.exact)
+        assert within_ci(res, res.exact)
 
 
 class TestReducedStateTables:
@@ -440,10 +440,10 @@ class TestTypeOneErrorAtBoundary:
         cfg = iso_config("bell_pairs", 2, 16, 0.05, 0.1, 30000, 19, 0.05)
         res = pr.run_bell_pairs(cfg)
         assert abs(res.exact - 0.9) < 1e-12
-        assert res.within_ci(0.9)
+        assert within_ci(res, 0.9)
 
     def test_repeated_one_way_level_at_boundary(self):
         cfg = iso_config("one_way_repeated", 2, 40, 0.08, 0.1, 20000, 20, 0.08)
         res = pr.run_one_way_repeated(cfg)
         assert abs(res.exact - 0.9) < 1e-12
-        assert res.within_ci(0.9)
+        assert within_ci(res, 0.9)

@@ -27,7 +27,7 @@ from entbench.states import (
     tensor,
 )
 from entbench.twirl import haar_unitary, pair_conjugate_unitary
-from helpers import placement_sum
+from helpers import kron_fold, placement_sum
 
 
 class TestMaxEntangledKet:
@@ -118,6 +118,20 @@ class TestMixedTensorSum:
     def test_rejects_empty_coefficients(self):
         with pytest.raises(ValueError):
             mixed_tensor_sum(np.eye(2), np.eye(2), [])
+
+    @pytest.mark.parametrize("q,n", [(4, 3), (9, 2), (3, 4), (2, 1)])
+    def test_bit_for_bit_the_kron_fold(self, q, n):
+        # complex a, b and coefficients, then the real-valued sector operands
+        rng = np.random.default_rng(44 + q)
+        a, b = rng.standard_normal((2, q, q)) + 1j * rng.standard_normal((2, q, q))
+        for coeffs in (rng.standard_normal(n + 1), rng.standard_normal(n + 1) + 1j,
+                       [1.0] * n + [0.0]):
+            got, want = mixed_tensor_sum(a, b, coeffs), kron_fold(a, b, coeffs)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(float), want.view(float))
+        p = proj(max_entangled_ket(2))
+        got, want = (f(p, np.eye(4) - p, [0.9, 0.3, 0.1]) for f in (mixed_tensor_sum, kron_fold))
+        assert np.array_equal(got.view(float), want.view(float))
 
 
 class TestTensorAndPermute:
@@ -322,6 +336,13 @@ def _hermitian_with_spectrum(evals, rng) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _symmetric_with_spectrum(evals, rng) -> np.ndarray:
+    """A real symmetric matrix with the given spectrum, from a real orthogonal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((evals.size,) * 2))
+    m = (q * evals) @ q.T
+    return (m + m.T) / 2.0
+
+
 class TestValidityCertificate:
     """0 <= T <= I and rho >= 0 are certified by Cholesky factorizations; the
     verdict must be the eigenvalue test's away from the band edges."""
@@ -350,6 +371,65 @@ class TestValidityCertificate:
             verdicts.add(got)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
+    def test_real_verdict_matches_eigvalsh(self, cls):
+        # the twin of the complex test above on real orthogonal bases, which
+        # takes the real path (dpotrf) of the certificate
+        rng = np.random.default_rng(25)
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 33))
+            evals = rng.uniform(0.1, 0.9, n)
+            edge = -PSD_TOL if cls is DensityMatrix or rng.random() < 0.5 else 1.0 + PSD_TOL
+            evals[0] = edge + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-9, -8)
+            if cls is DensityMatrix:
+                evals[1:] *= (1.0 - evals[0]) / evals[1:].sum()
+            m = _symmetric_with_spectrum(evals, rng)
+            e = np.linalg.eigvalsh(m)
+            want = e.min() >= -PSD_TOL and (cls is DensityMatrix or e.max() <= 1.0 + PSD_TOL)
+            try:
+                cls(m, (n,))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (n, evals[0])
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_real_operators_never_run_zpotrf(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        calls, dpotrf = [], lapack.dpotrf
+        monkeypatch.setattr(lapack, "zpotrf", lambda *a, **k: pytest.fail("zpotrf ran"))
+        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: calls.append(1) or dpotrf(*a, **k))
+        rng = np.random.default_rng(26)
+        real = _symmetric_with_spectrum(np.array([0.2, 0.5, 0.9]), rng)
+        states.TestOperator(real, (3,))  # complex dtype, zero imaginary part
+        negative_zero = real.astype(complex)
+        negative_zero.imag = -0.0
+        states.TestOperator(negative_zero, (3,))
+        states._certify(real, "test operator", upper=True)  # real dtype
+        isotropic_state(3, 0.2)
+        with pytest.raises(ValueError, match="leave"):
+            states.TestOperator(np.diag([0.5, 1.5]), (2,))
+        assert len(calls) == 9  # two per test operator (the rejected one too), one for the state
+
+    @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
+    def test_nan_imaginary_part_is_rejected(self, cls):
+        for i, j in ((0, 0), (0, 1)):
+            m = np.diag([0.5, 0.5]).astype(complex)
+            m[i, j] += 1j * np.nan
+            with pytest.raises(ValueError, match="not finite and Hermitian"):
+                cls(m, (2,))
+
+    def test_real_matrix_that_is_not_symmetric_is_rejected(self):
+        m = np.array([[0.5, 0.1], [0.0, 0.5]])
+        message = "test operator is not finite and Hermitian within tolerance"
+        with pytest.raises(ValueError, match=message):
+            states._certify(m, "test operator", upper=True)
+        with pytest.raises(ValueError, match=message):
+            states.TestOperator(m, (2,))
+
     def test_valid_operators_compute_no_eigenvalues(self, monkeypatch):
         rng = np.random.default_rng(22)
         m = random_test((3, 3), rng).mat
@@ -365,6 +445,11 @@ class TestValidityCertificate:
             states.TestOperator(np.diag([0.0, 1.5]), (2,))
         with pytest.raises(ValueError, match=r"negative eigenvalue -0\.25$"):
             DensityMatrix(np.diag([1.25, -0.25]), (2,))
+        # real-dtype matrices name the same eigenvalues
+        with pytest.raises(ValueError, match=r"eigenvalues \[-0\.25, 1\.5\] leave \[0, 1\]"):
+            states._certify(np.diag([-0.25, 1.5]), "test operator", upper=True)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -0\.25$"):
+            states._certify(np.diag([1.25, -0.25]), "density matrix", upper=False)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_callers_matrix_is_unchanged(self, order):
@@ -379,6 +464,16 @@ class TestValidityCertificate:
         with pytest.raises(ValueError):
             states.TestOperator(m, (3,))
         assert np.array_equal(m, before)
+        # a real-dtype matrix reaches the certificate itself, valid then not
+        for evals, valid in (([0.2, 0.5, 0.9], True), ([0.2, 0.5, 1.5], False)):
+            m = np.array(_symmetric_with_spectrum(np.array(evals), rng), order=order)
+            before = m.copy()
+            if valid:
+                states._certify(m, "test operator", upper=True)
+            else:
+                with pytest.raises(ValueError, match="leave"):
+                    states._certify(m, "test operator", upper=True)
+            assert np.array_equal(m, before)
 
     @pytest.mark.parametrize("bad", [1e-9, np.nan, np.inf])
     def test_blockwise_hermitian_check_sees_every_entry(self, monkeypatch, bad):

@@ -25,7 +25,12 @@ from entbench.twirl import (
     phase_twirl,
     phase_unitary,
 )
-from helpers import haar_batch_first, placement_sum
+from helpers import (
+    haar_batch_first,
+    mean_stderr_reference,
+    outer_moments_reference,
+    placement_sum,
+)
 
 
 class TestPhaseUnitary:
@@ -590,3 +595,59 @@ class TestBatchLastKets:
             mc_twirl(v, action, 301, rng)
         assert rng.bit_generator.state == state  # refused before any draw
         assert mc_twirl(v, action, 300, rng).samples == 300
+
+
+def _bits(x):
+    """The float64 entries of an array, real and imaginary parts side by side."""
+    x = np.asarray(x)
+    return x.view(float) if np.iscomplexobj(x) else x
+
+
+class TestInPlaceAccumulators:
+    """``_outer_moments`` and ``_mean_stderr`` build their arrays in place, with
+    the operations of the reference with full-size temporaries in the same
+    order, so every bit matches."""
+
+    @pytest.mark.parametrize("samples", [300, 2 * 4096 + 300])
+    @pytest.mark.parametrize(
+        "kind,d,copies,guarded",
+        [
+            ("local", 2, 2, True),  # seed phi (x) phi: every entry is on the guard
+            ("phase", 2, 2, True),  # entries off the support of P are fixed
+            ("local_independent", 3, 1, False),
+            ("local_phase", 2, 3, False),
+            ("ortho", 2, 1, False),
+        ],
+    )
+    def test_ket_batches_match_reference(self, monkeypatch, kind, d, copies, guarded, samples):
+        phi = max_entangled_ket(d).vec
+        v = np.kron(phi, phi) if kind == "local" else _random_ket(d, copies, 60).vec
+        action = GroupAction(kind, d, copies)
+        batches = [w.copy() for w in twirl._kets(v, action, samples, np.random.default_rng(61))]
+        gathered, batch_moments = [], twirl._batch_moments
+        monkeypatch.setattr(twirl, "_batch_moments",
+                            lambda x: gathered.append(x.shape) or batch_moments(x))
+        got = [twirl._outer_moments(w) for w in batches]
+        assert bool(gathered) == guarded
+        want = [outer_moments_reference(w) for w in batches]
+        for (k, part, m2), (ref_k, ref_part, ref_m2) in zip(got, want):
+            assert k == ref_k
+            assert np.array_equal(_bits(part), _bits(ref_part))
+            assert np.array_equal(m2, ref_m2)
+        mean, stderr = twirl._mean_stderr(got)  # consumes got
+        ref_mean, ref_stderr = mean_stderr_reference(want)
+        assert np.array_equal(_bits(mean), _bits(ref_mean))
+        assert np.array_equal(stderr, ref_stderr)
+
+    @pytest.mark.parametrize("shape", [(), (5, 5)])
+    def test_scalar_and_dense_batches_match_reference(self, shape):
+        # the scalar batches of quantum's estimates are real, the dense ones complex
+        rng = np.random.default_rng(62)
+        batches = [rng.standard_normal((k, *shape)) for k in (4096, 4096, 17)]
+        if shape:
+            batches = [x + 1j * rng.standard_normal(x.shape) for x in batches]
+        want = mean_stderr_reference(twirl._batch_moments(x.copy()) for x in batches)
+        got = twirl._mean_stderr(twirl._batch_moments(x.copy()) for x in batches)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b)
+            assert np.array_equal(_bits(a), _bits(b))
