@@ -382,8 +382,8 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
     Built right to left: ``h_j`` starts as ``[[coeffs[j]]]``, and each factor
     added on the left sends it to ``kron(a, h_j) + kron(b, h_{j+1})``, so the
     whole sum costs two full-size products, not one per placement.  Each
-    product is written straight into its preallocated output or into one
-    scratch array per level, with the same operations as ``np.kron``.
+    ``kron(b, h_{j+1})`` is written into one scratch array per level and
+    added in place, with the same operations as ``np.kron``.
     """
     if len(coeffs) == 0:
         raise ValueError("need at least one coefficient")
@@ -395,7 +395,7 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
         scratch = np.empty(shape, dtype=complex)
         level = []
         for lo, hi in zip(h, h[1:]):
-            out = np.multiply(a, lo[:, None, :], out=np.empty(shape, dtype=complex))
+            out = a * lo[:, None, :]
             out += np.multiply(b, hi[:, None, :], out=scratch)
             level.append(out.reshape(shape[0] * shape[1], shape[2] * shape[3]))
         h = level

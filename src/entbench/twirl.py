@@ -99,9 +99,11 @@ _KET_BATCHES = 5
 # draws), on top of the ones kept per copy: g (x) conj(g), or g and conj(g) ...
 _FACTOR_TEMPS = 3
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
-# merged, complex ones counting twice: peak RSS growth (getrusage, one BLAS
-# thread) over two merged 64-sample ket batches is 9.03 at dim 2401, 9.37 at
-# dim 1296 and 9.66 at dim 625
+# merged, complex ones counting twice: the running sum and M2, a batch's sum,
+# M2 and S2 (or the guard's gathered indices), and a merge's running mean.
+# Peak RSS growth (getrusage, one BLAS thread) over 2 to 10 merged 64-sample
+# ket batches is 8.02-8.27 at dim 2401, 9.37 at dim 1296 and 9.65-9.70 at
+# dim 625; tracemalloc, which sees no allocator slack, counts 8.16 at dim 256
 _LIVE_ACCUMULATORS = 10
 # a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
 # digits or more to cancellation, so it is recomputed from explicit deviations
@@ -444,6 +446,7 @@ def _outer_moments(w: np.ndarray):
     guard = s2 > 0
     s2 *= _CANCELLATION
     guard &= m2 <= s2
+    del s2  # the gathered indices below can take two dim x dim arrays
     rows, cols = np.nonzero(guard)
     for start in range(0, len(rows), dim):
         i, j = rows[start : start + dim], cols[start : start + dim]
@@ -464,30 +467,29 @@ def _mean_stderr(moments):
     complex-by-real division computes, at half the cost.
 
     The triples are consumed: the first batch's sum and M2 become the running
-    totals and then the results, later sums are overwritten, and each merge
-    writes its difference of means and that difference's squared modulus to
-    two arrays made once, at the first merge.  The operations and their
-    order are those of the update written with temporaries, so every bit is
-    the same.
+    totals and then the results, and each later batch's sum and M2 hold its
+    difference of means and that difference's squared modulus, so a merge
+    makes one array, the running mean, and nothing outlives it but the
+    totals.  The operations and their order are those of the update written
+    with temporaries, so every bit is the same.
     """
     moments = iter(moments)
     n, total, m2 = next(moments)
     total, m2 = np.asarray(total), np.asarray(m2)  # 0-d for a batch of scalars
-    delta = square = None
-    for k, part, part_m2 in moments:
-        if delta is None:
-            delta, square = np.empty_like(total), np.empty_like(m2)
-        m2 += part_m2
-        np.multiply(total, 1.0 / n, out=delta)
+    for k, part, square in moments:
+        part, square = np.asarray(part), np.asarray(square)
+        m2 += square
+        mean = total * (1.0 / n)
         total += part
         part *= 1.0 / k
-        np.subtract(part, delta, out=delta)
-        np.square(delta.real, out=square)
-        if np.iscomplexobj(delta):  # a real delta's imaginary term is +0, which moves no bit
-            square += np.square(delta.imag, out=delta.imag)
+        part -= mean
+        np.square(part.real, out=square)
+        if np.iscomplexobj(part):  # a real delta's imaginary term is +0, which moves no bit
+            square += np.square(part.imag, out=part.imag)
         square *= n * k / (n + k)
         m2 += square
         n += k
+        del mean, part, square  # freed before the next batch is drawn
     total *= 1.0 / n
     m2 /= max(n - 1, 1)
     m2 /= n

@@ -329,10 +329,10 @@ class TestTwirlVerify:
         assert "the largest d that fits is 2" in capsys.readouterr().err
 
 
-    def test_reference_between_five_and_six_arrays_refused(self, tmp_path, monkeypatch, capsys):
-        # twirl-verify peaks at 4.2 to 5.1 reference-sized arrays, so a RAM
-        # holding five and a half 16 x 16 references must refuse d = 2
-        monkeypatch.setattr(memory, "ram_bytes", lambda: 11 * 16 * 16**2 // 2)
+    def test_reference_between_six_and_seven_arrays_refused(self, tmp_path, monkeypatch, capsys):
+        # twirl-verify peaks at 4.2 to 6.1 reference-sized arrays, so a RAM
+        # holding six and a half 16 x 16 references must refuse d = 2
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 13 * 16 * 16**2 // 2)
         monkeypatch.setattr(quantum, "two_sample_covariant_test",
                             lambda d: pytest.fail("reference was built"))
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=two-sample", "d=2"])

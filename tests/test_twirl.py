@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -638,6 +640,26 @@ class TestInPlaceAccumulators:
         ref_mean, ref_stderr = mean_stderr_reference(want)
         assert np.array_equal(_bits(mean), _bits(ref_mean))
         assert np.array_equal(stderr, ref_stderr)
+
+    @pytest.mark.parametrize("batches", [2, 6])
+    def test_live_accumulators_within_budget(self, batches):
+        # tracemalloc sees numpy's buffers without allocator slack, so its
+        # peak is the live set: it stays inside the memory guard's budget
+        # however many batches merge, a last batch of one sample (every
+        # entry on the guard) included
+        dim, k = 256, 16
+        rng = np.random.default_rng(63)
+        ws = [rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)) for _ in range(2)]
+        for w in ws:
+            w[:4] = 0.5  # a few entries on the guard in every batch
+        stream = [ws[i % 2] for i in range(batches)] + [ws[0][:, :1]]
+        tracemalloc.start()
+        try:
+            twirl._mean_stderr(map(twirl._outer_moments, stream))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * twirl._LIVE_ACCUMULATORS * dim * dim
 
     @pytest.mark.parametrize("shape", [(), (5, 5)])
     def test_scalar_and_dense_batches_match_reference(self, shape):
