@@ -13,16 +13,19 @@ is permitted; when ``1 - alpha`` hits a cumulative sum exactly the two
 conventions describe the same test.
 
 One search serves both families (Lehmann & Romano, Testing Statistical
-Hypotheses, sec. 3.4): it starts at the ``1 - alpha`` quantile from scipy's
-``ppf`` and settles the inequalities above with two short walks, so its cost
-does not grow with n or the Poisson rate.  The accept-large binomial test is
-the mirror image of the accept-small one, since ``n - X ~ Bin(n, 1 - eps)``.
+Hypotheses, sec. 3.4): it starts at the ``1 - alpha`` quantile from the
+family's ``ppf`` and settles the inequalities above with two short walks, so
+its cost does not grow with n or the Poisson rate.  A held test gives its
+acceptance at any alternative (``accepted_mass``) without a second search.
+The accept-large binomial test is the mirror image of the accept-small one,
+since ``n - X ~ Bin(n, 1 - eps)``.
 
-``scipy.stats`` takes about a second to import, so this module imports it at
-first use and stores it as the module global ``stats`` (reading
-``classical.stats`` from outside imports it too).  Every pmf, cdf and
-quantile reads that global at call time through ``_stats()``, so a rebound
-``stats`` (a counting stand-in, say) is seen.
+The pmf, cdf and quantile of both families are computed as ``scipy.stats``
+computes them, by the same ``scipy.special`` ufuncs and with ``rv_discrete``'s
+boundary handling, without importing ``scipy.stats`` (about a second, against
+about 0.4 s for ``scipy.special``, which is imported at the first call).  They
+live in the module global ``stats``, which every pmf, search and accepted mass
+reads at call time, so a rebound ``stats`` (a counting stand-in, say) is seen.
 """
 
 from __future__ import annotations
@@ -31,24 +34,115 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 
-def _stats():
-    """The module global ``stats``: ``scipy.stats``, imported at the first
-    call, unless something has rebound it."""
-    if "stats" not in globals():
-        from scipy import stats
-
-        globals()["stats"] = stats
-    return globals()["stats"]
+_ufuncs = None
 
 
-def __getattr__(name: str):
-    if name == "stats":
-        return _stats()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _special():
+    """``scipy.special``'s ufunc module, imported at the first pmf, cdf or quantile."""
+    global _ufuncs
+    if _ufuncs is None:
+        from scipy.special import _ufuncs
+    return _ufuncs
+
+
+def _clip01(x) -> float:
+    """``np.clip(x, 0, 1)`` for a scalar, as a float; NaN stays NaN."""
+    return min(max(float(x), 0.0), 1.0)
+
+
+class _Discrete:
+    """pmf, cdf and quantile of a family on the counts 0..top, as
+    ``scipy.stats``' ``rv_discrete`` evaluates a subclass's ``_pmf``, ``_cdf``
+    and ``_ppf``: NaN for invalid parameters or a NaN argument; outside the
+    support a pmf of 0 and a cdf of 0 or 1; inside, the kernel clipped to
+    [0, 1], the cdf's at floor(k).  Scalars give floats; ``pmf`` also takes
+    arrays, elementwise.
+    """
+
+    def pmf(self, k, *params):
+        if not isinstance(k, (int, float, np.number)):
+            k = np.asarray(k, dtype=float)
+            if not self._valid(*params):
+                return np.full(k.shape, np.nan)
+            out = np.zeros(k.shape)
+            inside = (k >= 0) & (k <= self._top(*params)) & (np.floor(k) == k)
+            out[inside] = np.clip(self._pmf(k[inside], *params), 0.0, 1.0)
+            out[np.isnan(k)] = np.nan
+            return out
+        if k != k or not self._valid(*params):
+            return math.nan
+        if not (0 <= k <= self._top(*params) and np.floor(k) == k):
+            return 0.0
+        return _clip01(self._pmf(k, *params))
+
+    def cdf(self, k, *params):
+        if k != k or not self._valid(*params):
+            return math.nan
+        if k < 0:
+            return 0.0
+        if k >= self._top(*params):
+            return 1.0
+        return _clip01(self._cdf(math.floor(k), *params))
+
+    def ppf(self, q, *params):
+        """Smallest k with cdf(k) >= q; -1 at q = 0."""
+        if not (0.0 <= q <= 1.0 and self._valid(*params)):
+            return math.nan
+        if q == 0.0:
+            return -1.0
+        if q == 1.0:
+            return float(self._top(*params))
+        return float(self._ppf(q, *params))
+
+
+class _Binom(_Discrete):
+    """``scipy.stats.binom`` at (n, p), from the Boost ufuncs it calls."""
+
+    def _valid(self, n, p):
+        return n >= 0 and (isinstance(n, int) or n == np.floor(n)) and 0.0 <= p <= 1.0
+
+    def _top(self, n, p):
+        return n
+
+    def _pmf(self, k, n, p):
+        return _special()._binom_pmf(k, n, p)
+
+    def _cdf(self, k, n, p):
+        return _special()._binom_cdf(k, n, p)
+
+    def _ppf(self, q, n, p):
+        return _special()._binom_ppf(q, n, p)
+
+
+class _Poisson(_Discrete):
+    """``scipy.stats.poisson`` at rate mu."""
+
+    def _valid(self, mu):
+        return mu >= 0
+
+    def _top(self, mu):
+        return math.inf
+
+    def _pmf(self, k, mu):
+        sp = _special()
+        return np.exp(sp.xlogy(k, mu) - sp.gammaln(k + 1) - mu)
+
+    def _cdf(self, k, mu):
+        return _special().pdtr(k, mu)
+
+    def _ppf(self, q, mu):
+        sp = _special()
+        k = np.ceil(sp.pdtrik(q, mu))
+        below = np.maximum(k - 1, 0)
+        return below if sp.pdtr(below, mu) >= q else k
+
+
+stats = SimpleNamespace(binom=_Binom(), poisson=_Poisson())
 
 
 @dataclass(frozen=True)
@@ -77,6 +171,19 @@ class ClassicalRandomizedTest:
         w = np.where(k == self.threshold, self.gamma, accepting.astype(float))
         return w if w.ndim else float(w)
 
+    def accepted_mass(self, x: float) -> float:
+        """Probability that the test accepts a count that is binomial with
+        success probability x on its n trials, or Poisson with rate x when
+        ``n`` is None: cdf(l - 1) + gamma pmf(l), on n - X ~ Bin(n, 1 - x)
+        for the accept-large direction."""
+        if self.n is None:
+            family, params, l = stats.poisson, (x,), self.threshold
+        elif self.accept_large:
+            family, params, l = stats.binom, (self.n, 1.0 - x), self.n - self.threshold
+        else:
+            family, params, l = stats.binom, (self.n, x), self.threshold
+        return float(family.cdf(l - 1, *params) + self.gamma * family.pmf(l, *params))
+
     def acceptance(self) -> np.ndarray:
         if self.n is None:
             raise ValueError("acceptance vector needs a finite domain")
@@ -85,12 +192,12 @@ class ClassicalRandomizedTest:
 
 def binom_pmf(n: int, k, p: float):
     """C(n, k) (1-p)^(n-k) p^k."""
-    return _stats().binom.pmf(k, n, p)
+    return stats.binom.pmf(k, n, p)
 
 
 def poisson_pmf(rate: float, k):
     """e^(-rate) rate^k / k!."""
-    return _stats().poisson.pmf(k, rate)
+    return stats.poisson.pmf(k, rate)
 
 
 def beta_one_sample(eps: float, alpha: float, q: float) -> float:
@@ -131,8 +238,8 @@ def check_defects(*ps: float) -> None:
 
 
 def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
-    """Smallest l with cdf(l) >= 1 - alpha for the scipy ``family`` at
-    ``params``, plus the randomization weight at l."""
+    """Smallest l with cdf(l) >= 1 - alpha for ``family`` (``stats.binom`` or
+    ``stats.poisson``) at ``params``, plus the randomization weight at l."""
     target = 1.0 - alpha
     # start at the quantile, then settle the defining inequalities exactly
     l = max(0, int(family.ppf(target, *params)))
@@ -145,22 +252,17 @@ def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
     return l, min(max(gamma, 0.0), 1.0)
 
 
-def _accepted_mass(family, params: tuple, t: ClassicalRandomizedTest) -> float:
-    """Probability that the accept-small test ``t`` accepts: cdf(l-1) + gamma pmf(l)."""
-    return float(family.cdf(t.threshold - 1, *params) + t.gamma * family.pmf(t.threshold, *params))
-
-
 def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null p <= eps on n Bernoulli trials."""
     _require(n >= 1, "need n >= 1")
     check_level(eps, alpha)
-    l, gamma = _threshold(_stats().binom, (n, eps), alpha)
+    l, gamma = _threshold(stats.binom, (n, eps), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=n)
 
 
 def beta_binomial(n: int, eps: float, alpha: float, q: float) -> float:
     """Type-2 error of the binomial UMP test at alternative parameter q."""
-    return _accepted_mass(_stats().binom, (n, q), binomial_ump_test(n, eps, alpha))
+    return binomial_ump_test(n, eps, alpha).accepted_mass(q)
 
 
 def binomial_ump_test_ge(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
@@ -170,20 +272,20 @@ def binomial_ump_test_ge(n: int, eps: float, alpha: float) -> ClassicalRandomize
 
 
 def beta_binomial_ge(n: int, eps: float, alpha: float, q: float) -> float:
-    return beta_binomial(n, 1.0 - eps, alpha, 1.0 - q)
+    return binomial_ump_test_ge(n, eps, alpha).accepted_mass(q)
 
 
 def poisson_ump_test(delta: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null rate <= delta."""
     _require(0.0 <= delta < math.inf, "delta must be finite and nonnegative")
     _require(0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
-    l, gamma = _threshold(_stats().poisson, (delta,), alpha)
+    l, gamma = _threshold(stats.poisson, (delta,), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=None)
 
 
 def beta_poisson(delta: float, alpha: float, t_alt: float) -> float:
     """Type-2 error of the Poisson UMP test at alternative rate t_alt."""
-    return _accepted_mass(_stats().poisson, (t_alt,), poisson_ump_test(delta, alpha))
+    return poisson_ump_test(delta, alpha).accepted_mass(t_alt)
 
 
 @dataclass(frozen=True)

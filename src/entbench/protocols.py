@@ -208,7 +208,7 @@ def _thresholded(config: ExperimentConfig, rng, k: np.ndarray, failure: float,
     rounds, boundary = config.n // copies, fail(config.d, config.epsilon)
     test = classical.binomial_ump_test(rounds, boundary, config.alpha)
     accepted = (rng.random(k.shape) < test.accept_prob(k)).sum()
-    exact = classical.beta_binomial(rounds, boundary, config.alpha, failure)
+    exact = test.accepted_mass(failure)
     vals, freq = np.unique(k, return_counts=True)
     counts = {int(v): int(c) for v, c in zip(vals, freq)}
     return _result(config.protocol, config.trials, accepted, exact, counts, extra)
@@ -446,14 +446,15 @@ def asymptotic_sweep(
         eps = delta / n
         p = t_alt / n
         rounds, eps_round = n // copies, fail(d, eps)
-        exact = classical.beta_binomial(rounds, eps_round, alpha, fail(d, p))
+        test = classical.binomial_ump_test(rounds, eps_round, alpha)
+        exact = test.accepted_mass(fail(d, p))
         row = {
             "n": n,
             "epsilon": eps,
             "exact": exact,
             "poisson_limit": limit,
             "gap": abs(exact - limit),
-            "boundary_accept": classical.beta_binomial(rounds, eps_round, alpha, eps_round),
+            "boundary_accept": test.accepted_mass(eps_round),
             "empirical": None,
             "ci95": None,
         }

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from entbench import classical
 from entbench.classical import (
     ClassicalRandomizedTest,
     beta_binomial,
@@ -301,3 +302,85 @@ class TestDataTypes:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClassicalRandomizedTest(threshold=3, gamma=1.5, n=5)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFamiliesMatchScipyStats:
+    """``classical.stats`` computes binom and poisson by scipy.special's ufuncs
+    (the private Boost wrappers ``_binom_*`` among them) with rv_discrete's
+    boundary handling; every value must equal ``scipy.stats``' bit for bit,
+    NaN for NaN, so the 12-digit outputs cannot move.  A scipy release that
+    moves or changes the ufuncs fails here."""
+
+    QS = (0.0, 1e-300, 1e-10, 0.05, 0.5, 0.95, 1 - 1e-10, 1 - 1e-16, 1.0, -0.5, 1.5, math.nan)
+
+    def test_ufuncs_present(self):
+        ufuncs = classical._special()
+        for name in ("_binom_pmf", "_binom_cdf", "_binom_ppf", "pdtr", "pdtrik", "xlogy", "gammaln"):
+            assert hasattr(ufuncs, name), f"scipy.special._ufuncs.{name} is gone; classical.stats needs it"
+
+    def _check(self, ours, ref, ks, params):
+        for k in ks:
+            for name in ("pmf", "cdf"):
+                got = getattr(ours, name)(k, *params)
+                assert isinstance(got, float), (name, k, params)
+                assert _bits(got) == _bits(getattr(ref, name)(k, *params)), (name, k, params)
+        for q in self.QS:
+            got = ours.ppf(q, *params)
+            assert isinstance(got, float), ("ppf", q, params)
+            assert _bits(got) == _bits(ref.ppf(q, *params)), ("ppf", q, params)
+        karr = np.array(ks, dtype=float)
+        assert _bits(ours.pmf(karr, *params)) == _bits(ref.pmf(karr, *params)), ("pmf array", params)
+        assert _bits(ours.pmf(karr.reshape(1, -1), *params)) == _bits(ref.pmf(karr.reshape(1, -1), *params))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 999, 10**4, 10**5, 10**6])
+    def test_binom(self, n):
+        for p in (0.0, 1e-300, 1e-3, 0.3, 0.5, 1 - 1e-16, 1.0, -0.1, 1.5, math.nan):
+            ks = [-1, 0, 0.5, 1, n // 3, n - 1, n - 0.5, n, n + 1, math.inf, -math.inf, math.nan]
+            self._check(classical.stats.binom, stats.binom, ks, (n, p))
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.5, 1.0, 37.5, 2000.5, 1e6, -1.0, math.nan])
+    def test_poisson(self, rate):
+        mode = math.floor(rate) if math.isfinite(rate) else 3
+        ks = [-1, 0, 0.5, 1, mode - 1, mode, mode + 0.5, mode + 1, 2 * mode + 40, math.inf, -math.inf, math.nan]
+        self._check(classical.stats.poisson, stats.poisson, ks, (rate,))
+
+    def test_pmf_on_lists_and_ranges(self):
+        for n, p in ((9, 0.37), (1000, 0.5)):
+            ks = np.arange(n + 1)
+            assert _bits(classical.binom_pmf(n, ks, p)) == _bits(stats.binom.pmf(ks, n, p))
+        assert _bits(classical.binom_pmf(2, [0, 1, 2], 0.5)) == _bits(stats.binom.pmf([0, 1, 2], 2, 0.5))
+        ks = np.arange(200)
+        assert _bits(classical.poisson_pmf(2.5, ks)) == _bits(stats.poisson.pmf(ks, 2.5))
+
+    def test_tests_and_errors(self, monkeypatch):
+        """Each threshold, gamma and beta equals the one a scipy.stats-backed
+        ``classical.stats`` gives, the mirrored direction included."""
+        binomial = [(n, eps, alpha, q)
+                    for n in (1, 2, 10, 51, 1000, 10**5, 10**6)
+                    for eps in (0.0, 1e-300, 0.01, 0.1, 0.5, 0.9, 1.0)
+                    for alpha in (0.01, 0.05, 0.3)
+                    for q in (0.0, eps, min(1.0, eps + 0.05), 1.0)]
+        poisson = [(delta, alpha, t)
+                   for delta in (0.0, 1e-300, 0.5, 2000.5, 1e6)
+                   for alpha in (0.01, 0.05, 0.3)
+                   for t in (0.0, delta, 2 * delta + 1)]
+
+        def evaluate():
+            out = []
+            for n, eps, alpha, q in binomial:
+                t = binomial_ump_test(n, eps, alpha)
+                out.append((t.threshold, _bits(t.gamma), _bits(beta_binomial(n, eps, alpha, q))))
+                out.append(_bits(beta_binomial_ge(n, eps, alpha, q)))
+            for delta, alpha, x in poisson:
+                t = poisson_ump_test(delta, alpha)
+                out.append((t.threshold, _bits(t.gamma), _bits(beta_poisson(delta, alpha, x))))
+            return out
+
+        ours = evaluate()
+        monkeypatch.setattr(classical, "stats", stats)
+        assert ours == evaluate()
