@@ -326,12 +326,11 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     seed, action, reference = _twirl_case(target, d)
     rng = np.random.default_rng(_integer("seed", config.get("seed", 0)))
     est = mc_twirl(seed, action, samples, rng)
-    dev = est.deviations(reference)
-    max_dev = float(dev.max())
+    max_dev = est.deviation(reference)
     max_stderr = float(est.stderr.max())
     if max_stderr > _CONCLUSIVE_STDERR:
         status = "inconclusive"
-    elif est.within(reference, nsigma=5.0, dev=dev):
+    elif est.within(reference, nsigma=5.0):
         status = "pass"
     else:
         status = "fail"

@@ -226,18 +226,12 @@ class TwirlEstimate:
         if np.min(self.stderr) < 0:
             raise ValueError("standard errors must be nonnegative")
 
-    def deviations(self, target: np.ndarray) -> np.ndarray:
-        """Entrywise |mean - target|."""
-        return np.abs(self.mean - np.asarray(target))
-
     def deviation(self, target: np.ndarray) -> float:
-        return float(self.deviations(target).max())
+        return float(np.max(np.abs(self.mean - np.asarray(target))))
 
-    def within(self, target: np.ndarray, nsigma: float = 5.0, atol: float = 1e-9, dev=None) -> bool:
-        """Entrywise |mean - target| <= nsigma * stderr + atol; ``dev`` is
-        ``deviations(target)`` when the caller has already formed it."""
-        if dev is None:
-            dev = self.deviations(target)
+    def within(self, target: np.ndarray, nsigma: float = 5.0, atol: float = 1e-9) -> bool:
+        """Entrywise |mean - target| <= nsigma * stderr + atol."""
+        dev = np.abs(self.mean - np.asarray(target))
         return bool(np.all(dev <= nsigma * self.stderr + atol))
 
 
