@@ -24,7 +24,7 @@ The pmf, cdf and quantile of both families are computed as ``scipy.stats``
 computes them, by the same ``scipy.special`` ufuncs and with ``rv_discrete``'s
 boundary handling, without importing ``scipy.stats`` (about a second, against
 about 0.4 s for ``scipy.special``, which is imported at the first call).  They
-live in the module global ``stats``, which every pmf, search and accepted mass
+live in the module global ``stats``, which every search and accepted mass
 reads at call time, so a rebound ``stats`` (a counting stand-in, say) is seen.
 """
 
@@ -60,20 +60,10 @@ class _Discrete:
     ``scipy.stats``' ``rv_discrete`` evaluates a subclass's ``_pmf``, ``_cdf``
     and ``_ppf``: NaN for invalid parameters or a NaN argument; outside the
     support a pmf of 0 and a cdf of 0 or 1; inside, the kernel clipped to
-    [0, 1], the cdf's at floor(k).  Scalars give floats; ``pmf`` also takes
-    arrays, elementwise.
+    [0, 1], the cdf's at floor(k).  Each takes a scalar and gives a float.
     """
 
     def pmf(self, k, *params):
-        if not isinstance(k, (int, float, np.number)):
-            k = np.asarray(k, dtype=float)
-            if not self._valid(*params):
-                return np.full(k.shape, np.nan)
-            out = np.zeros(k.shape)
-            inside = (k >= 0) & (k <= self._top(*params)) & (np.floor(k) == k)
-            out[inside] = np.clip(self._pmf(k[inside], *params), 0.0, 1.0)
-            out[np.isnan(k)] = np.nan
-            return out
         if k != k or not self._valid(*params):
             return math.nan
         if not (0 <= k <= self._top(*params) and np.floor(k) == k):
@@ -188,16 +178,6 @@ class ClassicalRandomizedTest:
         if self.n is None:
             raise ValueError("acceptance vector needs a finite domain")
         return self.accept_prob(np.arange(self.n + 1))
-
-
-def binom_pmf(n: int, k, p: float):
-    """C(n, k) (1-p)^(n-k) p^k."""
-    return stats.binom.pmf(k, n, p)
-
-
-def poisson_pmf(rate: float, k):
-    """e^(-rate) rate^k / k!."""
-    return stats.poisson.pmf(k, rate)
 
 
 def beta_one_sample(eps: float, alpha: float, q: float) -> float:

@@ -176,11 +176,15 @@ def pooled_covariant_test(d: int, n: int) -> TestOperator:
 
 
 def pooled_trace(d: int, n: int, p: float) -> float:
-    """(d^n (1-p)^n + 1) / (d^n + 1): acceptance of the pooled test on defect p."""
+    """(d^n (1-p)^n + 1) / (d^n + 1): acceptance of the pooled test on defect p.
+
+    Evaluated as ((1-p)^n + r) / (1 + r) with r = d^-n in floats, which
+    costs the same at any n and underflows to 0 where d^n would overflow."""
     if n < 1:
         raise ValueError(f"need n >= 1 pairs, got {n}")
     check_defects(p)
-    return (d**n * (1.0 - p) ** n + 1.0) / (d**n + 1.0)
+    r = float(d) ** -n
+    return ((1.0 - p) ** n + r) / (1.0 + r)
 
 
 def mapped_boundary(d: int, x: float) -> float:

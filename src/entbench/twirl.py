@@ -22,7 +22,8 @@ Every sampled element is a tensor power ``u_1 (x) ... (x) u_copies`` of
 single-pair unitaries, so the dim x dim unitary is never formed.  The local
 actions are defined with g in SU(d) but sampled from Haar U(d): a Haar U(d)
 element is a Haar SU(d) element times the global phase det(g)^(1/d), which
-cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.
+cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.  Every path draws
+through ``GroupAction._draws``, so the kernels apply the same elements.
 
 * A rank-one input, given as a ``Ket`` v, is twirled as the vectors f v,
   batch last: a (dim, batch) array W.  For the phase and local actions each
@@ -183,29 +184,33 @@ class GroupAction:
     def dim(self) -> int:
         return (self.d * self.d) ** self.copies
 
-    def _factor(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """A batch of ``count`` single-pair unitaries of this action."""
-        d = self.d
-        if self.kind == "phase":
-            return phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
-        if self.kind == "ortho":
-            return orthocomplement_unitary(haar_unitaries(d * d - 1, count, rng), d)
-        u = pair_conjugate_unitary(haar_unitaries(d, count, rng))
-        if self.kind == "local_phase":
-            u = u @ phase_unitary(rng.uniform(0.0, 2.0 * np.pi, size=count), d)
-        return u
+    def _draws(self, count: int, rng: np.random.Generator):
+        """The draws of ``count`` samples, the only ones a twirl makes, in order:
+        the Haar unitary batches ``us``, batch last (``haar_columns``), U(d) or
+        U(d^2 - 1) for ``ortho``, one per copy for ``local_independent``, one
+        every copy shares for the other kinds and none for ``phase``; then
+        ``theta`` ~ U[0, 2 pi) for ``phase`` and ``local_phase``, else None.
+        """
+        kind = self.kind
+        batches = {"phase": 0, "local_independent": self.copies}.get(kind, 1)
+        k = self.d * self.d - 1 if kind == "ortho" else self.d
+        us = [haar_columns(k, count, rng) for _ in range(batches)]
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind in ("phase", "local_phase") else None
+        return us, theta
 
     def _factors(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """``count`` samples of the action as one factor batch per copy, left first.
-
-        Each batch draws, in order: theta ~ U[0, 2 pi) for ``phase``; U(d) for
-        ``local``; U(d) then theta for ``local_phase``; U(d^2 - 1) for
-        ``ortho``; one U(d) batch per copy for ``local_independent``.  The
-        other kinds use their one factor batch on every copy.
-        """
-        if self.kind == "local_independent":
-            return [self._factor(count, rng) for _ in range(self.copies)]
-        return [self._factor(count, rng)] * self.copies
+        """``count`` samples of the action from ``_draws`` as one batch-first
+        pair-factor batch per copy, left first: g (x) conj(g) Ph(theta)."""
+        d = self.d
+        gs, theta = self._draws(count, rng)
+        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in gs]  # haar_unitaries' layout
+        if self.kind == "ortho":
+            factors = [orthocomplement_unitary(gs[0], d)]
+        else:
+            factors = [pair_conjugate_unitary(g) for g in gs]
+        if theta is not None:
+            factors = [f @ phase_unitary(theta, d) for f in factors] or [phase_unitary(theta, d)]
+        return factors if self.kind == "local_independent" else factors * self.copies
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` samples of the action, shape (count, dim, dim), drawn as ``_factors``."""
@@ -300,9 +305,11 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
 
     ``ortho``, and a vector of two or more pairs at dim >= ``_PAIR_PRODUCT_DIM``,
     take the pair factors of ``GroupAction._factors`` through
-    ``_apply_factors``.  Every other vector takes ``_local_kets``, whose
-    buffers are allocated once and reused by every batch, so each batch must
-    be consumed before the next is drawn.
+    ``_apply_factors``.  Every other vector takes the draws of
+    ``GroupAction._draws`` in a buffer that every batch reuses, so each batch
+    must be consumed before the next is drawn: Ph(theta), the rightmost
+    factor, meets the shared vec first (``_phase_kets``); then each g and
+    conj(g) acts on its own d-axis (``_apply_columns``).
     """
     dim, q, copies = action.dim, action.d * action.d, action.copies
     pairwise = action.kind == "ortho" or (copies > 1 and dim >= _PAIR_PRODUCT_DIM)
@@ -316,34 +323,14 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
         return
     work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
     for batch in _chunks(samples):
-        yield _local_kets(vec, action, batch, rng, work)
-
-
-def _local_kets(
-    vec: np.ndarray, action: GroupAction, count: int, rng: np.random.Generator, work: np.ndarray
-) -> np.ndarray:
-    """f(g) vec for ``count`` samples of a phase or local action, shape (dim, count),
-    computed in ``work`` (see ``_apply_columns``).
-
-    The group elements are those of ``GroupAction._factors``, drawn in its
-    order, but each U(d) batch comes batch last from ``haar_columns``, whose
-    draws are those of ``haar_unitaries``.  Ph(theta), the rightmost factor,
-    meets the shared vec first (``_phase_kets``); then each g and conj(g) acts
-    on its own d-axis (``_apply_columns``), so g (x) conj(g) is never formed.
-    """
-    d, kind = action.d, action.kind
-    if kind == "local_independent":
-        pairs = [(g, g.conj()) for g in (haar_columns(d, count, rng) for _ in range(action.copies))]
-    elif kind == "phase":
-        pairs = []
-    else:  # the same g on every copy
-        g = haar_columns(d, count, rng)
-        pairs = [(g, g.conj())] * action.copies
-    factors = [f for pair in pairs for f in pair]
-    if kind in ("phase", "local_phase"):
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        vec = _phase_kets(vec, d, action.copies, theta, work[0, : vec.size * count])
-    return _apply_columns(vec, factors, work)
+        us, theta = action._draws(batch, rng)
+        factors = [f for g in us for f in (g, g.conj())]
+        if action.kind != "local_independent":  # the same g on every copy
+            factors *= copies
+        w = vec if theta is None else _phase_kets(vec, action.d, copies, theta, work[0, : dim * batch])
+        w = _apply_columns(w, factors, work)
+        del us, theta, factors  # released before the batch is consumed
+        yield w
 
 
 def _phase_kets(
@@ -509,7 +496,7 @@ def mc_twirl(
     conjugated as the vector twirl of its flattening (see ``_conjugates``),
     ``16 copies d^2 dim^2`` real flops instead of the dense ``16 dim^3``,
     with batches of dim x dim conjugates in memory.  Both paths draw the
-    same group elements in the order of ``GroupAction._factors`` and
+    same group elements, through ``GroupAction._draws``, and
     accumulate in sample order with a fixed internal batch size, so the
     result is a deterministic function of (seed, samples).  A batch that
     would not fit in physical RAM raises ``ValueError`` before any draw.

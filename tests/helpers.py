@@ -6,6 +6,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy import stats
 
 from entbench.quantum import bell_pair_test, to_group_major
 from entbench.states import (
@@ -50,6 +51,11 @@ def brute_force_min_beta(p0: np.ndarray, p1: np.ndarray, alpha: float) -> float:
             cand = w1[free][ok] + np.clip(t[ok], 0.0, 1.0) * p1[j]
             best = min(best, float(cand.min()))
     return best
+
+
+def binom_pmf(n: int, k, p: float):
+    """C(n, k) (1-p)^(n-k) p^k, elementwise over the counts k."""
+    return stats.binom.pmf(k, n, p)
 
 
 def linear_walk_threshold(cdf, pmf, alpha: float) -> tuple[int, float]:

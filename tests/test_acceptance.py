@@ -16,7 +16,6 @@ from entbench import qubit_pair as qp
 from entbench.classical import (
     beta_binomial,
     beta_poisson,
-    binom_pmf,
     binomial_ump_test,
     poisson_limit_gap,
     relative_entropy,
@@ -40,7 +39,7 @@ from entbench.states import (
     Ket,
 )
 from entbench.twirl import GroupAction, haar_unitary, mc_twirl
-from helpers import brute_force_min_beta, random_state_with_defect, within_ci
+from helpers import binom_pmf, brute_force_min_beta, random_state_with_defect, within_ci
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -442,6 +442,15 @@ def test_fractional_random_seed_is_invalid_input(tmp_path, capsys, args, key):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [1100, 10**12])
+def test_pooled_at_large_n(tmp_path, n):
+    # the value is about (1 - p)^n; n = 10^12 must not build the integer d^n
+    out = tmp_path / "x"
+    assert main(["exact", "--out", str(out), "formula=pooled", "d=2", f"n={n}", "p=0.1"]) == 0
+    value = float(read_csv(out / "exact.csv")[0]["value"])
+    assert value == pytest.approx(0.9**n, rel=1e-11, abs=0.0)
+
+
 def test_integral_float_random_seed_is_that_seed(tmp_path):
     results = []
     for seed in ("2", "2.0"):

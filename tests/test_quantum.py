@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -262,6 +263,21 @@ class TestPooled:
 
     def test_trace_value_example(self):
         assert abs(pooled_trace(2, 2, 0.25) - 0.65) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trace_matches_high_precision_at_large_n(self, d):
+        # d^n overflows a float from n = 1024 at d = 2 and n = 647 at d = 3
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            for n in (1, 2, 10, 100, 646, 647, 1023, 1024, 1100):
+                for p in (0.0, 1e-3, 0.1, 0.5, 1.0 - 1.0 / d, 0.9):
+                    dn = mp.mpf(d) ** n
+                    want = (dn * (1 - mp.mpf(p)) ** n + 1) / (dn + 1)
+                    got = pooled_trace(d, n, p)
+                    if want < sys.float_info.min:  # below the normal floats: no relative digits
+                        assert got < sys.float_info.min, (d, n, p)
+                    else:
+                        assert abs(got - want) <= 1e-12 * want, (d, n, p)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_trace_refuses_fewer_than_one_pair(self, n):

@@ -559,8 +559,38 @@ class TestBatchLastKets:
         mc_twirl(_random_ket(d, copies, 27), action, 4096 + 1, rng)
         ref = np.random.default_rng(52)
         for count in (4096, 1):
-            action._factors(count, ref)
+            action._draws(count, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "kind,d,copies",
+        [(kind, 2, 2) for kind in KINDS] + [("local", 4, 2), ("local_independent", 4, 2)],
+    )
+    def test_every_path_draws_through_draws_only(self, monkeypatch, kind, d, copies):
+        # identity unitaries and theta = 0 in the shapes of the real draws,
+        # made without the generator: a path that drew anywhere else would
+        # move its state or its result away from the identity action's
+        draws = GroupAction._draws
+
+        def identity_draws(action, count, rng):
+            us, theta = draws(action, count, np.random.default_rng(0))
+            us = [np.repeat(np.eye(len(u), dtype=complex)[:, :, None], count, axis=2) for u in us]
+            return us, None if theta is None else np.zeros(count)
+
+        monkeypatch.setattr(GroupAction, "_draws", identity_draws)
+        action = GroupAction(kind, d, copies)
+        rng = np.random.default_rng(55)
+        state = rng.bit_generator.state
+        v = _random_ket(d, copies, 30)
+        est = mc_twirl(v, action, 5, rng)
+        assert np.max(np.abs(est.mean - np.outer(v.vec, v.vec.conj()))) <= 1e-14
+        if action.dim <= 16:  # the dense paths
+            op = random_test((d,) * (2 * copies), np.random.default_rng(31)).mat
+            assert np.max(np.abs(mc_twirl(op, action, 5, rng).mean - op)) <= 1e-14
+            assert check_invariance(op, action, 5, rng, tol=1e-14)[0]
+            f = action.sample_batch(5, rng)
+            assert np.max(np.abs(f - np.eye(action.dim))) <= 1e-14
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cancellation_guard_matches_explicit_moments(self, kind, monkeypatch):
