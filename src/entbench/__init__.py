@@ -29,7 +29,6 @@ from .states import (
 from .twirl import (
     GroupAction,
     TwirlEstimate,
-    check_invariance,
     haar_unitary,
     mc_twirl,
     orthocomplement_unitary,
@@ -47,7 +46,6 @@ __all__ = [
     "TestOperator",
     "TwirlEstimate",
     "bell_basis",
-    "check_invariance",
     "fidelity_defect",
     "generalized_pauli",
     "haar_unitary",

@@ -256,7 +256,8 @@ def block_trace_inequalities(sigma) -> tuple[bool, bool, bool]:
     """
     s5, s3, _s1c2, s1c0, a0, a1 = block_traces(sigma)
     tol = 1e-12
-    return (a1 - a0 >= -tol, 5.0 * s3 - 3.0 * s5 >= -tol, 10.0 * s1c0 + s5 - 5.0 * a0 >= -tol)
+    return (bool(a1 - a0 >= -tol), bool(5.0 * s3 - 3.0 * s5 >= -tol),
+            bool(10.0 * s1c0 + s5 - 5.0 * a0 >= -tol))
 
 
 def communication_gain(sigma) -> float:

@@ -25,38 +25,30 @@ element is a Haar SU(d) element times the global phase det(g)^(1/d), which
 cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.  Every path draws
 through ``GroupAction._draws``, so the kernels apply the same elements.
 
-* A rank-one input, given as a ``Ket`` v, is twirled as the vectors f v,
-  batch last: a (dim, batch) array W.  For the phase and local actions each
-  g and conj(g) acts on its own d-axis of W (``_apply_columns``), so
-  g (x) conj(g) is never formed: ``16 copies d dim`` real flops per sample,
-  the first factor one matmul with the shared v, the rest multiply-adds over
-  rows that run over the batch, and Ph(theta) rank-one updates of v before
-  any g.  ``ortho``, and kets of two or more pairs at dim >= 256, apply pair
-  factors instead, ``8 copies d^2 dim`` flops per sample as per-sample
-  products (``_apply_factors``), which measured faster there.  The sum of
-  ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum of the
-  squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops per
-  sample, which dominate at large dim (5.3 MFLOP at dim 729, against
-  0.23 GFLOP to conjugate a dense operator there).  Median ``mc_twirl``
-  times at one BLAS thread, 8192 samples, against the pair-factor kernel
-  with the batch first: one-sample d=3 20 -> 8.5 ms, d=8 526 -> 119 ms,
-  two-sample d=2 19 -> 11 ms, qubit-weights 23 -> 11 ms, three-source d=2
-  73 -> 53 ms.  Forcing either kernel on two-sample d=4 (dim 256) gave
-  354 ms batch last against 324 ms in pair factors, and on three-source d=3
-  (dim 729, 512 samples) 139 against 111 ms; at dim 81 the two were even
-  (73 against 75 ms).
-* A dense operator T is conjugated as the vector twirl of its row-major
-  flattening, since ``vec(f T f^dag) = (f (x) conj(f)) vec(T)``:
-  ``_apply_factors`` contracts each sample's pair factors and then their
-  conjugates with ``vec(T)``, a vector of size dim^2, batch first, each
-  factor on its own pair axes.  That is ``16 copies d^2 dim^2`` real flops
-  per sample (about 0.23 GFLOP at dim 729, against ``16 dim^3`` = 6.2 GFLOP
-  for the dense product).  At one copy it is exactly the dense
-  ``(f @ T) @ f^dag``.
+Every operator the library twirls is a rank-one seed d^k |v><v|, so
+``mc_twirl`` takes it as the ``Ket`` sqrt(d^k) v and twirls the vectors f v,
+batch last: a (dim, batch) array W.  For the phase and local actions each g
+and conj(g) acts on its own d-axis of W (``_apply_columns``), so
+g (x) conj(g) is never formed: ``16 copies d dim`` real flops per sample, the
+first factor one matmul with the shared v, the rest multiply-adds over rows
+that run over the batch, and Ph(theta) rank-one updates of v before any g.
+``ortho``, and kets of two or more pairs at dim >= 256, apply pair factors
+instead, ``8 copies d^2 dim`` flops per sample as per-sample products
+(``_apply_factors``), which measured faster there.  Median ``mc_twirl`` times
+at one BLAS thread, 8192 samples, against the pair-factor kernel with the
+batch first: one-sample d=3 20 -> 8.5 ms, d=8 526 -> 119 ms, two-sample d=2
+19 -> 11 ms, qubit-weights 23 -> 11 ms, three-source d=2 73 -> 53 ms.
+Forcing either kernel on two-sample d=4 (dim 256) gave 354 ms batch last
+against 324 ms in pair factors, and on three-source d=3 (dim 729,
+512 samples) 139 against 111 ms; at dim 81 the two were even (73 against
+75 ms).
 
-Both paths check their batch's footprint with ``memory.check_fits`` before
-any draw, naming the largest ``samples`` that fits, and feed one accumulator
-that merges per-batch moments with Chan's pairwise update.
+The sum of ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum
+of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
+per sample, which dominate at large dim (5.3 MFLOP at dim 729).  The twirl
+checks its batch's footprint with ``memory.check_fits`` before any draw,
+naming the largest ``samples`` that fits, and merges per-batch moments with
+Chan's pairwise update.
 """
 
 from __future__ import annotations
@@ -82,20 +74,14 @@ from .states import (
 )
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
-# batch-sized complex arrays alive at once in a dense twirl, of (batch, dim,
-# dim) conjugates: a contraction's input and output, or c - T and its modulus
-# in check_invariance.  Peak RSS growth over one batch (getrusage, one BLAS
-# thread): 2.0 batches for a dense mc_twirl at dims 64, 81 and 729, and 2.5
-# for check_invariance there
-_LIVE_BATCHES = 3
-# a rank-one twirl budgets (dim, batch) vectors instead: the three rows of the
-# work buffer of ``_apply_columns`` (or a product's input and output), then
-# conj(W) or the two gathered rows of the cancellation guard.  Peak RSS growth
-# over one 4096-sample batch, factors included: 3.7-5.0 batches on random
-# kets at dims 4-256, and 4.5-5.3 at dims 64-729 with every entry on the
-# guard (the maximally entangled vector on every pair)
+# a twirl budgets (dim, batch) vectors: the three rows of the work buffer of
+# ``_apply_columns`` (or a product's input and output), then conj(W) or the
+# two gathered rows of the cancellation guard.  Peak RSS growth over one
+# 4096-sample batch, factors included: 3.7-5.0 batches on random kets at
+# dims 4-256, and 4.5-5.3 at dims 64-729 with every entry on the guard (the
+# maximally entangled vector on every pair)
 _KET_BATCHES = 5
-# a vector twirl also budgets arrays of one factor's size that a factor draw
+# a twirl also budgets arrays of one factor's size that a factor draw
 # holds while it is built (ortho: g, b g and b g b^dag; U(d): the Ginibre
 # draws), on top of the ones kept per copy: g (x) conj(g), or g and conj(g) ...
 _FACTOR_TEMPS = 3
@@ -246,20 +232,6 @@ def _chunks(total: int, size: int = _CHUNK):
         yield min(size, total - start)
 
 
-def _check_batch(
-    size: int, action: GroupAction, samples: int, per_sample: int, fixed: int = 0
-) -> None:
-    """Refuse, before any draw, an input of the wrong dimension or a twirl
-    whose batch (``per_sample`` bytes a sample plus ``fixed``) exceeds RAM."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dim = action.dim
-    if size != dim:
-        raise ValueError(f"operator dim {size} != action dim {dim}")
-    check_fits(f"the batch of a {samples}-sample twirl at dim {dim}", "samples", samples, 1,
-               lambda s: min(_CHUNK, s) * per_sample + fixed)
-
-
 def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """``(f_1 (x) ... (x) f_n) vec`` per sample of the factor batches, shape (batch, vec.size).
 
@@ -283,22 +255,6 @@ def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return w.reshape(len(w), vec.size)
 
 
-def _conjugates(mat: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
-    """Batches of f(g) mat f(g)^dag over ``samples`` sampled group elements.
-
-    f(g) is never formed: ``vec(f mat f^dag) = (f (x) conj(f)) vec(mat)`` for
-    the row-major ``vec``, so the factors of f and then their conjugates are
-    applied to ``mat.reshape(-1)`` by ``_apply_factors``.  With one copy this
-    is exactly ``(f @ mat) @ f^dag``.
-    """
-    dim = action.dim
-    _check_batch(mat.shape[0], action, samples, dim * dim * 16 * _LIVE_BATCHES)
-    for batch in _chunks(samples):
-        factors = action._factors(batch, rng)
-        conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
-        yield conj.reshape(batch, dim, dim)
-
-
 def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
     """Batches of f(g) vec, batch last: shape (dim, batch), over ``samples``
     sampled group elements.
@@ -312,11 +268,16 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
     conj(g) acts on its own d-axis (``_apply_columns``).
     """
     dim, q, copies = action.dim, action.d * action.d, action.copies
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if vec.size != dim:
+        raise ValueError(f"ket dim {vec.size} != action dim {dim}")
     pairwise = action.kind == "ortho" or (copies > 1 and dim >= _PAIR_PRODUCT_DIM)
     # complex factor entries a sample holds: q x q pair factors, or d x d ones
     factor_entries = ((copies + _FACTOR_TEMPS) * q if pairwise else 2 * copies + _FACTOR_TEMPS) * q
-    _check_batch(vec.size, action, samples, 16 * (_KET_BATCHES * dim + factor_entries),
-                 8 * _LIVE_ACCUMULATORS * dim * dim)
+    per_sample, fixed = 16 * (_KET_BATCHES * dim + factor_entries), 8 * _LIVE_ACCUMULATORS * dim * dim
+    check_fits(f"the batch of a {samples}-sample twirl at dim {dim}", "samples", samples, 1,
+               lambda s: min(_CHUNK, s) * per_sample + fixed)
     if pairwise:
         for batch in _chunks(samples):
             yield _apply_factors(vec, action._factors(batch, rng)).T
@@ -484,29 +445,23 @@ def _mean_stderr(moments):
 
 
 def mc_twirl(
-    op, action: GroupAction, samples: int, rng: np.random.Generator
+    ket: Ket, action: GroupAction, samples: int, rng: np.random.Generator
 ) -> TwirlEstimate:
-    """Average f(g) op f(g)^dag over ``samples`` group elements.
+    """Average f(g) |v><v| f(g)^dag over ``samples`` group elements, where
+    ``ket`` is the ``Ket`` v.
 
-    A ``Ket`` v stands for the rank-one operator |v><v|.  It is twirled as
-    vectors, batch last (see ``_kets``), ``16 copies d dim`` real flops per
-    sample for the phase and local actions, and accumulated by two GEMMs
-    (see ``_outer_moments``), ``10 dim^2`` more; its memory is a few batches
-    of vectors and a few dim x dim accumulators.  Any other operator is
-    conjugated as the vector twirl of its flattening (see ``_conjugates``),
-    ``16 copies d^2 dim^2`` real flops instead of the dense ``16 dim^3``,
-    with batches of dim x dim conjugates in memory.  Both paths draw the
-    same group elements, through ``GroupAction._draws``, and
-    accumulate in sample order with a fixed internal batch size, so the
-    result is a deterministic function of (seed, samples).  A batch that
-    would not fit in physical RAM raises ``ValueError`` before any draw.
+    v is twirled as vectors, batch last (see ``_kets``), ``16 copies d dim``
+    real flops per sample for the phase and local actions, and accumulated by
+    two GEMMs (see ``_outer_moments``), ``10 dim^2`` more; its memory is a few
+    batches of vectors and a few dim x dim accumulators.  It accumulates in
+    sample order with a fixed internal batch size, so the result is a
+    deterministic function of (seed, samples).  Any input other than a
+    ``Ket`` raises ``TypeError``, and a batch that would not fit in physical
+    RAM ``ValueError``, before any draw.
     """
-    if isinstance(op, Ket):
-        moments = map(_outer_moments, _kets(op.vec, action, samples, rng))
-    else:
-        mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-        moments = map(_batch_moments, _conjugates(mat, action, samples, rng))
-    mean, stderr = _mean_stderr(moments)
+    if not isinstance(ket, Ket):
+        raise TypeError(f"mc_twirl twirls a Ket, got {type(ket).__name__}")
+    mean, stderr = _mean_stderr(map(_outer_moments, _kets(ket.vec, action, samples, rng)))
     return TwirlEstimate(mean, stderr, samples)
 
 
@@ -529,12 +484,3 @@ def phase_twirl(op, d: int) -> np.ndarray:
     factors = [phase_unitary(2.0 * np.pi * np.arange(copies + 1) / (copies + 1), d)] * copies
     conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
     return conj.mean(axis=0).reshape(dim, dim)
-
-
-def check_invariance(
-    op, action: GroupAction, samples: int, rng: np.random.Generator, tol: float = 1e-10
-) -> tuple[bool, float]:
-    """Max over sampled g of the entrywise deviation ||f(g) T f(g)^dag - T||."""
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    worst = max(float(np.max(np.abs(c - mat))) for c in _conjugates(mat, action, samples, rng))
-    return worst <= tol, worst

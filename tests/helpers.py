@@ -11,15 +11,18 @@ from scipy import stats
 from entbench.quantum import bell_pair_test, to_group_major
 from entbench.states import (
     DensityMatrix,
+    Ket,
     Operator,
     bell_basis,
     fidelity_defect,
+    haar_unitaries,
     max_entangled_ket,
     permute_systems,
     proj,
     random_density,
     tensor,
 )
+from entbench.twirl import TwirlEstimate, orthocomplement_unitary
 
 
 def brute_force_min_beta(p0: np.ndarray, p1: np.ndarray, alpha: float) -> float:
@@ -129,6 +132,66 @@ def mean_stderr_reference(moments):
         total = total + part
         n += k
     return total * (1.0 / n), np.sqrt(m2 / max(n - 1, 1) / n)
+
+
+def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -> np.ndarray:
+    """The ``count`` group elements that ``GroupAction._draws`` draws, in its
+    documented order, each built as a per-sample ``np.kron`` chain of its pair
+    unitaries; only the samples at the indices ``keep`` (default all) are built."""
+    d, kind, copies = action.d, action.kind, action.copies
+    p = proj(max_entangled_ket(d))
+
+    def phase(theta):
+        return np.eye(d * d) + (np.exp(1j * theta) - 1.0) * p
+
+    if kind == "phase":
+        factors = [[phase(t)] * copies for t in rng.uniform(0.0, 2.0 * np.pi, size=count)]
+    elif kind == "ortho":
+        gs = haar_unitaries(d * d - 1, count, rng)
+        factors = [[orthocomplement_unitary(g, d)] * copies for g in gs]
+    elif kind == "local_independent":
+        gs = [haar_unitaries(d, count, rng) for _ in range(copies)]
+        factors = [[np.kron(g[i], g[i].conj()) for g in gs] for i in range(count)]
+    else:
+        gs = haar_unitaries(d, count, rng)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind == "local_phase" else None
+        factors = []
+        for i, g in enumerate(gs):
+            u = np.kron(g, g.conj())
+            if thetas is not None:
+                u = u @ phase(thetas[i])
+            factors.append([u] * copies)
+    out = []
+    for per_copy in factors if keep is None else [factors[i] for i in keep]:
+        f = per_copy[0]
+        for u in per_copy[1:]:
+            f = np.kron(f, u)
+        out.append(f)
+    return np.array(out)
+
+
+def reference_twirl(op, action, samples: int, rng: np.random.Generator) -> TwirlEstimate:
+    """Mean and standard error of f T f^dag over the group elements of
+    ``reference_samples``, drawn in the twirl's batches of 4096 so that a seeded
+    result matches ``mc_twirl``'s draws; a ``Ket`` v stands for |v><v| and is
+    conjugated as f v."""
+    f = np.concatenate([reference_samples(action, min(4096, samples - start), rng)
+                        for start in range(0, samples, 4096)])
+    if isinstance(op, Ket):
+        w = f @ op.vec
+        conj = w[:, :, None] * w[:, None, :].conj()
+    else:
+        mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+        conj = (f @ mat) @ f.conj().transpose(0, 2, 1)
+    return TwirlEstimate(conj.mean(axis=0), conj.std(axis=0, ddof=1) / np.sqrt(samples), samples)
+
+
+def invariance_deviation(op, action, samples: int, rng: np.random.Generator) -> float:
+    """Max over ``samples`` group elements f of ``reference_samples`` of the
+    entrywise deviation |f T f^dag - T|, one sample at a time."""
+    mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    return max(float(np.max(np.abs(f @ mat @ f.conj().T - mat)))
+               for f in reference_samples(action, samples, rng))
 
 
 def sample_povm_outcome(state, povm, rng: np.random.Generator) -> int:

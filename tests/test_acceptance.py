@@ -34,7 +34,6 @@ from entbench.states import (
     fidelity_defect,
     max_entangled_ket,
     permute_systems,
-    proj,
     random_density,
     Ket,
 )
@@ -47,11 +46,12 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def pair_seed_operator(u_vec: np.ndarray, d: int) -> np.ndarray:
-    """d^2 |u (x) conj(u)><...| on two pairs, pair-major, for a vector on A1 A2."""
+def pair_seed_ket(u_vec: np.ndarray, d: int) -> Ket:
+    """d u (x) conj(u) on two pairs, pair-major, for a vector on A1 A2: the ket
+    of the seed d^2 |u (x) conj(u)><...|."""
     k = Ket(np.kron(u_vec, u_vec.conj()), (d,) * 4, ("A1", "A2", "B1", "B2"))
     k = permute_systems(k, ("A1", "B1", "A2", "B2"))
-    return d * d * proj(k.vec)
+    return Ket(d * k.vec, k.dims, k.labels)
 
 
 def test_criterion_01_one_sample_twirl():
@@ -62,7 +62,8 @@ def test_criterion_01_one_sample_twirl():
         rng = np.random.default_rng(1001 + d)
         u0 = np.zeros(d, dtype=complex)
         u0[0] = 1.0
-        est = mc_twirl(d * proj(np.kron(u0, u0.conj())), GroupAction("local", d), 100000, rng)
+        seed = Ket(math.sqrt(d) * np.kron(u0, u0.conj()), (d, d))  # d |u0 u0*><u0 u0*|
+        est = mc_twirl(seed, GroupAction("local", d), 100000, rng)
         target = one_sample_covariant_test(d).mat
         within = est.within(target, nsigma=5.0)
         stderr_ok = est.stderr.max() <= 3e-3
@@ -84,7 +85,7 @@ def test_criterion_02_two_sample_twirl_seed_independence():
     worst = 0.0
     for i, u in enumerate(seeds):
         rng = np.random.default_rng(2000 + i)
-        est = mc_twirl(pair_seed_operator(u, d), GroupAction("local_independent", d, 2), 100000, rng)
+        est = mc_twirl(pair_seed_ket(u, d), GroupAction("local_independent", d, 2), 100000, rng)
         ok &= est.within(target, nsigma=5.0)
         worst = max(worst, est.deviation(target))
     report(2, ok, f"two-sample covariant twirl over 5 maximally entangled seeds; worst dev={worst:.2e}")

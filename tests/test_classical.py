@@ -252,6 +252,11 @@ class TestEntropyAndLimits:
     def test_zero_boundary_limit_convention(self):
         assert abs(relative_entropy(0.0, 0.4) + math.log(0.6)) < 1e-15
 
+    def test_one_boundary(self):
+        assert abs(relative_entropy(1.0, 0.5) - math.log(2.0)) < 1e-15
+        assert relative_entropy(1.0, 1.0) == 0.0
+        assert relative_entropy(1.0, 0.0) == math.inf
+
     def test_exponent_cases(self):
         assert error_exponent(0.05, 0.3, 0.1) == relative_entropy(0.05, 0.3)
         assert abs(error_exponent(0.0, 0.3, 0.0) + math.log(0.7)) < 1e-15

@@ -5,7 +5,8 @@ since imported scipy.  Threshold searches run on ``scipy.special`` ufuncs
 through ``classical.stats``, so no library path loads ``scipy.stats``.
 ``perfbench/tracing.py`` rebinds ``classical.stats`` to a counting stand-in,
 so installing the tracer before any search must still count the searches
-and put the library's ``stats`` back afterwards.
+and put the library's ``stats`` back afterwards.  Every name the package
+exports in ``__all__`` must resolve on it.
 """
 
 import os
@@ -25,6 +26,10 @@ def _run(code: str, cwd=None) -> str:
                           text=True, timeout=120, cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_every_exported_name_resolves():
+    assert entbench.__all__ and [n for n in entbench.__all__ if not hasattr(entbench, n)] == []
 
 
 def test_searches_and_commands_load_no_scipy_stats(tmp_path):

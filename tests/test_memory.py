@@ -3,7 +3,7 @@ import pytest
 
 from entbench import memory, protocols, quantum, states
 from entbench.cli import main
-from entbench.twirl import GroupAction, check_invariance, mc_twirl
+from entbench.twirl import GroupAction, mc_twirl
 
 # the one wording every refusal shares, at a faked RAM of 1000 bytes
 SHARED = r"needs about \d+ bytes, more than the 1000 bytes of RAM; (the largest \w+ that fits is \d+|no \w+ fits)$"
@@ -52,16 +52,11 @@ def tiny_ram(monkeypatch):
     monkeypatch.setattr(memory, "ram_bytes", lambda: 1000)
 
 
-@pytest.mark.parametrize("kind", ["ket", "dense", "invariance"])
-def test_twirls_refuse_before_any_draw(tiny_ram, kind):
-    ket = states.max_entangled_ket(2)
+def test_twirl_refuses_before_any_draw(tiny_ram):
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=SHARED):
-        if kind == "invariance":
-            check_invariance(states.proj(ket), GroupAction("local", 2), 100, rng)
-        else:
-            mc_twirl(ket if kind == "ket" else states.proj(ket), GroupAction("local", 2), 100, rng)
+        mc_twirl(states.max_entangled_ket(2), GroupAction("local", 2), 100, rng)
     assert rng.bit_generator.state == state
 
 

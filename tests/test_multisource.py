@@ -1,10 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from entbench import multisource as ms
 from entbench.quantum import one_sample_covariant_test, two_sample_covariant_test
 from entbench.classical import beta_poisson
-from entbench.states import fidelity_defect, isotropic_state, random_density, random_ket
+from entbench.states import (
+    Ket,
+    doubled_ket,
+    fidelity_defect,
+    isotropic_state,
+    proj,
+    random_density,
+    random_ket,
+)
 from entbench.twirl import GroupAction, mc_twirl
 from helpers import random_state_with_defect
 
@@ -105,9 +115,10 @@ class TestTripleTest:
     def test_matches_ghz_twirl(self):
         d = 2
         rng = np.random.default_rng(2)
-        est = mc_twirl(
-            ms.ghz_seed_operator(d), GroupAction("local_independent", d, 3), 10000, rng
-        )
+        ket = doubled_ket(ms.ghz_ket(d), d)
+        seed = Ket(math.sqrt(d**3) * ket.vec, ket.dims, ket.labels)
+        assert np.max(np.abs(proj(seed) - ms.ghz_seed_operator(d))) <= 1e-15
+        est = mc_twirl(seed, GroupAction("local_independent", d, 3), 10000, rng)
         assert est.within(ms.three_source_covariant_test(d).mat)
 
     def test_target_eigenvector(self):

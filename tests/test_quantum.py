@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from entbench.quantum import (
 )
 from entbench import memory, quantum, states
 from entbench.states import (
+    Ket,
     RankOnePOVM,
     bell_basis,
     fidelity_defect,
@@ -38,8 +40,8 @@ from entbench.states import (
 )
 
 build_povm_test = quantum.test_from_povm  # avoid pytest collecting the raw name
-from entbench.twirl import GroupAction, check_invariance, haar_unitary, mc_twirl, phase_twirl
-from helpers import random_state_with_defect, singular_value_max_entangled
+from entbench.twirl import GroupAction, haar_unitary, mc_twirl, phase_twirl
+from helpers import invariance_deviation, random_state_with_defect, singular_value_max_entangled
 
 
 class TestTestFromPovm:
@@ -162,14 +164,15 @@ class TestOneSampleCovariant:
         rng = np.random.default_rng(4)
         u0 = np.zeros(d, dtype=complex)
         u0[0] = 1.0
-        est = mc_twirl(d * proj(np.kron(u0, u0.conj())), GroupAction("local", d), 20000, rng)
+        seed = Ket(math.sqrt(d) * np.kron(u0, u0.conj()), (d, d))  # d |u0 u0*><u0 u0*|
+        est = mc_twirl(seed, GroupAction("local", d), 20000, rng)
         assert est.within(one_sample_covariant_test(d).mat)
 
     def test_invariant_under_orthocomplement_action(self):
-        ok, dev = check_invariance(
+        dev = invariance_deviation(
             one_sample_covariant_test(3), GroupAction("ortho", 3), 100, np.random.default_rng(5)
         )
-        assert ok, dev
+        assert dev <= 1e-10, dev
 
 
 class TestTwoSampleCovariant:
@@ -193,13 +196,13 @@ class TestTwoSampleCovariant:
         assert abs(two_sample_trace(3, 0.0) - 1.0) < 1e-15
 
     def test_invariant_under_independent_local_actions(self):
-        ok, dev = check_invariance(
+        dev = invariance_deviation(
             two_sample_covariant_test(2),
             GroupAction("local_independent", 2, 2),
             100,
             np.random.default_rng(7),
         )
-        assert ok, dev
+        assert dev <= 1e-10, dev
 
 
 class TestBellPairTest:
@@ -233,8 +236,8 @@ class TestBellPairTest:
     def test_phase_invariance(self):
         t = bell_pair_test(2)
         assert np.max(np.abs(phase_twirl(t.mat, 2) - t.mat)) < 1e-12
-        ok, dev = check_invariance(t, GroupAction("phase", 2, 2), 50, np.random.default_rng(9))
-        assert ok, dev
+        dev = invariance_deviation(t, GroupAction("phase", 2, 2), 50, np.random.default_rng(9))
+        assert dev <= 1e-10, dev
 
     def test_all_outcome_vectors_maximally_entangled(self):
         for d in (2, 3):
@@ -293,14 +296,30 @@ class TestPooled:
         rho = np.kron(sigma.mat, sigma.mat)
         assert abs(np.real(np.trace(t.mat @ rho)) - pooled_trace(d, n, p)) < 1e-10
 
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (3, 3)])
+    def test_operator_trace_matches_formula_where_d_to_the_n_is_not_dn(self, d, n):
+        t = pooled_covariant_test(d, n)
+        sigma = random_density((d, d), np.random.default_rng(10 + d * n))
+        rho = sigma.mat
+        for _ in range(n - 1):
+            rho = np.kron(rho, sigma.mat)
+        want = pooled_trace(d, n, fidelity_defect(sigma))
+        assert abs(np.real(np.trace(t.mat @ rho)) - want) < 1e-10
+
+    def test_refuses_more_than_4096_dimensions_before_building(self, monkeypatch):
+        # (d^2)^n = 16384 at d = 2, n = 7
+        monkeypatch.setattr(quantum, "sector_operator", lambda *a: pytest.fail("operator was built"))
+        with pytest.raises(ValueError, match="too large"):
+            pooled_covariant_test(2, 7)
+
     def test_invariant_under_pooled_orthocomplement_action(self):
         d, n = 2, 2
         t = to_group_major(pooled_covariant_test(d, n))
         # pooled pair = one d^n x d^n pair; its target vector is the permuted
         # tensor power, matching the pooled orthocomplement action
         merged = states.TestOperator(t.mat, (d**n, d**n), ("A", "B"))
-        ok, dev = check_invariance(merged, GroupAction("ortho", d**n), 60, np.random.default_rng(11))
-        assert ok, dev
+        dev = invariance_deviation(merged, GroupAction("ortho", d**n), 60, np.random.default_rng(11))
+        assert dev <= 1e-10, dev
 
     def test_exponent_approaches_log_fidelity(self):
         d, p = 2, 0.3  # 1 - p >= 1/d
@@ -480,6 +499,16 @@ class TestBetaFormulas:
     def test_pair_repeated_warns_outside_validity(self):
         with pytest.warns(UserWarning):
             beta_pair_repeated(2, 1, 0.9, 0.1, 0.95)
+
+    @pytest.mark.parametrize("d, above", [(2, 0.76), (3, 0.9)])
+    def test_pair_repeated_warns_only_past_the_cap(self, d, above):
+        # the mapped boundary folds back only past eps = (d^2 - 1)/d^2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            beta_pair_repeated(d, 1, (d * d - 1) / (d * d), 0.1, 0.95)
+            assert caught == []
+            beta_pair_repeated(d, 1, above, 0.1, 0.95)
+        assert len(caught) == 1 and "folds back" in str(caught[0].message)
 
     @pytest.mark.parametrize("eps,alpha", [(1.5, 2.0), (0.1, 7.0), (-0.1, 0.05), (0.1, 0.0),
                                            (math.nan, 0.05)])

@@ -189,6 +189,13 @@ class TestInequalities:
         assert all(qp.block_trace_inequalities(isotropic_state(2, 0.4)))
         assert all(qp.block_trace_inequalities(isotropic_state(2, 0.0)))
 
+    def test_plain_bools_and_a_failing_case(self):
+        # defect 0.8 is past the 1/2 where the inequalities are proved; the
+        # first two fail there
+        got = qp.block_trace_inequalities(isotropic_state(2, 0.8))
+        assert got == (False, False, True)
+        assert all(type(x) is bool for x in got)
+
     def test_random_low_defect_states(self):
         rng = np.random.default_rng(7)
         for i in range(10000):

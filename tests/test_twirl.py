@@ -17,8 +17,6 @@ from entbench.states import (
 from entbench.twirl import (
     KINDS,
     GroupAction,
-    _conjugates,
-    check_invariance,
     haar_unitaries,
     haar_unitary,
     mc_twirl,
@@ -29,9 +27,12 @@ from entbench.twirl import (
 )
 from helpers import (
     haar_batch_first,
+    invariance_deviation,
     mean_stderr_reference,
     outer_moments_reference,
     placement_sum,
+    reference_samples,
+    reference_twirl,
 )
 
 
@@ -166,16 +167,15 @@ class TestMcTwirl:
     def test_invariant_operator_fixed(self):
         d = 2
         rng = np.random.default_rng(8)
-        op = proj(max_entangled_ket(d))
-        est = mc_twirl(op, GroupAction("local", d), 2000, rng)
-        assert est.within(op)
+        est = mc_twirl(max_entangled_ket(d), GroupAction("local", d), 2000, rng)
+        assert est.within(proj(max_entangled_ket(d)))
 
     def test_one_sample_covariant_identity(self):
         for d in (2, 3):
             rng = np.random.default_rng(9)
             u0 = np.zeros(d, dtype=complex)
             u0[0] = 1.0
-            seed = d * proj(np.kron(u0, u0.conj()))
+            seed = Ket(np.sqrt(d) * np.kron(u0, u0.conj()), (d, d))  # d |u0 u0*><u0 u0*|
             est = mc_twirl(seed, GroupAction("local", d), 20000, rng)
             p = proj(max_entangled_ket(d))
             target = p + (np.eye(d * d) - p) / (d + 1)
@@ -186,7 +186,7 @@ class TestMcTwirl:
         d = 2
         rng = np.random.default_rng(10)
         op = random_test((d, d), rng).mat
-        est = mc_twirl(op, GroupAction("local", d), 40000, rng)
+        est = reference_twirl(op, GroupAction("local", d), 40000, rng)
         phi = max_entangled_ket(d).vec
         p = proj(phi)
         t0 = np.real(phi.conj() @ est.mean @ phi)
@@ -195,14 +195,26 @@ class TestMcTwirl:
 
     def test_deterministic_for_fixed_seed(self):
         d = 2
-        op = random_test((d, d), np.random.default_rng(0)).mat
-        a = mc_twirl(op, GroupAction("local", d), 5000, np.random.default_rng(77))
-        b = mc_twirl(op, GroupAction("local", d), 5000, np.random.default_rng(77))
+        v = _random_ket(d, 1, 0)
+        a = mc_twirl(v, GroupAction("local", d), 5000, np.random.default_rng(77))
+        b = mc_twirl(v, GroupAction("local", d), 5000, np.random.default_rng(77))
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            mc_twirl(np.eye(4), GroupAction("local", 2), 0, np.random.default_rng(0))
+            mc_twirl(max_entangled_ket(2), GroupAction("local", 2), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "op",
+        [np.eye(4), proj(max_entangled_ket(2)), isotropic_state(2, 0.1), max_entangled_ket(2).vec],
+        ids=["array", "projector", "operator", "vector"],
+    )
+    def test_refuses_anything_but_a_ket_before_any_draw(self, op):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError, match="Ket"):
+            mc_twirl(op, GroupAction("local", 2), 10, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestPhaseTwirl:
@@ -290,42 +302,38 @@ class TestPhaseTwirl:
     def test_commutes_with_local_twirl(self):
         d = 2
         op = random_test((d, d), np.random.default_rng(13)).mat
-        a = phase_twirl(mc_twirl(op, GroupAction("local", d), 3000, np.random.default_rng(1)).mean, d)
-        b = mc_twirl(phase_twirl(op, d), GroupAction("local", d), 3000, np.random.default_rng(1)).mean
+        local = GroupAction("local", d)
+        a = phase_twirl(reference_twirl(op, local, 3000, np.random.default_rng(1)).mean, d)
+        b = reference_twirl(phase_twirl(op, d), local, 3000, np.random.default_rng(1)).mean
         assert np.max(np.abs(a - b)) < 1e-10
 
 
-class TestCheckInvariance:
+class TestInvarianceOracle:
+    """``helpers.invariance_deviation``, the tests' check of invariance, finds
+    invariant operators invariant and a generic one not."""
+
     def test_covariant_test_invariant_under_orthocomplement_action(self):
         d = 2
         p = proj(max_entangled_ket(d))
         op = p + (np.eye(d * d) - p) / (d + 1)
-        ok, dev = check_invariance(op, GroupAction("ortho", d), 200, np.random.default_rng(14))
-        assert ok and dev < 1e-10
+        dev = invariance_deviation(op, GroupAction("ortho", d), 200, np.random.default_rng(14))
+        assert dev < 1e-10
 
     def test_generic_operator_fails(self):
         rng = np.random.default_rng(15)
         op = random_test((2, 2), rng)
-        ok, dev = check_invariance(op, GroupAction("local", 2), 50, rng)
-        assert not ok and dev > 1e-3
+        assert invariance_deviation(op, GroupAction("local", 2), 50, rng) > 1e-3
 
     def test_identity_invariant_under_everything(self):
         for kind in ("phase", "local", "local_phase", "ortho"):
-            ok, dev = check_invariance(
-                np.eye(4), GroupAction(kind, 2), 50, np.random.default_rng(16)
-            )
-            assert ok, (kind, dev)
-
-    def test_zero_samples_rejected(self):
-        with pytest.raises(ValueError, match="samples"):
-            check_invariance(np.eye(4), GroupAction("local", 2), 0, np.random.default_rng(0))
+            dev = invariance_deviation(np.eye(4), GroupAction(kind, 2), 50, np.random.default_rng(16))
+            assert dev <= 1e-10, (kind, dev)
 
 
 class TestIsotropicHaarInvariance:
     def test_twirl_preserves_isotropic(self):
         sigma = isotropic_state(3, 0.25).mat
-        est = mc_twirl(sigma, GroupAction("local", 3), 100, np.random.default_rng(17))
-        assert est.deviation(sigma) < 1e-10
+        assert invariance_deviation(sigma, GroupAction("local", 3), 100, np.random.default_rng(17)) < 1e-10
 
 
 class TestSampledActionUnitarity:
@@ -340,41 +348,6 @@ class TestSampledActionUnitarity:
                 assert dev <= 1e-10, (kind, copies, dev)
 
 
-def _reference_samples(action, count, rng, keep=None):
-    """Per-sample np.kron build of one sample_batch call, drawing in its documented order;
-    only the samples at the indices ``keep`` (default all) are built."""
-    d, kind, copies = action.d, action.kind, action.copies
-    p = proj(max_entangled_ket(d))
-
-    def phase(theta):
-        return np.eye(d * d) + (np.exp(1j * theta) - 1.0) * p
-
-    if kind == "phase":
-        factors = [[phase(t)] * copies for t in rng.uniform(0.0, 2.0 * np.pi, size=count)]
-    elif kind == "ortho":
-        gs = haar_unitaries(d * d - 1, count, rng)
-        factors = [[orthocomplement_unitary(g, d)] * copies for g in gs]
-    elif kind == "local_independent":
-        gs = [haar_unitaries(d, count, rng) for _ in range(copies)]
-        factors = [[np.kron(g[i], g[i].conj()) for g in gs] for i in range(count)]
-    else:
-        gs = haar_unitaries(d, count, rng)
-        thetas = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind == "local_phase" else None
-        factors = []
-        for i, g in enumerate(gs):
-            u = np.kron(g, g.conj())
-            if thetas is not None:
-                u = u @ phase(thetas[i])
-            factors.append([u] * copies)
-    out = []
-    for per_copy in factors if keep is None else [factors[i] for i in keep]:
-        f = per_copy[0]
-        for u in per_copy[1:]:
-            f = np.kron(f, u)
-        out.append(f)
-    return np.array(out)
-
-
 class TestSampledStream:
     """Pins the random stream: draw order per kind, per-copy reuse, and chunking."""
 
@@ -383,29 +356,27 @@ class TestSampledStream:
     def test_sample_batch_matches_reference(self, kind, d, copies):
         action = GroupAction(kind, d, copies)
         f = action.sample_batch(5, np.random.default_rng(42))
-        ref = _reference_samples(action, 5, np.random.default_rng(42))
+        ref = reference_samples(action, 5, np.random.default_rng(42))
         assert f.shape == ref.shape == (5, action.dim, action.dim)
         assert np.max(np.abs(f - ref)) <= 1e-13
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mc_twirl_across_a_chunk_boundary(self, kind):
         action = GroupAction(kind, 2, 2)
-        op = random_test((2, 2, 2, 2), np.random.default_rng(3)).mat
+        v = _random_ket(2, 2, 3)
         # seeded results depend on the batch size, 4096, so it is pinned here too
         samples = 4096 + 1
-        est = mc_twirl(op, action, samples, np.random.default_rng(43))
-        rng = np.random.default_rng(43)
-        f = np.concatenate([_reference_samples(action, 4096, rng), _reference_samples(action, 1, rng)])
-        conj = (f @ op) @ f.conj().transpose(0, 2, 1)
-        assert np.max(np.abs(est.mean - conj.mean(axis=0))) <= 1e-13
+        est = mc_twirl(v, action, samples, np.random.default_rng(43))
+        want = reference_twirl(v, action, samples, np.random.default_rng(43))
+        assert np.max(np.abs(est.mean - want.mean)) <= 1e-13
         # also on the entries the action fixes, where the true stderr is 0
-        stderr = conj.std(axis=0, ddof=1) / np.sqrt(samples)
-        assert np.max(np.abs(est.stderr - stderr)) <= 1e-15
+        assert np.max(np.abs(est.stderr - want.stderr)) <= 1e-15
 
 
 class TestBlockedConjugation:
-    """Conjugation as the vector twirl of vec(T), one pair factor at a time,
-    against the dense per-sample reference, and the memory guard."""
+    """Conjugation as the vector twirl of vec(T), one pair factor at a time
+    (``_apply_factors``, as ``phase_twirl`` applies it), against the dense
+    per-sample reference, and invariance at dim 729."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -418,28 +389,16 @@ class TestBlockedConjugation:
         g = np.random.default_rng(6).standard_normal((2, action.dim, action.dim))
         op = g[0] + 1j * g[1]  # any matrix; conjugation is linear
         samples = 3
-        f = _reference_samples(action, samples, np.random.default_rng(44))
+        f = reference_samples(action, samples, np.random.default_rng(44))
         want = (f @ op) @ f.conj().transpose(0, 2, 1)
-        (got,) = _conjugates(op, action, samples, np.random.default_rng(44))
-        assert np.max(np.abs(got - want)) <= 1e-12
-        est = mc_twirl(op, action, samples, np.random.default_rng(44))
-        assert np.max(np.abs(est.mean - want.mean(axis=0))) <= 1e-12
+        factors = action._factors(samples, np.random.default_rng(44))
+        got = twirl._apply_factors(op.reshape(-1), factors + [u.conj() for u in factors])
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
 
     def test_three_source_test_invariant_at_dim_729(self):
         action = GroupAction("local_independent", 3, 3)
-        ok, dev = check_invariance(three_source_covariant_test(3), action, 8, np.random.default_rng(18))
-        assert ok and dev <= 1e-10
-
-    def test_memory_guard(self, monkeypatch):
-        action = GroupAction("local", 3, 2)
-        per_sample = action.dim**2 * 16 * twirl._LIVE_BATCHES
-        monkeypatch.setattr(memory, "ram_bytes", lambda: 300 * per_sample + 1)
-        rng = np.random.default_rng(19)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="the largest samples that fits is 300$"):
-            mc_twirl(np.eye(action.dim), action, 301, rng)
-        assert rng.bit_generator.state == state  # refused before any draw
-        assert mc_twirl(np.eye(action.dim), action, 300, rng).samples == 300
+        dev = invariance_deviation(three_source_covariant_test(3), action, 8, np.random.default_rng(18))
+        assert dev <= 1e-10
 
 
 def _random_ket(d, copies, seed, norm=1.0):
@@ -449,15 +408,16 @@ def _random_ket(d, copies, seed, norm=1.0):
 
 
 class TestRankOneTwirl:
-    """A Ket is twirled as vectors; it must agree with the dense path on |v><v|."""
+    """A Ket is twirled as vectors; it must agree on |v><v| with the per-sample
+    ``np.kron`` reference."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_matches_dense_path(self, kind, d, copies):
+    def test_matches_reference(self, kind, d, copies):
         action = GroupAction(kind, d, copies)
         v = _random_ket(d, copies, 20)
         got = mc_twirl(v, action, 64, np.random.default_rng(45))
-        want = mc_twirl(proj(v), action, 64, np.random.default_rng(45))
+        want = reference_twirl(v, action, 64, np.random.default_rng(45))
         assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
         assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
 
@@ -465,16 +425,16 @@ class TestRankOneTwirl:
         action = GroupAction("local", 2, 2)
         v = _random_ket(2, 2, 21)
         got = mc_twirl(v, action, 4096 + 1, np.random.default_rng(46))
-        want = mc_twirl(proj(v), action, 4096 + 1, np.random.default_rng(46))
+        want = reference_twirl(v, action, 4096 + 1, np.random.default_rng(46))
         assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
         assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
 
-    def test_matches_dense_path_at_dim_729(self):
+    def test_matches_reference_at_dim_729(self):
         # norm^2 = d^3, the weight of the three-source seed
         action = GroupAction("local_independent", 3, 3)
         v = _random_ket(3, 3, 22, norm=np.sqrt(27.0))
         got = mc_twirl(v, action, 3, np.random.default_rng(47))
-        want = mc_twirl(proj(v), action, 3, np.random.default_rng(47))
+        want = reference_twirl(v, action, 3, np.random.default_rng(47))
         assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
         assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-12
 
@@ -508,13 +468,10 @@ class TestRankOneTwirl:
         assert np.min(est.stderr[~fixed]) > 0  # and no other entry is fixed
 
     def test_memory_guard_refuses_before_any_draw(self, monkeypatch):
-        # dim 81 at 300 samples: the dense batch of conjugates needs about
-        # 126 MB, the rank-one path under 4 MB
+        # dim 81 at 300 samples: the rank-one path needs under 4 MB
         action = GroupAction("local", 3, 2)
         v = _random_ket(3, 2, 24)
         monkeypatch.setattr(memory, "ram_bytes", lambda: 50 * 10**6)
-        with pytest.raises(ValueError, match="the largest samples that fits is 158$"):
-            mc_twirl(proj(v), action, 300, np.random.default_rng(50))
         assert mc_twirl(v, action, 300, np.random.default_rng(50)).samples == 300
         monkeypatch.setattr(memory, "ram_bytes", lambda: 10**5)
         rng = np.random.default_rng(50)
@@ -547,8 +504,8 @@ class TestBatchLastKets:
         assert got.shape == (action.dim, 4096 + 1)
         rng = np.random.default_rng(51)
         keep = [0, 1, 2048, 4095]
-        f = np.concatenate([_reference_samples(action, 4096, rng, keep),
-                            _reference_samples(action, 1, rng)])
+        f = np.concatenate([reference_samples(action, 4096, rng, keep),
+                            reference_samples(action, 1, rng)])
         assert np.max(np.abs(got[:, keep + [4096]].T - f @ v)) <= 1e-13
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -584,12 +541,8 @@ class TestBatchLastKets:
         v = _random_ket(d, copies, 30)
         est = mc_twirl(v, action, 5, rng)
         assert np.max(np.abs(est.mean - np.outer(v.vec, v.vec.conj()))) <= 1e-14
-        if action.dim <= 16:  # the dense paths
-            op = random_test((d,) * (2 * copies), np.random.default_rng(31)).mat
-            assert np.max(np.abs(mc_twirl(op, action, 5, rng).mean - op)) <= 1e-14
-            assert check_invariance(op, action, 5, rng, tol=1e-14)[0]
-            f = action.sample_batch(5, rng)
-            assert np.max(np.abs(f - np.eye(action.dim))) <= 1e-14
+        f = action.sample_batch(5, rng)
+        assert np.max(np.abs(f - np.eye(action.dim))) <= 1e-14
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -605,13 +558,9 @@ class TestBatchLastKets:
         action, samples = GroupAction(kind, 2, 2), 4096 + 1
         est = mc_twirl(Ket(v, (2,) * 4), action, samples, np.random.default_rng(53))
         assert guarded  # the guard ran
-        rng = np.random.default_rng(53)
-        f = np.concatenate([_reference_samples(action, 4096, rng), _reference_samples(action, 1, rng)])
-        w = f @ v
-        outer = w[:, :, None] * w[:, None, :].conj()
-        assert np.max(np.abs(est.mean - outer.mean(axis=0))) <= 1e-13
-        stderr = outer.std(axis=0, ddof=1) / np.sqrt(samples)
-        assert np.max(np.abs(est.stderr - stderr)) <= 1e-15
+        want = reference_twirl(Ket(v, (2,) * 4), action, samples, np.random.default_rng(53))
+        assert np.max(np.abs(est.mean - want.mean)) <= 1e-13
+        assert np.max(np.abs(est.stderr - want.stderr)) <= 1e-15
 
     def test_memory_guard_budgets_d_by_d_factors(self, monkeypatch):
         # a one-pair ket at d = 16 holds g and conj(g), 2 d^2 entries a
