@@ -12,7 +12,8 @@ batch order, the acceptance uniforms last.
 No protocol forms an operator larger than its d^2 x d^2 states.  The Bell-pair
 tables are expectations of vectors, contracted one source at a time.  A
 configuration whose states, batch arrays or per-trial arrays would not fit in
-physical RAM is refused before any state is built.
+physical RAM, or that would draw more than ``memory.MAX_DRAWS`` rounds, is
+refused before any state is built.
 
 The one-way protocol draws Alice's reported vector v from its law, not from a
 Haar basis.  Measuring in the columns of Haar g, she sees i with probability
@@ -36,19 +37,24 @@ The f_k and w_k are the columns of rho_A's Cholesky factor
 and two (d^2, batch) arrays, batch last, so Bob's step is one 2-D matrix
 product.  Each batch draws 2 (d + 1) batch normals (z, then w, see
 ``_one_way_rounds``), then Alice's uniforms, then the acceptance uniforms;
-the threshold uniforms of ``one_way_repeated`` follow the last batch.
+the threshold uniforms of ``one_way_repeated`` follow the last batch.  The
+draws run one batch ahead on one worker thread (``twirl._prefetch``) while
+the batch before is consumed.  They keep the same order, so every seeded run
+is bit for bit the serial one; the worker is joined before the rounds
+return, and a draw must not itself prefetch.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classical, memory, quantum, states
 from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
-from .twirl import _chunks
+from .twirl import _chunks, _prefetch
 
 # protocol -> name of its runner in this module; run_experiment looks the
 # runner up at call time, so a rebound run_* attribute is seen
@@ -66,9 +72,16 @@ _ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on
 # state at d = 50, 6.7 for bell_pairs' two states at d = 20)
 _STATE_ARRAYS = 8
 # complex (d^2, batch) arrays alive at once in a one-way batch: x and sigma x,
-# plus (d, batch) and (batch,) temporaries (peak RSS growth over one batch,
-# getrusage, one BLAS thread: 2.15 at d = 12, 2.03 at d = 16, 1.88 at d = 24)
+# and their temporaries ...
 _ROUND_ARRAYS = 3
+# ... and complex (d + 1, batch) ones: the two sets of normals and uniforms
+# that take turns while the next batch is drawn, Alice's gathered columns,
+# their tilt, conj(z) and rho_A z.  Peak RSS growth over three batches
+# (getrusage, one BLAS thread) is 25.8, 39.1, 58.6 and 81.6 complex entries a
+# round at d = 2 to 5, where the (d + 1, batch) terms dominate, and 173, 347,
+# 554 and 1124 (2.71, 2.41, 2.16 and 1.95 (d^2, batch) arrays) at d = 8, 12,
+# 16 and 24
+_ROUND_VECTORS = 6
 # a Cholesky pivot of rho_A at or below this is rounding, and its column is
 # left zero; a kept column of rounding noise (~1e-16) weighs under 1e-17
 _PIVOT_FLOOR = 1e-15
@@ -153,6 +166,9 @@ class ExperimentConfig:
                 f"n must be a multiple of {copies}"
             )
         _check_fits(self)
+        # rounds a trial draws; global_projective draws one binomial count a trial
+        each = 1 if self.protocol in ("global_projective", "one_way_single") else self.n // copies
+        memory.check_work(f"{self.protocol} with {self.trials} trials", "trials", self.trials, each)
 
 
 def _check_fits(config: ExperimentConfig) -> None:
@@ -166,7 +182,8 @@ def _check_fits(config: ExperimentConfig) -> None:
 
     def fixed_bytes(d, trials):
         batch = min(_ROUND_BATCH, trials * rounds) if config.protocol.startswith("one_way") else 0
-        return 16 * (_STATE_ARRAYS * d**4 + _ROUND_ARRAYS * batch * d * d)
+        per_round = _ROUND_ARRAYS * d * d + _ROUND_VECTORS * (d + 1)
+        return 16 * (_STATE_ARRAYS * d**4 + batch * per_round)
 
     memory.check_fits(f"{config.protocol} at d={config.d}", "d", config.d, 2,
                       lambda d: fixed_bytes(d, config.trials))
@@ -354,23 +371,33 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
     into a (d + 1, batch) complex array in memory order (component r of
     round n is ``N[r, 2n] + i N[r, 2n + 1]``; rows 0 to d - 1 are z, row d is
     w); then Alice's batch uniforms; then the batch acceptance uniforms.  The
-    batch arrays are allocated once and reused.
+    draws run one batch ahead on one worker thread (``twirl._prefetch``), in
+    the same order, into two sets of normal and uniform buffers that take
+    turns; the draw does not itself prefetch, and the worker is joined before
+    this returns.  The work buffers are allocated once and reused.
     """
     rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
     cum, units = _reporting_ensemble(rho_a)
     size = min(rounds, _ROUND_BATCH)
-    normals = np.empty((d + 1) * size, dtype=complex)
-    uniforms = np.empty(2 * size)
+    sets = 1 if rounds <= size else 2
+    normals = np.empty((sets, (d + 1) * size), dtype=complex)
+    uniforms = np.empty((sets, 2 * size))
     work = np.empty((2, d * d * size), dtype=complex)
     out = np.empty(rounds, dtype=bool)
-    done = 0
-    for batch in _chunks(rounds, _ROUND_BATCH):
-        zw = normals[: (d + 1) * batch].reshape(d + 1, batch)
+
+    def draw(i: int, batch: int):
+        zw = normals[i % sets, : (d + 1) * batch].reshape(d + 1, batch)
         rng.standard_normal(out=zw.view(float))
-        u = rng.random(out=uniforms[: 2 * batch].reshape(2, batch))
-        z = _alice_vectors(cum, units, zw, u[0])
-        np.less(u[1], _one_way_outcomes(sigma_mat, rho_a, z, work), out=out[done : done + batch])
-        done += batch
+        return zw, rng.random(out=uniforms[i % sets, : 2 * batch].reshape(2, batch))
+
+    done = 0
+    with closing(_prefetch(draw, _chunks(rounds, _ROUND_BATCH))) as draws:
+        for zw, u in draws:
+            batch = u.shape[1]
+            z = _alice_vectors(cum, units, zw, u[0])
+            np.less(u[1], _one_way_outcomes(sigma_mat, rho_a, z, work),
+                    out=out[done : done + batch])
+            done += batch
     return out
 
 

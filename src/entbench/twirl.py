@@ -46,20 +46,29 @@ against 324 ms in pair factors, and on three-source d=3 (dim 729,
 The sum of ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum
 of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
 per sample, which dominate at large dim (5.3 MFLOP at dim 729).  The twirl
-checks its batch's footprint with ``memory.check_fits`` before any draw,
-naming the largest ``samples`` that fits, and merges per-batch moments with
-Chan's pairwise update.
+checks its batch's footprint with ``memory.check_fits`` and its sample count
+with ``memory.check_work`` before any draw, naming the largest ``samples``
+that fits, and merges per-batch moments with Chan's pairwise update.
+
+The draws of each batch run one batch ahead on one worker thread
+(``_prefetch``): while a batch is twirled and accumulated, the next one's
+``GroupAction._draws`` fill their arrays, and numpy's ``Generator`` releases
+the GIL while it does.  Only the draws run there, never the pair factors
+built from them.  The draws keep the same order, so every seeded result is
+bit for bit the serial one; the worker is joined before ``mc_twirl``
+returns, and a draw must not itself prefetch.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .memory import check_fits
+from .memory import check_fits, check_work
 
 # the Haar sampler lives in states, which random_rank_one_povm shares; its
 # names stay importable from here as well
@@ -76,15 +85,20 @@ from .states import (
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
 # a twirl budgets (dim, batch) vectors: the three rows of the work buffer of
 # ``_apply_columns`` (or a product's input and output), then conj(W) or the
-# two gathered rows of the cancellation guard.  Peak RSS growth over one
-# 4096-sample batch, factors included: 3.7-5.0 batches on random kets at
-# dims 4-256, and 4.5-5.3 at dims 64-729 with every entry on the guard (the
-# maximally entangled vector on every pair)
+# two gathered rows of the cancellation guard.  Peak RSS growth (getrusage,
+# one BLAS thread) over three 4096-sample batches, each drawn while the one
+# before is twirled, in (dim, batch) batches with factors and accumulators
+# included: 3.4-8.0 on random kets at dims 4-256 and 4.2-6.3 at dims 64-729
+# with every entry on the guard (the maximally entangled vector on every
+# pair), 0.39-0.88 of the whole budget below
 _KET_BATCHES = 5
-# a twirl also budgets arrays of one factor's size that a factor draw
-# holds while it is built (ortho: g, b g and b g b^dag; U(d): the Ginibre
-# draws), on top of the ones kept per copy: g (x) conj(g), or g and conj(g) ...
-_FACTOR_TEMPS = 3
+# a twirl also budgets arrays of one factor's size that the factor draws hold
+# while they are built (ortho: g, b g and b g b^dag; U(d): the Ginibre draws)
+# and the next batch's draws in flight, on top of the ones kept per copy:
+# g (x) conj(g), or g and conj(g).  ortho at one copy, where U(d^2 - 1) draws
+# are about factor-sized, holds 4.4, 5.4 and 5.9 factors at d = 2, 3 and 4
+# (peak RSS growth over three 4096-sample batches, getrusage) ...
+_FACTOR_TEMPS = 6
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
 # merged, complex ones counting twice: the running sum and M2, a batch's sum,
 # M2 and S2 (or the guard's gathered indices), and a merge's running mean.
@@ -184,12 +198,11 @@ class GroupAction:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind in ("phase", "local_phase") else None
         return us, theta
 
-    def _factors(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """``count`` samples of the action from ``_draws`` as one batch-first
-        pair-factor batch per copy, left first: g (x) conj(g) Ph(theta)."""
+    def _factors(self, us: list[np.ndarray], theta) -> list[np.ndarray]:
+        """The samples that ``_draws`` returned as ``(us, theta)``, as one
+        batch-first pair-factor batch per copy, left first: g (x) conj(g) Ph(theta)."""
         d = self.d
-        gs, theta = self._draws(count, rng)
-        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in gs]  # haar_unitaries' layout
+        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in us]  # haar_unitaries' layout
         if self.kind == "ortho":
             factors = [orthocomplement_unitary(gs[0], d)]
         else:
@@ -200,7 +213,7 @@ class GroupAction:
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` samples of the action, shape (count, dim, dim), drawn as ``_factors``."""
-        return reduce(_kron_batch, self._factors(count, rng))
+        return reduce(_kron_batch, self._factors(*self._draws(count, rng)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +245,38 @@ def _chunks(total: int, size: int = _CHUNK):
         yield min(size, total - start)
 
 
+def _prefetch(draw, batches):
+    """``draw(i, batch)`` for each batch size of ``batches`` in order, drawn one
+    batch ahead: batch i + 1 is drawn on one worker thread while the caller
+    consumes batch i.
+
+    Each draw starts once the one before it has returned, so a generator that
+    only the draws touch makes the same calls in the same order as a serial
+    loop, and every seeded result is the same, bit for bit.  numpy's
+    ``Generator`` releases the GIL while it fills an array, so a draw overlaps
+    the caller's kernels.  A run of one batch draws inline and starts no
+    thread.  The worker lives for one run and is joined before the run ends:
+    when the caller closes it early, the draw in flight is waited for first,
+    and a draw that raises re-raises in the caller.  So the caller must not
+    touch the draws' generator while the run is open, must close a run it may
+    leave mid-stream (``contextlib.closing``), and a draw must not itself
+    prefetch.
+    """
+    batches = list(batches)
+    if len(batches) < 2:
+        yield from map(draw, range(len(batches)), batches)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # at the first run that needs it
+
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(draw, 0, batches[0])
+        for i in range(1, len(batches)):
+            drawn = ahead.result()
+            ahead = worker.submit(draw, i, batches[i])
+            yield drawn
+        yield ahead.result()
+
+
 def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """``(f_1 (x) ... (x) f_n) vec`` per sample of the factor batches, shape (batch, vec.size).
 
@@ -259,13 +304,16 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
     """Batches of f(g) vec, batch last: shape (dim, batch), over ``samples``
     sampled group elements.
 
+    The draws of ``GroupAction._draws`` run one batch ahead (``_prefetch``);
+    everything built from them is built here, as each batch is consumed.
     ``ortho``, and a vector of two or more pairs at dim >= ``_PAIR_PRODUCT_DIM``,
-    take the pair factors of ``GroupAction._factors`` through
-    ``_apply_factors``.  Every other vector takes the draws of
-    ``GroupAction._draws`` in a buffer that every batch reuses, so each batch
-    must be consumed before the next is drawn: Ph(theta), the rightmost
-    factor, meets the shared vec first (``_phase_kets``); then each g and
-    conj(g) acts on its own d-axis (``_apply_columns``).
+    build the pair factors of ``GroupAction._factors`` and apply them through
+    ``_apply_factors``.  Every other vector is twirled in a buffer that every
+    batch reuses, so each batch must be consumed before the next is asked
+    for: Ph(theta), the rightmost factor, meets the shared vec first
+    (``_phase_kets``); then each g and conj(g) acts on its own d-axis
+    (``_apply_columns``).  A caller that may stop mid-stream closes the
+    generator, which joins the draw worker.
     """
     dim, q, copies = action.dim, action.d * action.d, action.copies
     if samples < 1:
@@ -278,20 +326,25 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
     per_sample, fixed = 16 * (_KET_BATCHES * dim + factor_entries), 8 * _LIVE_ACCUMULATORS * dim * dim
     check_fits(f"the batch of a {samples}-sample twirl at dim {dim}", "samples", samples, 1,
                lambda s: min(_CHUNK, s) * per_sample + fixed)
-    if pairwise:
-        for batch in _chunks(samples):
-            yield _apply_factors(vec, action._factors(batch, rng)).T
-        return
-    work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
-    for batch in _chunks(samples):
-        us, theta = action._draws(batch, rng)
-        factors = [f for g in us for f in (g, g.conj())]
-        if action.kind != "local_independent":  # the same g on every copy
-            factors *= copies
-        w = vec if theta is None else _phase_kets(vec, action.d, copies, theta, work[0, : dim * batch])
-        w = _apply_columns(w, factors, work)
-        del us, theta, factors  # released before the batch is consumed
-        yield w
+    check_work(f"a {samples}-sample twirl", "samples", samples)
+    draws = _prefetch(lambda i, batch: action._draws(batch, rng), _chunks(samples))
+    with closing(draws):
+        if pairwise:
+            for us, theta in draws:
+                w = _apply_factors(vec, action._factors(us, theta)).T
+                del us, theta  # released before the batch is consumed
+                yield w
+            return
+        work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
+        for us, theta in draws:
+            factors = [f for g in us for f in (g, g.conj())]
+            if action.kind != "local_independent":  # the same g on every copy
+                factors *= copies
+            w = vec if theta is None else _phase_kets(vec, action.d, copies, theta,
+                                                      work[0, : dim * len(theta)])
+            w = _apply_columns(w, factors, work)
+            del us, theta, factors  # released before the batch is consumed
+            yield w
 
 
 def _phase_kets(
@@ -457,11 +510,13 @@ def mc_twirl(
     sample order with a fixed internal batch size, so the result is a
     deterministic function of (seed, samples).  Any input other than a
     ``Ket`` raises ``TypeError``, and a batch that would not fit in physical
-    RAM ``ValueError``, before any draw.
+    RAM or more than ``memory.MAX_DRAWS`` samples ``ValueError``, before any
+    draw.
     """
     if not isinstance(ket, Ket):
         raise TypeError(f"mc_twirl twirls a Ket, got {type(ket).__name__}")
-    mean, stderr = _mean_stderr(map(_outer_moments, _kets(ket.vec, action, samples, rng)))
+    with closing(_kets(ket.vec, action, samples, rng)) as kets:
+        mean, stderr = _mean_stderr(map(_outer_moments, kets))
     return TwirlEstimate(mean, stderr, samples)
 
 

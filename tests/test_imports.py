@@ -6,7 +6,8 @@ through ``classical.stats``, so no library path loads ``scipy.stats``.
 ``perfbench/tracing.py`` rebinds ``classical.stats`` to a counting stand-in,
 so installing the tracer before any search must still count the searches
 and put the library's ``stats`` back afterwards.  Every name the package
-exports in ``__all__`` must resolve on it.
+exports in ``__all__`` must resolve on it.  ``concurrent.futures``, which
+runs the draw-ahead worker, is not loaded at package import.
 """
 
 import os
@@ -47,6 +48,17 @@ def test_searches_and_commands_load_no_scipy_stats(tmp_path):
     """, cwd=tmp_path)
     lines = out.splitlines()
     assert lines[0] == "[]" and lines[-1] == "True False"
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    # the worker of twirl._prefetch comes from concurrent.futures, imported
+    # at the first run of two or more batches, never at package import
+    out = _run("""
+        import sys
+        import entbench.cli
+        print("concurrent.futures" in sys.modules)
+    """)
+    assert out.splitlines() == ["False"]
 
 
 def test_tracer_installed_before_any_search_counts_and_restores():

@@ -84,3 +84,59 @@ def test_operator_builders_refuse_before_building(monkeypatch):
         quantum.binomial_operator_test(t, 0.1, 0.05, 2)
     with pytest.raises(ValueError, match=SHARED):
         quantum.pooled_covariant_test(2, 2)
+
+
+# the work guard: every refusal below happens before any draw or state, so
+# these tests start no work
+
+
+@pytest.mark.parametrize("value, each, most", [(10**9 + 1, 1, 10**9), (10**30, 1, 10**9),
+                                               (2 * 10**6, 1000, 10**6), (1, 10**12, 0)])
+def test_work_guard_names_the_largest_count_allowed(value, each, most):
+    allowed = f"the largest trials allowed is {most}$" if most else "no trials is allowed$"
+    with pytest.raises(ValueError, match=f"makes {value * each} draws, more than the ceiling of "
+                                         f"{memory.MAX_DRAWS}; {allowed}"):
+        memory.check_work("the run", "trials", value, each)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """RAM that fits anything, so that only the work guard can refuse, and
+    builders and draws that fail the test if they run."""
+    monkeypatch.setattr(memory, "ram_bytes", lambda: 10**30)
+    monkeypatch.setattr(protocols.StateSpec, "build", lambda self: pytest.fail("state was built"))
+    monkeypatch.setattr(GroupAction, "_draws", lambda *a: pytest.fail("a draw was made"))
+
+
+@pytest.mark.parametrize(
+    "args, allowed",
+    [
+        (["twirl-verify", "target=one-sample", "d=2", "samples=1e30"], "samples allowed is 1000000000"),
+        (["twirl-verify", "target=two-sample", "d=2", "--samples", "1000000001"],
+         "samples allowed is 1000000000"),
+        (["simulate", "protocol=one_way_single", "d=2", "trials=8e9"], "trials allowed is 1000000000"),
+        (["simulate", "protocol=bell_pairs", "n=20", "trials=100000001"], "trials allowed is 100000000"),
+        (["simulate", "protocol=global_projective", "n=50", "trials=1000000001"],
+         "trials allowed is 1000000000"),
+        (["sweep", "protocol=one_way_repeated", "n_list=[100, 1000]", "trials=1000001"],
+         "trials allowed is 1000000"),
+    ],
+    ids=["twirl-1e30", "twirl-ceiling", "one-way-single", "bell-pairs", "global", "sweep"],
+)
+def test_commands_past_the_work_ceiling_exit_2_before_any_draw(no_work, tmp_path, capsys, args, allowed):
+    command, *rest = args
+    assert main([command, "--out", str(tmp_path / "x"), *rest]) == 2
+    err = capsys.readouterr().err
+    assert "more than the ceiling of 1000000000" in err and err.rstrip().endswith(allowed)
+
+
+@pytest.mark.parametrize("protocol", protocols.PROTOCOLS)
+def test_experiment_config_refuses_one_round_past_the_ceiling(no_work, protocol):
+    # rounds a trial: n for the repeated protocols, n/2 Bell pairs, one for
+    # one_way_single and one binomial count for global_projective
+    each = {"global_projective": 1, "bell_pairs": 5, "one_way_single": 1, "one_way_repeated": 10}[protocol]
+    most = memory.MAX_DRAWS // each
+    spec = protocols.StateSpec("max_entangled", 2)
+    assert protocols.ExperimentConfig(protocol, 2, 10, 0.0, 0.05, most, 0, spec).trials == most
+    with pytest.raises(ValueError, match=f"the largest trials allowed is {most}$"):
+        protocols.ExperimentConfig(protocol, 2, 10, 0.0, 0.05, most + 1, 0, spec)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -280,16 +281,99 @@ class TestOneWaySampler:
         rng = np.random.default_rng(7)
         got = pr._one_way_rounds(sigma, d, rounds, rng)
         ref = np.random.default_rng(7)
-        rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
-        cum, units = pr._reporting_ensemble(rho_a)
-        want = []
-        for batch in (pr._ROUND_BATCH, 300):
-            zw = ref.standard_normal(2 * (d + 1) * batch).view(complex).reshape(d + 1, batch)
-            z = pr._alice_vectors(cum, units, zw, ref.random(batch))
-            work = np.empty((2, d * d * batch), dtype=complex)
-            want.append(ref.random(batch) < pr._one_way_outcomes(sigma, rho_a, z, work))
+        assert np.array_equal(got, _serial_one_way_rounds(sigma, d, rounds, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(got, np.concatenate(want))
+
+
+def _serial_one_way_rounds(sigma, d, rounds, rng):
+    """The documented per-batch draws, made by hand in a serial loop with fresh arrays."""
+    rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+    cum, units = pr._reporting_ensemble(rho_a)
+    want = []
+    for start in range(0, rounds, pr._ROUND_BATCH):
+        batch = min(pr._ROUND_BATCH, rounds - start)
+        zw = rng.standard_normal(2 * (d + 1) * batch).view(complex).reshape(d + 1, batch)
+        z = pr._alice_vectors(cum, units, zw, rng.random(batch))
+        work = np.empty((2, d * d * batch), dtype=complex)
+        want.append(rng.random(batch) < pr._one_way_outcomes(sigma, rho_a, z, work))
+    return np.concatenate(want)
+
+
+class _Failed(Exception):
+    pass
+
+
+class TestOneWayDrawAhead:
+    """The one-way draws run one batch ahead on a worker thread
+    (``twirl._prefetch``) into two sets of buffers that take turns; the
+    rounds and the generator's final state must be the serial loop's."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rounds_are_the_serial_loop_bitwise(self, d):
+        sigma = random_density((d, d), np.random.default_rng(90 + d)).mat
+        rounds = 3 * pr._ROUND_BATCH + 300  # four batches, the last one short
+        rng = np.random.default_rng(91)
+        got = pr._one_way_rounds(sigma, d, rounds, rng)
+        ref = np.random.default_rng(91)
+        assert np.array_equal(got, _serial_one_way_rounds(sigma, d, rounds, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_batch_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+        before = threading.active_count()
+        rounds = pr._one_way_rounds(isotropic_state(2, 0.1).mat, 2, pr._ROUND_BATCH,
+                                    np.random.default_rng(92))
+        assert len(rounds) == pr._ROUND_BATCH and threading.active_count() == before
+
+    def test_a_draw_that_raises_reraises_its_type_in_the_caller(self):
+        class FailingGenerator:
+            """Fails on the second batch's normals, which the worker draws."""
+
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 2:
+                    raise _Failed("draw 1")
+                return self.rng.standard_normal(out=out)
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+        before = threading.active_count()
+        sigma = isotropic_state(2, 0.1).mat
+        with pytest.raises(_Failed, match="draw 1"):
+            pr._one_way_rounds(sigma, 2, 3 * pr._ROUND_BATCH,
+                               FailingGenerator(np.random.default_rng(93)))
+        assert threading.active_count() == before
+
+    def test_a_consumer_that_raises_leaves_no_worker_and_a_quiet_generator(self, monkeypatch):
+        outcomes, seen = pr._one_way_outcomes, []
+
+        def failing(*args):
+            seen.append(1)
+            if len(seen) == 2:
+                raise _Failed("consumer")
+            return outcomes(*args)
+
+        monkeypatch.setattr(pr, "_one_way_outcomes", failing)
+        d, sigma, before = 3, isotropic_state(3, 0.1).mat, threading.active_count()
+        rng = np.random.default_rng(94)
+        try:
+            pr._one_way_rounds(sigma, d, 5 * pr._ROUND_BATCH, rng)
+        except _Failed as exc:
+            # the traceback, which holds _one_way_rounds' frame, is alive here
+            assert str(exc) == "consumer" and threading.active_count() == before
+        else:
+            pytest.fail("the consumer's exception did not reach the caller")
+        # batch 2 was in flight while batch 1 was consumed; it was waited for,
+        # and nothing drew after it
+        ref = np.random.default_rng(94)
+        for _ in range(3):
+            ref.standard_normal(2 * (d + 1) * pr._ROUND_BATCH)
+            ref.random(2 * pr._ROUND_BATCH)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDispatchAndDeterminism:

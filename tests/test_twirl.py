@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestBlockedConjugation:
         samples = 3
         f = reference_samples(action, samples, np.random.default_rng(44))
         want = (f @ op) @ f.conj().transpose(0, 2, 1)
-        factors = action._factors(samples, np.random.default_rng(44))
+        factors = action._factors(*action._draws(samples, np.random.default_rng(44)))
         got = twirl._apply_factors(op.reshape(-1), factors + [u.conj() for u in factors])
         assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
 
@@ -652,3 +653,101 @@ class TestInPlaceAccumulators:
         for a, b in zip(got, want):
             assert np.shape(a) == np.shape(b)
             assert np.array_equal(_bits(a), _bits(b))
+
+
+def _serial(draw, batches):
+    """``twirl._prefetch`` without the worker: the serial reference loop."""
+    return (draw(i, batch) for i, batch in enumerate(batches))
+
+
+class _Failed(Exception):
+    pass
+
+
+class TestDrawAhead:
+    """Each batch's draws run one batch ahead on a worker thread
+    (``twirl._prefetch``); every seeded output and the generator's final state
+    must be those of the serial loop, bit for bit."""
+
+    @staticmethod
+    def _assert_serial(monkeypatch, v, action, samples, seed):
+        rng = np.random.default_rng(seed)
+        got = mc_twirl(v, action, samples, rng)
+        monkeypatch.setattr(twirl, "_prefetch", _serial)
+        ref = np.random.default_rng(seed)
+        want = mc_twirl(v, action, samples, ref)
+        assert np.array_equal(_bits(got.mean), _bits(want.mean))
+        assert np.array_equal(got.stderr, want.stderr)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (4, 2)])  # (4, 2) takes pair factors
+    def test_mc_twirl_is_the_serial_loop_bitwise(self, monkeypatch, kind, d, copies):
+        chunks = twirl._chunks
+        monkeypatch.setattr(twirl, "_chunks", lambda total: chunks(total, 64))
+        # four batches, the last one short
+        self._assert_serial(monkeypatch, _random_ket(d, copies, 80), GroupAction(kind, d, copies),
+                            3 * 64 + 5, 81)
+
+    def test_at_the_real_batch_size(self, monkeypatch):
+        self._assert_serial(monkeypatch, _random_ket(2, 1, 82), GroupAction("local", 2),
+                            2 * 4096 + 5, 83)
+
+    def test_draws_run_in_order_one_at_a_time_on_one_worker(self):
+        log = []
+
+        def draw(i, batch):
+            log.append((i, batch, threading.get_ident()))
+            return i
+
+        assert list(twirl._prefetch(draw, [5, 5, 2])) == [0, 1, 2]
+        assert [(i, b) for i, b, _ in log] == [(0, 5), (1, 5), (2, 2)]
+        assert len({t for _, _, t in log}) == 1 and log[0][2] != threading.get_ident()
+
+    def test_one_batch_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+        before = threading.active_count()
+        est = mc_twirl(_random_ket(2, 1, 84), GroupAction("local", 2), 4096, np.random.default_rng(85))
+        assert est.samples == 4096 and threading.active_count() == before
+
+    def test_a_draw_that_raises_reraises_its_type_in_the_caller(self, monkeypatch):
+        draws, calls = GroupAction._draws, []
+
+        def failing(action, count, rng):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:  # the first draw made on the worker
+                raise _Failed("draw 1")
+            return draws(action, count, rng)
+
+        monkeypatch.setattr(GroupAction, "_draws", failing)
+        before = threading.active_count()
+        with pytest.raises(_Failed, match="draw 1"):
+            mc_twirl(_random_ket(2, 1, 86), GroupAction("local", 2), 3 * 4096, np.random.default_rng(87))
+        assert threading.active_count() == before
+        assert len(calls) == 2 and calls[1] != threading.get_ident()
+
+    def test_a_consumer_that_raises_leaves_no_worker_and_a_quiet_generator(self, monkeypatch):
+        moments, seen = twirl._outer_moments, []
+
+        def failing(w):
+            seen.append(w.shape)
+            if len(seen) == 2:
+                raise _Failed("consumer")
+            return moments(w)
+
+        monkeypatch.setattr(twirl, "_outer_moments", failing)
+        action, before = GroupAction("local", 2), threading.active_count()
+        rng = np.random.default_rng(88)
+        try:
+            mc_twirl(_random_ket(2, 1, 89), action, 5 * 4096, rng)
+        except _Failed as exc:
+            # the traceback, which holds mc_twirl's frames, is alive here
+            assert str(exc) == "consumer" and threading.active_count() == before
+        else:
+            pytest.fail("the consumer's exception did not reach the caller")
+        # batch 2 was in flight while batch 1 was consumed; it was waited for,
+        # and nothing drew after it
+        ref = np.random.default_rng(88)
+        for _ in range(3):
+            action._draws(4096, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
