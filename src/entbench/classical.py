@@ -40,6 +40,9 @@ import numpy as np
 
 
 _ufuncs = None
+# every count up to 2**53 is a float64, as the ufuncs take it; past that a
+# quantile or a walk of unit steps may not end
+_MAX_COUNT = 2**53
 
 
 def _special():
@@ -222,7 +225,10 @@ def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
     ``stats.poisson``) at ``params``, plus the randomization weight at l."""
     target = 1.0 - alpha
     # start at the quantile, then settle the defining inequalities exactly
-    l = max(0, int(family.ppf(target, *params)))
+    start = family.ppf(target, *params)
+    _require(start <= _MAX_COUNT, f"the {target} quantile at {params} is {start}, not a count "
+                                  "at most 2**53 (counts exact in float64)")
+    l = max(0, int(start))
     while l > 0 and family.cdf(l - 1, *params) >= target:
         l -= 1
     while family.cdf(l, *params) < target:
@@ -234,7 +240,7 @@ def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
 
 def binomial_ump_test(n: int, eps: float, alpha: float) -> ClassicalRandomizedTest:
     """Level-alpha UMP test for the null p <= eps on n Bernoulli trials."""
-    _require(n >= 1, "need n >= 1")
+    _require(1 <= n <= _MAX_COUNT, f"need 1 <= n <= 2**53 (counts exact in float64), got {n}")
     check_level(eps, alpha)
     l, gamma = _threshold(stats.binom, (n, eps), alpha)
     return ClassicalRandomizedTest(threshold=l, gamma=gamma, n=n)

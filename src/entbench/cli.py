@@ -323,6 +323,8 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     samples = _integer("samples", config.get("samples", 100000))
     if samples < 2:  # the standard error of fewer samples is undefined
         raise ValueError(f"twirl-verify needs samples >= 2 for a standard error, got {samples}")
+    # the twirl's own guard, run here before the seed and the reference are built
+    memory.check_work(f"a {samples}-sample twirl", "samples", samples)
     seed, action, reference = _twirl_case(target, d)
     rng = np.random.default_rng(_integer("seed", config.get("seed", 0)))
     est = mc_twirl(seed, action, samples, rng)

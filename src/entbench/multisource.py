@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import beta_poisson, check_defects
-from .states import Ket, TestOperator, doubled_ket, proj, sector_operator
+from .states import Ket, TestOperator, _from_sectors, doubled_ket, proj
 
 
 class TripleTermNote(UserWarning):
@@ -74,9 +74,8 @@ def three_source_covariant_test(d: int) -> TestOperator:
     check_triple_dimension(d)
     # coefficient per number of pairs off the maximally entangled vector
     coeffs = [1.0, 0.0, 1.0 / ((d + 1.0) ** 2 * (d - 1.0)), (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))]
-    mat = sector_operator(d, coeffs)
     labels = ("A1", "B1", "A2", "B2", "A3", "B3")
-    return TestOperator(mat, (d, d) * 3, labels)
+    return _from_sectors(TestOperator, d, coeffs, (d, d) * 3, labels)
 
 
 def ghz_ket(d: int, labels=("A1", "A2", "A3")) -> Ket:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classical, memory, quantum, states
-from .states import DensityMatrix, fidelity_defect, max_entangled_ket, proj
+from .states import DensityMatrix, fidelity_defect
 from .twirl import _chunks, _prefetch
 
 # protocol -> name of its runner in this module; run_experiment looks the
@@ -113,7 +113,7 @@ class StateSpec:
 
     def build(self) -> DensityMatrix:
         if self.family == "max_entangled":
-            return DensityMatrix(proj(max_entangled_ket(self.d)), (self.d, self.d))
+            return states.isotropic_state(self.d, 0.0)  # |phi0><phi0|, bit for bit
         if self.family == "isotropic":
             (p,) = self.params
             return states.isotropic_state(self.d, float(p))

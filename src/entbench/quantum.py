@@ -28,6 +28,7 @@ from .states import (
     Operator,
     RankOnePOVM,
     TestOperator,
+    _from_sectors,
     bell_basis,
     doubled_ket,
     max_entangled_ket,
@@ -135,15 +136,15 @@ def binomial_operator_test(t: TestOperator, eps: float, alpha: float, n: int) ->
 
 def one_sample_covariant_test(d: int) -> TestOperator:
     """Twirl of the computational-basis one-way test: P + (I - P)/(d+1)."""
-    return TestOperator(sector_operator(d, [1.0, 1.0 / (d + 1)]), (d, d), ("A", "B"))
+    return _from_sectors(TestOperator, d, [1.0, 1.0 / (d + 1)], (d, d), ("A", "B"))
 
 
 def two_sample_covariant_test(d: int) -> TestOperator:
     """P (x) P + (I-P) (x) (I-P) / (d^2 - 1) on two pairs, pair-major."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    mat = sector_operator(d, [1.0, 0.0, 1.0 / (d * d - 1)])
-    return TestOperator(mat, (d, d, d, d), _pair_labels(2))
+    coeffs = [1.0, 0.0, 1.0 / (d * d - 1)]
+    return _from_sectors(TestOperator, d, coeffs, (d, d) * 2, _pair_labels(2))
 
 
 def two_sample_trace(d: int, p: float) -> float:
@@ -171,8 +172,8 @@ def pooled_covariant_test(d: int, n: int) -> TestOperator:
         raise ValueError("pooled operator too large; use pooled_trace for big n")
     check_fits(f"pooled_covariant_test on n={n} pairs at d={d}", "n", n, 1,
                lambda m: _BUILD_ARRAYS * 16 * d ** (4 * m))
-    mat = sector_operator(d, [1.0] + [1.0 / (d**n + 1)] * n)
-    return TestOperator(mat, (d, d) * n, _pair_labels(n))
+    coeffs = [1.0] + [1.0 / (d**n + 1)] * n
+    return _from_sectors(TestOperator, d, coeffs, (d, d) * n, _pair_labels(n))
 
 
 def pooled_trace(d: int, n: int, p: float) -> float:

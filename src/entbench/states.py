@@ -134,6 +134,12 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     the complex path (``zpotrf``), which takes every other ``m``.
     ``scipy.linalg`` is imported here, at the first certificate, so
     importing the package does not pay for it.
+
+    This is the certificate of every ``TestOperator`` and ``DensityMatrix``
+    but the library's sector-built ones (the covariant tests and the
+    isotropic states), whose spectrum is their set of sector coefficients
+    and which ``_from_sectors`` certifies from those, with the same bounds
+    and messages.
     """
     from scipy.linalg import lapack
 
@@ -168,7 +174,8 @@ class DensityMatrix(Operator):
     Construction rejects a matrix that is not finite and Hermitian within
     ``HERMITIAN_TOL``, has an eigenvalue below ``-PSD_TOL`` (certified by a
     Cholesky factorization, see ``_certify``) or a trace off 1 by more than
-    ``TRACE_TOL``.
+    ``TRACE_TOL``.  ``isotropic_state`` is certified from its sector
+    coefficients instead (``_from_sectors``).
     """
 
     def __post_init__(self):
@@ -185,7 +192,9 @@ class TestOperator(Operator):
 
     Construction rejects a matrix that is not finite and Hermitian within
     ``HERMITIAN_TOL`` or whose spectrum leaves ``[-PSD_TOL, 1 + PSD_TOL]``,
-    certified by two Cholesky factorizations (see ``_certify``).
+    certified by two Cholesky factorizations (see ``_certify``).  The
+    covariant tests are certified from their sector coefficients instead
+    (``_from_sectors``).
     """
 
     def __post_init__(self):
@@ -265,7 +274,7 @@ def isotropic_state(d: int, p: float, labels=("A", "B")) -> DensityMatrix:
         raise ValueError(f"defect p must lie in [0, 1], got {p}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return DensityMatrix(sector_operator(d, [1.0 - p, p / (d * d - 1)]), (d, d), labels)
+    return _from_sectors(DensityMatrix, d, [1.0 - p, p / (d * d - 1)], (d, d), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +417,53 @@ def sector_operator(d: int, coeffs) -> np.ndarray:
     Sector k is the span of the tensor products in which k pairs lie in the
     orthocomplement of |phi0> and n - k on it, so this is
     ``mixed_tensor_sum(P, I - P, coeffs)`` with P = |phi0><phi0|.  Every
-    covariant acceptance operator is of this form.
+    covariant acceptance operator is of this form.  The sector projectors are
+    orthogonal and sum to I, so the spectrum is exactly the set of
+    ``coeffs``, ``coeffs[k]`` with multiplicity C(n, k) (d^2 - 1)^k; the
+    library's sector-built operators and states are certified from it by
+    ``_from_sectors``.
     """
     p = proj(max_entangled_ket(d))
     return mixed_tensor_sum(p, np.eye(d * d) - p, coeffs)
+
+
+def _from_sectors(cls, d: int, coeffs, dims, labels):
+    """``cls(sector_operator(d, coeffs), dims, labels)`` for ``cls`` one of
+    ``TestOperator`` and ``DensityMatrix``, certified from its coefficients.
+
+    The spectrum of a sector operator is its set of coefficients (see
+    ``sector_operator``), so the bounds ``_certify`` proves by factorization
+    are proved here exactly, in O(n) and with no dense arithmetic: the
+    coefficients must be real and finite, each in ``[-PSD_TOL, 1 + PSD_TOL]``
+    for a test operator, and for a state each at least ``-PSD_TOL`` with
+    ``sum_k coeffs[k] C(n, k) (d^2 - 1)^k`` within ``TRACE_TOL`` of 1.  The
+    messages are ``_certify``'s and the dataclasses', with the extreme
+    eigenvalues named exactly.  The built matrix is exactly Hermitian: P is
+    ``v v^dag`` and real coefficients keep conjugate symmetry bit for bit.
+    ``Operator``'s shape, factor and freeze checks run as in any constructor;
+    only the certificate is skipped, so this builds no workspace and loads
+    no ``scipy.linalg``.
+    """
+    what = "test operator" if cls is TestOperator else "density matrix"
+    c = np.asarray(coeffs)
+    if c.dtype.kind not in "iuf" or not np.isfinite(c).all():
+        raise ValueError(f"{what} is not finite and Hermitian within tolerance")
+    lo, hi = c.min(), c.max()
+    if cls is TestOperator and (lo < -PSD_TOL or hi > 1.0 + PSD_TOL):
+        raise ValueError(f"{what} eigenvalues [{lo}, {hi}] leave [0, 1]")
+    if cls is DensityMatrix:
+        if lo < -PSD_TOL:
+            raise ValueError(f"{what} has negative eigenvalue {lo}")
+        n = c.size - 1
+        trace = sum(float(ck) * math.comb(n, k) * (d * d - 1) ** k for k, ck in enumerate(c))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"{what} trace {trace} is not 1")
+    op = object.__new__(cls)
+    object.__setattr__(op, "mat", sector_operator(d, c))
+    object.__setattr__(op, "dims", dims)
+    object.__setattr__(op, "labels", labels)
+    Operator.__post_init__(op)
+    return op
 
 
 # ---------------------------------------------------------------------------

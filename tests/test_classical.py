@@ -185,6 +185,23 @@ class TestPoisson:
         assert abs(beta_poisson(delta, alpha, t_alt) - beta) < 1e-12
 
 
+class TestCountsPastFloat64:
+    """Counts past 2**53 are not all float64s: the search refuses them at
+    once, where its quantile or its unit-step walks could run without end."""
+
+    def test_largest_n_is_searched_and_the_next_refused(self):
+        assert binomial_ump_test(2**53, 0.05, 0.1).threshold > 0
+        with pytest.raises(ValueError, match=r"need 1 <= n <= 2\*\*53.*, got 9007199254740993$"):
+            binomial_ump_test(2**53 + 1, 0.05, 0.1)
+        with pytest.raises(ValueError, match=r"got 10{30}$"):
+            binomial_ump_test(10**30, 0.3, 0.1)
+
+    @pytest.mark.parametrize("delta, alpha", [(1e30, 0.5), (1e20, 0.05), (1e12, 0.5)])
+    def test_poisson_quantile_past_the_counts_is_refused(self, delta, alpha):
+        with pytest.raises(ValueError, match=r"quantile at .* is \S+, not a count at most 2\*\*53"):
+            poisson_ump_test(delta, alpha)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 2000),

@@ -2,10 +2,11 @@
 
 Each check runs in a fresh interpreter, since the test process has long
 since imported scipy.  Threshold searches run on ``scipy.special`` ufuncs
-through ``classical.stats``, so no library path loads ``scipy.stats``.
-``perfbench/tracing.py`` rebinds ``classical.stats`` to a counting stand-in,
-so installing the tracer before any search must still count the searches
-and put the library's ``stats`` back afterwards.  Every name the package
+through ``classical.stats``, so no library path loads ``scipy.stats``, and
+the sector-built operators and states are certified without
+``scipy.linalg``.  ``perfbench/tracing.py`` rebinds ``classical.stats`` to a
+counting stand-in, so installing the tracer before any search must still
+count the searches and put the library's ``stats`` back afterwards.  Every name the package
 exports in ``__all__`` must resolve on it.  ``concurrent.futures``, which
 runs the draw-ahead worker, is not loaded at package import.
 """
@@ -48,6 +49,22 @@ def test_searches_and_commands_load_no_scipy_stats(tmp_path):
     """, cwd=tmp_path)
     lines = out.splitlines()
     assert lines[0] == "[]" and lines[-1] == "True False"
+
+
+def test_sector_built_operators_and_states_load_no_scipy_linalg(tmp_path):
+    # the covariant reference and the isotropic and default states are
+    # certified from their sector coefficients, with no Cholesky factorization
+    out = _run("""
+        import sys
+        import entbench.cli
+        assert entbench.cli.main(["twirl-verify", "--out", "t", "--samples", "64",
+                                  "target=one-sample", "d=3"]) == 0
+        for state in ('{"family": "isotropic", "params": [0.1]}', '{"family": "max_entangled"}'):
+            assert entbench.cli.main(["simulate", "--out", "s", "protocol=one_way_single",
+                                      "trials=100", f"state={state}"]) == 0
+        print("scipy.linalg" in sys.modules)
+    """, cwd=tmp_path)
+    assert out.splitlines()[-1] == "False"
 
 
 def test_cli_import_loads_no_concurrent_futures():

@@ -79,7 +79,7 @@ def test_operator_builders_refuse_before_building(monkeypatch):
     t = quantum.one_sample_covariant_test(2)
     monkeypatch.setattr(memory, "ram_bytes", lambda: 1000)
     monkeypatch.setattr(quantum, "mixed_tensor_sum", lambda *a: pytest.fail("operator was built"))
-    monkeypatch.setattr(quantum, "sector_operator", lambda *a: pytest.fail("operator was built"))
+    monkeypatch.setattr(states, "sector_operator", lambda *a: pytest.fail("operator was built"))
     with pytest.raises(ValueError, match=SHARED):
         quantum.binomial_operator_test(t, 0.1, 0.05, 2)
     with pytest.raises(ValueError, match=SHARED):
@@ -128,6 +128,16 @@ def test_commands_past_the_work_ceiling_exit_2_before_any_draw(no_work, tmp_path
     assert main([command, "--out", str(tmp_path / "x"), *rest]) == 2
     err = capsys.readouterr().err
     assert "more than the ceiling of 1000000000" in err and err.rstrip().endswith(allowed)
+
+
+def test_twirl_verify_checks_the_work_before_the_seed_and_reference(no_work, tmp_path, monkeypatch,
+                                                                     capsys):
+    # the dim-729 three-source reference is the largest fixed cost of a twirl
+    monkeypatch.setattr(states, "sector_operator", lambda *a: pytest.fail("reference was built"))
+    monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+    args = ["target=three-source", "d=3", "samples=1e30"]
+    assert main(["twirl-verify", "--out", str(tmp_path / "x"), *args]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("samples allowed is 1000000000")
 
 
 @pytest.mark.parametrize("protocol", protocols.PROTOCOLS)

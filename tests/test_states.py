@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entbench import states
+from entbench import multisource, protocols, quantum, states
 from entbench.states import (
     PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     Ket,
     Operator,
@@ -24,6 +25,7 @@ from entbench.states import (
     random_ket,
     random_rank_one_povm,
     random_test,
+    sector_operator,
     tensor,
 )
 from entbench.twirl import haar_unitary, pair_conjugate_unitary
@@ -409,7 +411,7 @@ class TestValidityCertificate:
         negative_zero.imag = -0.0
         states.TestOperator(negative_zero, (3,))
         states._certify(real, "test operator", upper=True)  # real dtype
-        isotropic_state(3, 0.2)
+        DensityMatrix(_symmetric_with_spectrum(np.array([0.2, 0.3, 0.5]), rng), (3,))
         with pytest.raises(ValueError, match="leave"):
             states.TestOperator(np.diag([0.5, 1.5]), (2,))
         assert len(calls) == 9  # two per test operator (the rejected one too), one for the state
@@ -495,3 +497,129 @@ class TestValidityCertificate:
         for m in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [bad, 0.5]]):
             with pytest.raises(ValueError, match="not finite and Hermitian"):
                 cls(m, (2,))
+
+
+def _sector_built(kind: str, d: int, x):
+    """A sector-built operator or state, and the recipe ``(cls, coeffs, dims,
+    labels)`` of the dense construction it replaces, ``cls(sector_operator(d,
+    coeffs), dims, labels)``, which ``_certify`` certifies."""
+    pairs = quantum._pair_labels
+    if kind == "one-sample":
+        return (quantum.one_sample_covariant_test(d),
+                (states.TestOperator, [1.0, 1.0 / (d + 1)], (d, d), ("A", "B")))
+    if kind == "two-sample":
+        return (quantum.two_sample_covariant_test(d),
+                (states.TestOperator, [1.0, 0.0, 1.0 / (d * d - 1)], (d,) * 4, pairs(2)))
+    if kind == "pooled":
+        return (quantum.pooled_covariant_test(d, x),
+                (states.TestOperator, [1.0] + [1.0 / (d**x + 1)] * x, (d, d) * x, pairs(x)))
+    if kind == "three-source":
+        coeffs = [1.0, 0.0, 1.0 / ((d + 1.0) ** 2 * (d - 1.0)),
+                  (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))]
+        return (multisource.three_source_covariant_test(d),
+                (states.TestOperator, coeffs, (d, d) * 3, pairs(3)))
+    return (isotropic_state(d, x),
+            (DensityMatrix, [1.0 - x, x / (d * d - 1)], (d, d), ("A", "B")))
+
+
+SECTOR_CASES = (
+    [("one-sample", d, None) for d in (2, 3, 4, 5)]
+    + [("two-sample", d, None) for d in (2, 3, 4, 5)]
+    + [("pooled", d, n) for d in (2, 3) for n in (1, 2, 3)]
+    + [("three-source", d, None) for d in (2, 3)]
+    + [("isotropic", d, p) for d in (2, 3, 4, 5) for p in (0.0, 0.3, 1.0)]
+)
+
+
+class TestSectorCertificate:
+    """``_from_sectors`` certifies the covariant tests and isotropic states
+    from their sector coefficients, with ``_certify``'s verdicts."""
+
+    @pytest.mark.parametrize("kind, d, x", SECTOR_CASES, ids=lambda v: str(v))
+    def test_same_bits_as_the_dense_construction(self, kind, d, x):
+        op, (cls, coeffs, dims, labels) = _sector_built(kind, d, x)
+        dense = cls(sector_operator(d, coeffs), dims, labels)  # certified by _certify
+        assert type(op) is type(dense)
+        assert (op.dims, op.labels) == (dense.dims, dense.labels)
+        assert op.mat.tobytes() == dense.mat.tobytes() and not op.mat.flags.writeable
+        assert np.array_equal(op.mat, op.mat.conj().T)  # exactly Hermitian
+
+    def test_max_entangled_spec_is_the_projector_bit_for_bit(self):
+        for d in (2, 3, 4, 5, 7, 10):
+            rho = protocols.StateSpec("max_entangled", d).build()
+            assert rho.mat.tobytes() == proj(max_entangled_ket(d)).tobytes()
+
+    def test_runs_no_cholesky_factorization(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        for name in ("dpotrf", "zpotrf"):
+            monkeypatch.setattr(lapack, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+        for kind, d, x in SECTOR_CASES:
+            if d <= 3:
+                _sector_built(kind, d, x)
+        protocols.StateSpec("max_entangled", 3).build()
+        protocols.StateSpec("isotropic", 3, (0.2,)).build()
+
+    @pytest.mark.parametrize(
+        "cls, coeffs, message",
+        [
+            (states.TestOperator, [1.0, 1.5], r"test operator eigenvalues \[1\.0, 1\.5\] leave \[0, 1\]$"),
+            (states.TestOperator, [0.5, -0.25, 0.0],
+             r"test operator eigenvalues \[-0\.25, 0\.5\] leave \[0, 1\]$"),
+            (states.TestOperator, [0.5, np.nan], "test operator is not finite and Hermitian"),
+            (states.TestOperator, [np.inf, 0.5], "test operator is not finite and Hermitian"),
+            (states.TestOperator, [0.5, 0.5 + 0.1j], "test operator is not finite and Hermitian"),
+            (DensityMatrix, [1.25, -0.25 / 3], r"density matrix has negative eigenvalue -0\.0833+$"),
+            (DensityMatrix, [1.0, -np.inf], "density matrix is not finite and Hermitian"),
+            (DensityMatrix, [0.5, 0.1], r"density matrix trace 0\.8\d* is not 1$"),
+        ],
+        ids=["above", "below", "nan", "inf", "complex", "negative", "state-inf", "trace"],
+    )
+    def test_refuses_before_building(self, monkeypatch, cls, coeffs, message):
+        monkeypatch.setattr(states, "sector_operator", lambda *a: pytest.fail("operator was built"))
+        with pytest.raises(ValueError, match=message):
+            states._from_sectors(cls, 2, coeffs, (2, 2) * (len(coeffs) - 1), ())
+
+    def test_band_and_trace_edges(self):
+        # the band is closed: its edges pass and the next floats out do not
+        build = states._from_sectors
+        for edge, out in ((-PSD_TOL, -1.0), (1.0 + PSD_TOL, 2.0)):
+            build(states.TestOperator, 2, [0.5, edge], (2, 2), ())
+            with pytest.raises(ValueError, match="leave"):
+                build(states.TestOperator, 2, [0.5, np.nextafter(edge, out)], (2, 2), ())
+        build(DensityMatrix, 2, [-PSD_TOL, (1.0 + PSD_TOL) / 3], (2, 2), ())
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            build(DensityMatrix, 2, [np.nextafter(-PSD_TOL, -1.0), (1.0 + PSD_TOL) / 3], (2, 2), ())
+        build(DensityMatrix, 2, [1.0 + 0.9 * TRACE_TOL, 0.0], (2, 2), ())
+        build(DensityMatrix, 2, [1.0 - 0.9 * TRACE_TOL, 0.0], (2, 2), ())
+        for off in (1.1 * TRACE_TOL, -1.1 * TRACE_TOL):
+            with pytest.raises(ValueError, match="is not 1"):
+                build(DensityMatrix, 2, [1.0 + off, 0.0], (2, 2), ())
+
+    @pytest.mark.parametrize("cls", [states.TestOperator, DensityMatrix])
+    def test_verdict_matches_eigvalsh_at_the_band_edges(self, cls):
+        rng = np.random.default_rng(27)
+        verdicts = set()
+        for _ in range(40):
+            d, n = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+            coeffs = rng.uniform(0.1, 0.9, n + 1)
+            edge = -PSD_TOL if cls is DensityMatrix or rng.random() < 0.5 else 1.0 + PSD_TOL
+            k = int(rng.integers(0, n + 1))
+            coeffs[k] = edge + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-9, -8)
+            sizes = np.array([math.comb(n, j) * (d * d - 1) ** j for j in range(n + 1)])
+            if cls is DensityMatrix:  # the other sectors take the rest of the trace
+                rest = np.arange(n + 1) != k
+                coeffs[rest] *= (1.0 - coeffs[k] * sizes[k]) / (coeffs[rest] @ sizes[rest])
+            m = sector_operator(d, coeffs)
+            e = np.linalg.eigvalsh(m)
+            want = e.min() >= -PSD_TOL and (cls is DensityMatrix or e.max() <= 1.0 + PSD_TOL)
+            if cls is DensityMatrix:
+                assert abs(np.trace(m).real - 1.0) <= TRACE_TOL
+            try:
+                states._from_sectors(cls, d, coeffs, (d, d) * n, ())
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (d, n, k, coeffs[k])
+            verdicts.add(got)
+        assert verdicts == {True, False}
