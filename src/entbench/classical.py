@@ -14,7 +14,8 @@ conventions describe the same test.
 
 One search serves both families (Lehmann & Romano, Testing Statistical
 Hypotheses, sec. 3.4): it starts at the ``1 - alpha`` quantile from the
-family's ``ppf`` and settles the inequalities above with two short walks, so
+family's ``ppf`` (or, where that is NaN at valid parameters, at the normal
+approximation) and settles the inequalities above with two short walks, so
 its cost does not grow with n or the Poisson rate.  A held test gives its
 acceptance at any alternative (``accepted_mass``) without a second search.
 The accept-large binomial test is the mirror image of the accept-small one,
@@ -59,7 +60,7 @@ def _clip01(x) -> float:
 
 
 class _Discrete:
-    """pmf, cdf and quantile of a family on the counts 0..top, as
+    """pmf, cdf, quantile, mean and variance of a family on the counts 0..top, as
     ``scipy.stats``' ``rv_discrete`` evaluates a subclass's ``_pmf``, ``_cdf``
     and ``_ppf``: NaN for invalid parameters or a NaN argument; outside the
     support a pmf of 0 and a cdf of 0 or 1; inside, the kernel clipped to
@@ -92,6 +93,12 @@ class _Discrete:
             return float(self._top(*params))
         return float(self._ppf(q, *params))
 
+    def mean(self, *params):
+        return self._mean_var(*params)[0] if self._valid(*params) else math.nan
+
+    def var(self, *params):
+        return self._mean_var(*params)[1] if self._valid(*params) else math.nan
+
 
 class _Binom(_Discrete):
     """``scipy.stats.binom`` at (n, p), from the Boost ufuncs it calls."""
@@ -101,6 +108,9 @@ class _Binom(_Discrete):
 
     def _top(self, n, p):
         return n
+
+    def _mean_var(self, n, p):
+        return n * p, n * p * (1.0 - p)
 
     def _pmf(self, k, n, p):
         return _special()._binom_pmf(k, n, p)
@@ -120,6 +130,9 @@ class _Poisson(_Discrete):
 
     def _top(self, mu):
         return math.inf
+
+    def _mean_var(self, mu):
+        return mu, mu
 
     def _pmf(self, k, mu):
         sp = _special()
@@ -220,12 +233,26 @@ def check_defects(*ps: float) -> None:
         _require(0.0 <= p <= 1.0, f"defect {p} outside [0, 1]")
 
 
+def _start(family, q: float, params: tuple) -> float:
+    """Where the search of the q quantile of ``family`` at ``params`` starts:
+    ``ppf``, or where that is NaN the normal approximation mean + z_q sd
+    (scipy's quantile ufuncs fail at some large counts whose cdf is fine, and
+    warn of it; the warning is not passed on).  Both are NaN at invalid
+    parameters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        k = family.ppf(q, *params)
+    if k != k:
+        k = family.mean(*params) + float(_special().ndtri(q)) * math.sqrt(family.var(*params))
+    return k
+
+
 def _threshold(family, params: tuple, alpha: float) -> tuple[int, float]:
     """Smallest l with cdf(l) >= 1 - alpha for ``family`` (``stats.binom`` or
     ``stats.poisson``) at ``params``, plus the randomization weight at l."""
     target = 1.0 - alpha
     # start at the quantile, then settle the defining inequalities exactly
-    start = family.ppf(target, *params)
+    start = _start(family, target, params)
     _require(start <= _MAX_COUNT, f"the {target} quantile at {params} is {start}, not a count "
                                   "at most 2**53 (counts exact in float64)")
     l = max(0, int(start))

@@ -90,8 +90,9 @@ TWIRL_TARGETS = {
 _CONCLUSIVE_STDERR = 5e-3
 # reference-sized complex arrays alive in twirl-verify: peak RSS growth over
 # the whole command (getrusage, one BLAS thread, two-sample, 64-sample
-# batches) is 4.16, 4.48 and 5.03 at dims 2401, 1296 and 625 for one batch,
-# and 5.13-5.26, 5.48 and 6.07-6.08 for 193 and 384 samples (three and five
+# batches) is 2.58, 2.75 and 3.04 at dims 2401, 1296 and 625 for one batch
+# (4.05, 4.26 and 4.54 with S2, the guard and the comparison full-size), and
+# 5.17-5.23, 5.30 and 5.65-5.67 for 193 and 384 samples (three and five
 # merges), the twirl's accumulators included
 _REFERENCE_ARRAYS = 7
 

@@ -48,7 +48,9 @@ from .twirl import (
 
 # result-sized complex arrays alive at once while binomial_operator_test or
 # pooled_covariant_test builds and validates its operator: peak RSS growth
-# (getrusage, one BLAS thread) was 4.00 results for each at dims 1024 and 4096
+# (getrusage, one BLAS thread) is 2.71 and 2.15 results at dim 1024, and
+# 3.52 and 2.50 at dim 256 (4.00 for each at dims 1024 and 4096 when first
+# measured, with a dense certificate's workspace and a copy of the result)
 _BUILD_ARRAYS = 4
 
 

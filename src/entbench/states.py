@@ -90,7 +90,10 @@ class Operator:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        mat = _frozen(np.asarray(self.mat))
+        self._settle(_frozen(np.asarray(self.mat)))
+
+    def _settle(self, mat: np.ndarray) -> None:
+        """Check and store the frozen complex matrix ``mat`` with its factors."""
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
         dims = tuple(int(d) for d in self.dims)
@@ -390,9 +393,11 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
 
     Built right to left: ``h_j`` starts as ``[[coeffs[j]]]``, and each factor
     added on the left sends it to ``kron(a, h_j) + kron(b, h_{j+1})``, so the
-    whole sum costs two full-size products, not one per placement.  Each
-    ``kron(b, h_{j+1})`` is written into one scratch array per level and
-    added in place, with the same operations as ``np.kron``.
+    whole sum costs two full-size products, not one per placement.  Each new
+    ``h_j`` is written straight into its own 2-D array, through a 4-D view:
+    ``kron(a, h_j)``, then ``kron(b, h_{j+1})`` in one scratch array per
+    level, added in place, with the same operations as ``np.kron``.  So the
+    result is the ``np.kron`` fold's, bit for bit, and it owns its data.
     """
     if len(coeffs) == 0:
         raise ValueError("need at least one coefficient")
@@ -404,9 +409,10 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
         scratch = np.empty(shape, dtype=complex)
         level = []
         for lo, hi in zip(h, h[1:]):
-            out = a * lo[:, None, :]
-            out += np.multiply(b, hi[:, None, :], out=scratch)
-            level.append(out.reshape(shape[0] * shape[1], shape[2] * shape[3]))
+            out = np.empty((shape[0] * shape[1], shape[2] * shape[3]), dtype=complex)
+            view = np.multiply(a, lo[:, None, :], out=out.reshape(shape))
+            view += np.multiply(b, hi[:, None, :], out=scratch)
+            level.append(out)
         h = level
     return h[0]
 
@@ -440,9 +446,11 @@ def _from_sectors(cls, d: int, coeffs, dims, labels):
     messages are ``_certify``'s and the dataclasses', with the extreme
     eigenvalues named exactly.  The built matrix is exactly Hermitian: P is
     ``v v^dag`` and real coefficients keep conjugate symmetry bit for bit.
-    ``Operator``'s shape, factor and freeze checks run as in any constructor;
-    only the certificate is skipped, so this builds no workspace and loads
-    no ``scipy.linalg``.
+    ``Operator``'s shape and factor checks run as in any constructor.  The
+    certificate is skipped, so this builds no workspace and loads no
+    ``scipy.linalg``; and the freshly built matrix, which nothing else holds,
+    is frozen itself, not copied as the public constructors copy, so the
+    operator owns its one array.
     """
     what = "test operator" if cls is TestOperator else "density matrix"
     c = np.asarray(coeffs)
@@ -458,11 +466,12 @@ def _from_sectors(cls, d: int, coeffs, dims, labels):
         trace = sum(float(ck) * math.comb(n, k) * (d * d - 1) ** k for k, ck in enumerate(c))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"{what} trace {trace} is not 1")
+    mat = sector_operator(d, c)
+    mat.setflags(write=False)
     op = object.__new__(cls)
-    object.__setattr__(op, "mat", sector_operator(d, c))
     object.__setattr__(op, "dims", dims)
     object.__setattr__(op, "labels", labels)
-    Operator.__post_init__(op)
+    op._settle(mat)
     return op
 
 

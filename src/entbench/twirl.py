@@ -45,10 +45,16 @@ against 324 ms in pair factors, and on three-source d=3 (dim 729,
 
 The sum of ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum
 of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
-per sample, which dominate at large dim (5.3 MFLOP at dim 729).  The twirl
-checks its batch's footprint with ``memory.check_fits`` and its sample count
-with ``memory.check_work`` before any draw, naming the largest ``samples``
-that fits, and merges per-batch moments with Chan's pairwise update.
+per sample, which dominate at large dim (5.3 MFLOP at dim 729).  Every dense
+pass after the two GEMMs, turning S2 into M2 with its cancellation guard in
+``_outer_moments`` and comparing the estimate with a target in
+``TwirlEstimate``, runs in row blocks of ``_ROW_BLOCK`` entries with the
+elementwise operations of the full-size formulas, so the arrays a twirl
+leaves are the ones it returns, the mean and the standard error, and every
+bit is the full-size formulas'.  The twirl checks its batch's footprint with
+``memory.check_fits`` and its sample count with ``memory.check_work`` before
+any draw, naming the largest ``samples`` that fits, and merges per-batch
+moments with Chan's pairwise update.
 
 The draws of each batch run one batch ahead on one worker thread
 (``_prefetch``): while a batch is twirled and accumulated, the next one's
@@ -100,15 +106,22 @@ _KET_BATCHES = 5
 # (peak RSS growth over three 4096-sample batches, getrusage) ...
 _FACTOR_TEMPS = 6
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
-# merged, complex ones counting twice: the running sum and M2, a batch's sum,
-# M2 and S2 (or the guard's gathered indices), and a merge's running mean.
-# Peak RSS growth (getrusage, one BLAS thread) over 2 to 10 merged 64-sample
-# ket batches is 8.02-8.27 at dim 2401, 9.37 at dim 1296 and 9.65-9.70 at
-# dim 625; tracemalloc, which sees no allocator slack, counts 8.16 at dim 256
+# merged, complex ones counting twice: the running sum and M2, a batch's sum
+# and M2 (S2, the guard and the gathered indices are formed in M2's array or
+# in row blocks), and a merge's running mean, 8 in all.  Peak RSS growth
+# (getrusage, one BLAS thread, random kets on two pairs) over 2 and 10 merged
+# 64-sample batches is 8.28-8.33 at dim 2401, 8.52-8.61 at dim 1296 and
+# 9.12-9.33 at dim 625 (8.40-8.45, 9.51 and 10.1 with S2 and the guard
+# full-size); tracemalloc, which sees no allocator slack, counts 8.01 at
+# dim 256 (8.16 then)
 _LIVE_ACCUMULATORS = 10
 # a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
 # digits or more to cancellation, so it is recomputed from explicit deviations
 _CANCELLATION = 1e-8
+# entries of a dim x dim array that a blocked pass holds at once: the passes
+# of ``_outer_moments`` after its two GEMMs, and ``TwirlEstimate``'s
+# comparisons, run on row blocks of about this size (128 KB of float64)
+_ROW_BLOCK = 1 << 14
 # a ket of two or more pairs at or above this dimension is twirled by pair
 # factors g (x) conj(g), applied as per-sample products (``_apply_factors``)
 _PAIR_PRODUCT_DIM = 256
@@ -218,7 +231,14 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class TwirlEstimate:
-    """Monte-Carlo group average with per-entry standard errors."""
+    """Monte-Carlo group average with per-entry standard errors.
+
+    ``deviation`` and ``within`` compare it with a target ``_ROW_BLOCK``
+    entries at a time (``_row_blocks``), with the one-shot formulas'
+    elementwise operations, so they make no array of the mean's size and
+    return what the one-shot formulas return, bit for bit: a NaN entry makes
+    the deviation NaN and ``within`` False.
+    """
 
     mean: np.ndarray
     stderr: np.ndarray
@@ -231,12 +251,30 @@ class TwirlEstimate:
             raise ValueError("standard errors must be nonnegative")
 
     def deviation(self, target: np.ndarray) -> float:
-        return float(np.max(np.abs(self.mean - np.asarray(target))))
+        """max |mean - target| over the entries."""
+        # np.maximum, unlike the builtin max, keeps a NaN from any block
+        return float(reduce(np.maximum, (np.max(np.abs(m - t))
+                                         for m, t in _row_blocks(self.mean, target))))
 
     def within(self, target: np.ndarray, nsigma: float = 5.0, atol: float = 1e-9) -> bool:
         """Entrywise |mean - target| <= nsigma * stderr + atol."""
-        dev = np.abs(self.mean - np.asarray(target))
-        return bool(np.all(dev <= nsigma * self.stderr + atol))
+        return all(bool(np.all(np.abs(m - t) <= nsigma * s + atol))
+                   for m, t, s in _row_blocks(self.mean, target, self.stderr))
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a ``width``-wide array in one ``_ROW_BLOCK``-entry block, at least one."""
+    return max(1, _ROW_BLOCK // max(width, 1))
+
+
+def _row_blocks(*arrays):
+    """Matching blocks of leading-axis rows of ``arrays`` broadcast together,
+    about ``_ROW_BLOCK`` entries each; a 0-d result is one row."""
+    arrays = [np.atleast_1d(a) for a in np.broadcast_arrays(*arrays)]
+    count = len(arrays[0])
+    rows = _block_rows(arrays[0].size // max(count, 1))
+    for start in range(0, count, rows):
+        yield tuple(a[start : start + rows] for a in arrays)
 
 
 def _chunks(total: int, size: int = _CHUNK):
@@ -429,32 +467,41 @@ def _outer_moments(w: np.ndarray):
     ``S2 = |W|^2 (|W|^2)^T``, so M2 = S2 - |sum|^2/k.  That difference cancels
     on an entry every sample shares (one the action fixes); where it is at or
     below ``_CANCELLATION * S2``, M2 is recomputed from the gathered products
-    ``w_i conj(w_j)``, ``dim`` entries at a time.  M2 and S2 are the only
-    dim x dim float arrays: |sum|^2/k is built in M2 with S2's array as
-    scratch before the product fills it, and the guard scales S2 in place.
+    ``w_i conj(w_j)``, at most ``dim`` entries at a time.  The sum and M2 are
+    the only dim x dim arrays: S2 is written into M2's array by one GEMM, and
+    then, ``_ROW_BLOCK`` entries at a time, each block of S2 is copied out and
+    its rows of M2, of the guard and of the gathered products are formed, with
+    the operations, in the order, of the formulas with full-size temporaries,
+    so every bit is theirs.
     """
     dim, k = w.shape
     part = w @ w.conj().T
     a = np.square(w.real)
     a += np.square(w.imag)
-    m2 = np.square(part.real)
-    s2 = np.square(part.imag)
-    m2 += s2
-    m2 /= k
-    np.matmul(a, a.T, out=s2)
+    m2 = np.matmul(a, a.T)  # S2, turned into M2 block by block
     del a
-    np.subtract(s2, m2, out=m2)
-    guard = s2 > 0
-    s2 *= _CANCELLATION
-    guard &= m2 <= s2
-    del s2  # the gathered indices below can take two dim x dim arrays
-    rows, cols = np.nonzero(guard)
-    for start in range(0, len(rows), dim):
-        i, j = rows[start : start + dim], cols[start : start + dim]
-        products = w[j]
-        np.conjugate(products, out=products)
-        products *= w[i]
-        m2[i, j] = _batch_moments(products.T)[2]
+    rows = _block_rows(dim)
+    scratch = np.empty((min(rows, dim), dim))
+    for start in range(0, dim, rows):
+        block = slice(start, start + rows)
+        m2_rows = m2[block]
+        s2_rows = scratch[: len(m2_rows)]
+        np.copyto(s2_rows, m2_rows)
+        np.square(part.real[block], out=m2_rows)
+        m2_rows += np.square(part.imag[block])
+        m2_rows /= k
+        np.subtract(s2_rows, m2_rows, out=m2_rows)
+        guard = s2_rows > 0
+        s2_rows *= _CANCELLATION
+        guard &= m2_rows <= s2_rows
+        gathered_rows, gathered_cols = np.nonzero(guard)
+        gathered_rows += start
+        for first in range(0, len(gathered_rows), dim):
+            i, j = gathered_rows[first : first + dim], gathered_cols[first : first + dim]
+            products = w[j]
+            np.conjugate(products, out=products)
+            products *= w[i]
+            m2[i, j] = _batch_moments(products.T)[2]
     return k, part, m2
 
 

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -196,10 +198,68 @@ class TestCountsPastFloat64:
         with pytest.raises(ValueError, match=r"got 10{30}$"):
             binomial_ump_test(10**30, 0.3, 0.1)
 
-    @pytest.mark.parametrize("delta, alpha", [(1e30, 0.5), (1e20, 0.05), (1e12, 0.5)])
+    def test_a_quantile_of_exactly_2_to_the_53_is_searched(self):
+        # eps = 1 puts every trial's count at n, so the quantile is n itself
+        test = binomial_ump_test(2**53, 1.0, 0.1)
+        assert (test.threshold, test.gamma) == (2**53, 0.9)
+
+    @pytest.mark.parametrize("delta, alpha", [(1e30, 0.5), (1e20, 0.05), (1e16, 0.5)])
     def test_poisson_quantile_past_the_counts_is_refused(self, delta, alpha):
         with pytest.raises(ValueError, match=r"quantile at .* is \S+, not a count at most 2\*\*53"):
             poisson_ump_test(delta, alpha)
+
+
+class TestNanQuantileStart:
+    """Where scipy's quantile ufunc is NaN at valid parameters inside the 2**53
+    cap, the search starts at the normal approximation and settles the
+    defining inequalities exactly, in well under a second."""
+
+    @pytest.mark.parametrize(
+        "family, params, alpha",
+        [("poisson", (1e12,), 0.5), ("poisson", (1e12,), 0.999), ("binom", (5 * 10**15, 0.9), 0.05)],
+    )
+    def test_threshold_meets_its_inequalities(self, family, params, alpha):
+        own, scipy_family = getattr(classical.stats, family), getattr(stats, family)
+        target = 1.0 - alpha
+        with warnings.catch_warnings():  # the binomial ufunc warns of its failure
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert math.isnan(own.ppf(target, *params))  # the case the start is for
+        search = binomial_ump_test if family == "binom" else poisson_ump_test
+        start = time.perf_counter()
+        test = search(*params, alpha)
+        assert time.perf_counter() - start < 1.0
+        l = test.threshold
+        assert scipy_family.cdf(l - 1, *params) < target <= scipy_family.cdf(l, *params)
+        accepted = own.cdf(l - 1, *params) + test.gamma * own.pmf(l, *params)
+        assert abs(accepted - target) < 1e-12
+
+    def test_no_warning_of_the_failed_quantile(self, recwarn):
+        binomial_ump_test(5 * 10**15, 0.9, 0.05)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_invalid_parameters_are_not_approximated(self):
+        # a NaN quantile at invalid parameters stays NaN and is refused
+        assert math.isnan(classical._start(classical.stats.binom, 0.5, (10.5, 0.3)))
+        assert math.isnan(classical._start(classical.stats.poisson, 0.5, (-1.0,)))
+
+
+class TestWalksFromAnyStart:
+    """The two walks settle the threshold from a start on either side of it,
+    an exact tie cdf(l - 1) = 1 - alpha included (Bin(1, 1/2) at alpha 1/2)."""
+
+    @pytest.mark.parametrize("offset", [-7, -1, 1, 7])
+    @pytest.mark.parametrize(
+        "family, params, alpha",
+        [("binom", (1, 0.5), 0.5), ("binom", (400, 0.3), 0.05), ("poisson", (37.5,), 0.1),
+         ("poisson", (1e12,), 0.5)],
+    )
+    def test_same_threshold(self, monkeypatch, offset, family, params, alpha):
+        search = binomial_ump_test if family == "binom" else poisson_ump_test
+        want = search(*params, alpha)
+        start = classical._start
+        monkeypatch.setattr(classical, "_start", lambda *a: start(*a) + offset)
+        got = search(*params, alpha)
+        assert (got.threshold, got.gamma) == (want.threshold, want.gamma)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from entbench import memory, protocols, quantum, states
+from entbench import memory, multisource, protocols, quantum, states
 from entbench.cli import main
-from entbench.twirl import GroupAction, mc_twirl
+from entbench.twirl import GroupAction, TwirlEstimate, mc_twirl
 
 # the one wording every refusal shares, at a faked RAM of 1000 bytes
 SHARED = r"needs about \d+ bytes, more than the 1000 bytes of RAM; (the largest \w+ that fits is \d+|no \w+ fits)$"
@@ -150,3 +152,48 @@ def test_experiment_config_refuses_one_round_past_the_ceiling(no_work, protocol)
     assert protocols.ExperimentConfig(protocol, 2, 10, 0.0, 0.05, most, 0, spec).trials == most
     with pytest.raises(ValueError, match=f"the largest trials allowed is {most}$"):
         protocols.ExperimentConfig(protocol, 2, 10, 0.0, 0.05, most + 1, 0, spec)
+
+
+# footprints under tracemalloc, which sees numpy's buffers without allocator
+# slack, in 729 x 729 complex arrays: the three-source check at d = 3 holds the
+# reference, the mean and the standard error, and little else
+
+
+def _peak_arrays(run) -> float:
+    run()  # imports and caches are not the footprint
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (16 * 729**2)
+    finally:
+        tracemalloc.stop()
+
+
+def test_three_source_twirl_verify_holds_little_but_what_it_returns(tmp_path):
+    args = ["twirl-verify", "--samples", "16", "--out", str(tmp_path), "target=three-source", "d=3"]
+    assert _peak_arrays(lambda: main(args)) <= 2.75
+
+
+def test_sector_operator_is_built_without_a_second_copy(monkeypatch):
+    # the build holds its result and one level's scratch, and the operator
+    # takes the built matrix itself: the public constructors' copy never runs
+    assert _peak_arrays(lambda: multisource.three_source_covariant_test(3)) <= 2.1
+    frozen = states._frozen
+
+    def copy(a):
+        if np.size(a) == 729**2:
+            pytest.fail("the built matrix was copied")
+        return frozen(a)
+
+    monkeypatch.setattr(states, "_frozen", copy)
+    op = multisource.three_source_covariant_test(3)
+    assert op.mat.flags.owndata and not op.mat.flags.writeable
+
+
+def test_deviation_and_within_make_no_full_size_temporary():
+    rng = np.random.default_rng(5)
+    mean = rng.standard_normal((729, 729)) + 1j * rng.standard_normal((729, 729))
+    est = TwirlEstimate(mean, np.abs(rng.standard_normal((729, 729))), 16)
+    target = multisource.three_source_covariant_test(3).mat
+    assert _peak_arrays(lambda: est.deviation(target)) <= 0.25
+    assert _peak_arrays(lambda: est.within(target)) <= 0.25

@@ -136,6 +136,21 @@ class TestMixedTensorSum:
         assert np.array_equal(got.view(float), want.view(float))
 
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sector_operands_bit_for_bit_nested_kron(self, d, n):
+        # the sector operator's own operands, P and I - P, and random ones
+        p = proj(max_entangled_ket(d))
+        rng = np.random.default_rng(10 * d + n)
+        a, b = rng.standard_normal((2, d * d, d * d)) + 1j * rng.standard_normal((2, d * d, d * d))
+        for x, y in ((p, np.eye(d * d) - p), (a, b)):
+            coeffs = rng.standard_normal(n + 1)
+            got = mixed_tensor_sum(x, y, coeffs)
+            want = kron_fold(x, y, coeffs)
+            assert np.array_equal(got.view(float), want.view(float))
+            assert got.flags.owndata and got.flags.c_contiguous
+
+
 class TestTensorAndPermute:
     def test_identity_tensor(self):
         eye2 = Operator(np.eye(2), (2,), ("A",))
@@ -543,6 +558,21 @@ class TestSectorCertificate:
         assert (op.dims, op.labels) == (dense.dims, dense.labels)
         assert op.mat.tobytes() == dense.mat.tobytes() and not op.mat.flags.writeable
         assert np.array_equal(op.mat, op.mat.conj().T)  # exactly Hermitian
+
+    @pytest.mark.parametrize("kind, d, x", SECTOR_CASES, ids=lambda v: str(v))
+    def test_matrix_is_frozen_and_owns_its_data(self, kind, d, x):
+        op, _ = _sector_built(kind, d, x)
+        assert op.mat.flags.owndata and op.mat.base is None
+        assert not op.mat.flags.writeable
+        with pytest.raises(ValueError):
+            op.mat[0, 0] = 2.0
+
+    def test_public_constructors_still_copy(self):
+        built = sector_operator(2, [1.0, 1.0 / 3.0])
+        built.setflags(write=False)
+        for cls in (Operator, states.TestOperator):
+            op = cls(built, (2, 2))
+            assert op.mat is not built and not np.shares_memory(op.mat, built)
 
     def test_max_entangled_spec_is_the_projector_bit_for_bit(self):
         for d in (2, 3, 4, 5, 7, 10):

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from entbench import memory, states, twirl
+from entbench.cli import _twirl_case
 from entbench.multisource import three_source_covariant_test
 from entbench.states import (
     Ket,
@@ -18,6 +20,7 @@ from entbench.states import (
 from entbench.twirl import (
     KINDS,
     GroupAction,
+    TwirlEstimate,
     haar_unitaries,
     haar_unitary,
     mc_twirl,
@@ -653,6 +656,97 @@ class TestInPlaceAccumulators:
         for a, b in zip(got, want):
             assert np.shape(a) == np.shape(b)
             assert np.array_equal(_bits(a), _bits(b))
+
+
+class TestBlockedPasses:
+    """``_outer_moments`` forms M2, its guard and the gathered entries
+    ``_ROW_BLOCK`` entries at a time, and ``TwirlEstimate`` compares in row
+    blocks: both give the bits of the formulas with full-size temporaries,
+    whatever the block size, at dim 729 too."""
+
+    BLOCKS = [twirl._ROW_BLOCK, 6 * 729 + 5, 1, 1 << 20]  # 22, 6 and 1 rows, and one block
+
+    @staticmethod
+    def _check(w):
+        got, want = twirl._outer_moments(w), outer_moments_reference(w)
+        assert got[0] == want[0]
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+        assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_guard_across_block_edges(self, monkeypatch, block):
+        # rows constant over the batch put their pairs on the guard, around
+        # the edges of 22- and 6-row blocks and in the short last block
+        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(64)
+        w = rng.standard_normal((729, 24)) + 1j * rng.standard_normal((729, 24))
+        constant = [5, 6, 7, 20, 21, 22, 23, 43, 44, 725, 726, 727, 728]
+        w[constant] = 0.5 - 0.25j
+        w[100:130:3] = 0.0  # entries with S2 = 0 stay off the guard
+        gathered, batch_moments = [], twirl._batch_moments
+        monkeypatch.setattr(twirl, "_batch_moments",
+                            lambda x: gathered.append(x.shape[1]) or batch_moments(x))
+        self._check(w)
+        assert sum(gathered) == len(constant) ** 2  # the constant pairs and no others
+
+    @pytest.mark.parametrize("block", BLOCKS[:2])
+    def test_every_entry_on_the_guard_at_dim_729(self, monkeypatch, block):
+        # phi on every pair is fixed by the action: every entry is gathered
+        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        phi = max_entangled_ket(3).vec
+        v = np.kron(np.kron(phi, phi), phi)
+        action = GroupAction("local_independent", 3, 3)
+        for w in twirl._kets(v, action, 12, np.random.default_rng(65)):
+            self._check(w)
+
+    @pytest.mark.parametrize("block", BLOCKS[:2])
+    def test_three_source_batches_at_dim_729(self, monkeypatch, block):
+        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        seed, action, _ = _twirl_case("three-source", 3)
+        for w in twirl._kets(seed.vec, action, 40, np.random.default_rng(66)):
+            self._check(w)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("shape", [(729, 729), (5, 7), (3,), ()])
+    def test_comparisons_match_the_one_shot_formulas(self, monkeypatch, block, shape):
+        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(67)
+        mean = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stderr = np.abs(rng.standard_normal(shape))
+        est = TwirlEstimate(mean, stderr, 10)
+        targets = [mean + 0.1 * rng.standard_normal(shape), np.zeros(shape), 0.0]
+        for target in targets:
+            dev = np.abs(mean - np.asarray(target))
+            assert est.deviation(target) == float(np.max(dev))
+            for nsigma, atol in ((5.0, 1e-9), (0.5, 0.0), (1e3, 0.0)):
+                assert est.within(target, nsigma, atol) == bool(np.all(dev <= nsigma * stderr + atol))
+
+    @pytest.mark.parametrize(
+        "shape, rows", [((729, 729), 22), ((81, 81), 202), ((3, 50000), 1), ((40000,), 1 << 14), ((), 1)]
+    )
+    def test_blocks_hold_about_row_block_entries(self, shape, rows):
+        # as many whole rows as fit in _ROW_BLOCK entries, at least one
+        x = np.arange(np.prod(shape)).reshape(shape)
+        blocks = [b for b, in twirl._row_blocks(x)]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        assert np.array_equal(np.concatenate(blocks), np.atleast_1d(x))
+
+    @pytest.mark.parametrize("block", BLOCKS[:3])
+    @pytest.mark.parametrize("where", [(0, 3), (400, 9), (728, 728)])
+    def test_a_nan_anywhere_fails(self, monkeypatch, block, where):
+        # a large finite entry in the first block: a NaN in a later block must
+        # still give NaN (the builtin max would keep the finite one)
+        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(68)
+        mean = rng.standard_normal((729, 729)) + 0j
+        mean[0, 0] = 1e9
+        target = mean.copy()
+        est = TwirlEstimate(mean, np.ones((729, 729)), 10)
+        assert est.deviation(target) == 0.0 and est.within(target, 0.0, 0.0)
+        target[where] = np.nan
+        assert math.isnan(est.deviation(target))
+        assert not est.within(target, 1e300)
 
 
 def _serial(draw, batches):
