@@ -1,7 +1,6 @@
 """Mutation probe: which operator and comparison in a function does no test pin?
 
-    python tools/mutation_probe.py MODULE [FUNCTION ...] [--seed N] [--max N]
-                                   [--timeout S] [--list]
+    python tools/mutation_probe.py MODULE [FUNCTION ...] [--max N]
 
 Run from the repository root.  Each mutant swaps one arithmetic operator
 (``+ - * / // % **``, in an expression or an augmented assignment) or one
@@ -10,10 +9,10 @@ comparison (``< <= > >= == !=``) inside the named functions of
 every top-level function and method).  The mutated module is written, by
 ``ast.unparse``, into a copy of ``src/`` in a temporary directory, and the
 module's own test files (``TESTS``) run against that copy with ``-x``.  A
-mutant is killed when the tests fail, error or time out, and survives when
-they pass.  With ``--max``, a sample of that many sites is drawn with
-``--seed``, so a run is reproducible.  ``--list`` prints the sites and runs
-nothing.  Only the standard library is used; pytest runs as a subprocess.
+mutant is killed when the tests fail, error or run past ``TIMEOUT`` seconds,
+and survives when they pass.  With ``--max``, a sample of that many sites is
+drawn with the fixed ``SEED``, so a run is reproducible.  Only the standard
+library is used; pytest runs as a subprocess.
 
 This is not part of the test suite: a run over one module's touched
 functions takes minutes, every mutant paying a pytest start.
@@ -43,6 +42,8 @@ TESTS = {
     "twirl": ["tests/test_twirl.py", "tests/test_memory.py"],
 }
 DESELECT = "tests/test_acceptance.py::test_criterion_09_large_deviation"
+SEED = 0  # draws the --max sample of sites
+TIMEOUT = 300.0  # seconds per mutant; a walk sent far off runs until then
 
 # each operator and the one it is swapped for
 SWAPS = {
@@ -98,7 +99,7 @@ def mutate(node, field, index):
     return lambda: node.ops.__setitem__(index, old)
 
 
-def run_tests(src: Path, tests: list[str], timeout: float) -> str:
+def run_tests(src: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     # the empty pythonpath option keeps pytest from putting the checkout's
     # own src/ ahead of the mutated copy
@@ -106,7 +107,7 @@ def run_tests(src: Path, tests: list[str], timeout: float) -> str:
            "--deselect", DESELECT, *tests]
     try:
         proc = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if proc.returncode == 0 else "killed"
@@ -116,22 +117,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("module", choices=sorted(TESTS))
     ap.add_argument("functions", nargs="*")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max", type=int, default=None, help="sample this many sites")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    ap.add_argument("--list", action="store_true", help="print the sites only")
     args = ap.parse_args()
 
     path = Path("src/entbench") / f"{args.module}.py"
     tree = ast.parse(path.read_text())
     chosen = sites(tree, args.functions)
     if args.max is not None and args.max < len(chosen):
-        chosen = sorted(random.Random(args.seed).sample(chosen, args.max), key=lambda s: s[1])
-    if args.list:
-        for name, line, node, field, index in chosen:
-            print(f"{name}:{line}  {describe(node, field, index)}")
-        return 0
-
+        chosen = sorted(random.Random(SEED).sample(chosen, args.max), key=lambda s: s[1])
     tests = TESTS[args.module]
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -139,13 +132,13 @@ def main() -> int:
         shutil.copytree("src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "entbench" / path.name
         target.write_text(ast.unparse(tree) + "\n")
-        if run_tests(src, tests, args.timeout) != "survived":
+        if run_tests(src, tests) != "survived":
             raise SystemExit(f"the tests fail on the unmutated {path} as unparsed; nothing to probe")
         for name, line, node, field, index in chosen:
             restore = mutate(node, field, index)
             target.write_text(ast.unparse(tree) + "\n")
             restore()
-            verdict = run_tests(src, tests, args.timeout)
+            verdict = run_tests(src, tests)
             print(f"{verdict:17s} {name}:{line}  {describe(node, field, index)}", flush=True)
             if verdict == "survived":
                 survivors.append((name, line))
