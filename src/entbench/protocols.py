@@ -10,10 +10,11 @@ functions of (config, seed): sampling uses a single PCG64 generator and fixed
 batch order, the acceptance uniforms last.
 
 No protocol forms an operator larger than its d^2 x d^2 states.  The Bell-pair
-tables are expectations of vectors, contracted one source at a time.  A
-configuration whose states, batch arrays or per-trial arrays would not fit in
-physical RAM, or that would draw more than ``memory.MAX_DRAWS`` rounds, is
-refused before any state is built.
+tables are expectations of vectors, contracted one source at a time, and
+Alice's outcome per pair is the count of the table's boundaries its uniform
+has passed (``_pick``).  A configuration whose states, batch arrays or
+per-trial arrays would not fit in physical RAM, or that would draw more than
+``memory.MAX_DRAWS`` rounds, is refused before any state is built.
 
 The one-way protocol draws Alice's reported vector v from its law, not from a
 Haar basis.  Measuring in the columns of Haar g, she sees i with probability
@@ -33,15 +34,18 @@ conj(v) on his conditional state, so he accepts with
    = d <v|rho_A|v>``.
 
 The f_k and w_k are the columns of rho_A's Cholesky factor
-(``_reporting_ensemble``).  A batch of rounds holds the (d + 1, batch) normals
-and two (d^2, batch) arrays, batch last, so Bob's step is one 2-D matrix
-product.  Each batch draws 2 (d + 1) batch normals (z, then w, see
-``_one_way_rounds``), then Alice's uniforms, then the acceptance uniforms;
-the threshold uniforms of ``one_way_repeated`` follow the last batch.  The
-draws run one batch ahead on one worker thread (``twirl._prefetch``) while
-the batch before is consumed.  They keep the same order, so every seeded run
-is bit for bit the serial one; the worker is joined before the rounds
-return, and a draw must not itself prefetch.
+(``_reporting_ensemble``).  Bob's step is real: ``z (x) conj(z)`` is vec of
+the Hermitian ``z z^dag``, fixed by d^2 real coordinates r, and his
+acceptance is a ratio of forms in r.  So a batch of rounds holds the
+(d + 1, batch) normals and one real (d^2, batch) array of r, batch last, and
+Bob's step is one real product with a (d^2 + 2, d^2) kernel built once per
+run (``_bob_kernel``, ``_one_way_outcomes``).  Each batch draws 2 (d + 1)
+batch normals (z, then w, see ``_one_way_rounds``), then Alice's uniforms,
+then the acceptance uniforms; the threshold uniforms of ``one_way_repeated``
+follow the last batch.  The draws run one batch ahead on one worker thread
+(``twirl._prefetch``) while the batch before is consumed.  They keep the same
+order, so every seeded run is bit for bit the serial one; the worker is
+joined before the rounds return, and a draw must not itself prefetch.
 """
 
 from __future__ import annotations
@@ -71,26 +75,35 @@ _ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on
 # validated and the Bell tables contracted (peak RSS measured at 5.0 for one
 # state at d = 50, 6.7 for bell_pairs' two states at d = 20)
 _STATE_ARRAYS = 8
-# complex (d^2, batch) arrays alive at once in a one-way batch: x and sigma x,
-# and their temporaries ...
-_ROUND_ARRAYS = 3
+# complex (d^2, batch) arrays alive at once in a one-way batch: the real
+# coordinates of z z^dag and their product with Bob's kernel, one such array
+# between them, budgeted twice for the margin at small d ...
+_ROUND_ARRAYS = 2
 # ... and complex (d + 1, batch) ones: the two sets of normals and uniforms
 # that take turns while the next batch is drawn, Alice's gathered columns,
-# their tilt, conj(z) and rho_A z.  Peak RSS growth over three batches
-# (getrusage, one BLAS thread) is 25.8, 39.1, 58.6 and 81.6 complex entries a
-# round at d = 2 to 5, where the (d + 1, batch) terms dominate, and 173, 347,
-# 554 and 1124 (2.71, 2.41, 2.16 and 1.95 (d^2, batch) arrays) at d = 8, 12,
-# 16 and 24
+# their tilt and Bob's per-round sums.  Peak RSS growth over three batches
+# (getrusage, one BLAS thread) is 22.1, 31.7, 44.7 and 59.1 complex entries a
+# round at d = 2 to 5, where the (d + 1, batch) terms dominate, and 112, 197,
+# 304 and 561 (1.75, 1.36, 1.19 and 0.97 (d^2, batch) arrays) at d = 8, 12,
+# 16 and 24; the complex product of the previous version grew by 25.2 at
+# d = 2 and 1124 at d = 24
 _ROUND_VECTORS = 6
+# a Bell-pair outcome table of up to this many entries is looked up by counting
+# boundaries into uint8 counts (``_pick``): over 200 000 uniforms at one core
+# counting takes about 0.7, 4 and 13 ms at d = 3, 8 and 14 against 5.5, 12 and
+# 15 ms for searchsorted, which is the faster from d = 15 on
+_COUNTED_OUTCOMES = 14 * 14
 # a Cholesky pivot of rho_A at or below this is rounding, and its column is
 # left zero; a kept column of rounding noise (~1e-16) weighs under 1e-17
 _PIVOT_FLOOR = 1e-15
 # protocol -> bytes its per-trial arrays hold (per trial, per round of a trial).
 # Peak RSS growth over the trials (getrusage, d = 2 and 3, one BLAS thread):
 # 33.98 a trial for the threshold test's counts, uniforms and weights
-# (global_projective), 24.97 a Bell pair for its uniforms, outcomes and
-# acceptances, and 0.93 a one-way round for the acceptance sequence, which
-# one_way_repeated holds twice while it counts failures (108.9 a trial of 50)
+# (global_projective), 18.05 a Bell pair for its uniforms, outcomes and
+# acceptances while ``_pick`` counts the outcomes into uint8 (25.09 with the
+# intp outcomes of searchsorted, past ``_COUNTED_OUTCOMES``), and 0.93 a
+# one-way round for the acceptance sequence, which one_way_repeated holds
+# twice while it counts failures (108.9 a trial of 50)
 _TRIAL_BYTES = {"global_projective": (34, 0), "bell_pairs": (34, 25),
                 "one_way_single": (0, 1), "one_way_repeated": (34, 2)}
 
@@ -275,6 +288,32 @@ def _bell_tables(sigma1, sigma2, d):
     return p_alice / p_alice.sum(), np.clip(accept_given, 0.0, 1.0), float(raw[1].sum())
 
 
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights, scaled to end at exactly 1: a plain cumsum of
+    weights that sum to 1 can end a rounding below it, and a uniform past
+    that end would pick an outcome outside the table."""
+    cum = np.cumsum(weights)
+    return cum / cum[-1]
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome each uniform u in [0, 1) picks from the cumulative weights
+    ``cum`` (``_cumulative``): the number of entries of ``cum[:-1]`` at or
+    below u, ``searchsorted(cum[:-1], u, side="right")``, so an outcome of
+    zero weight is never picked, even at u = 0.
+
+    A table of up to ``_COUNTED_OUTCOMES`` entries is counted, one
+    compare-add per boundary into uint8 counts; a longer one is searched.
+    """
+    if len(cum) > _COUNTED_OUTCOMES:
+        return np.searchsorted(cum[:-1], u, side="right")
+    out = np.zeros(u.shape, dtype=np.uint8)
+    passed = np.empty(u.shape, dtype=bool)
+    for edge in cum[:-1]:
+        out += np.greater_equal(u, edge, out=passed)
+    return out
+
+
 def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     """Bell measurement per pair of copies, then the binomial test at the
     two-sample boundary.  Dual-source runs pair one copy from each source."""
@@ -283,7 +322,7 @@ def run_bell_pairs(config: ExperimentConfig) -> ExperimentResult:
     sigma2 = (config.state2 or config.state).build()
     p_alice, accept_given, per_pair = _bell_tables(sigma1, sigma2, config.d)
     shape = (config.trials, config.n // ROUNDS["bell_pairs"][0])
-    outcome = np.searchsorted(np.cumsum(p_alice), rng.random(shape))
+    outcome = _pick(_cumulative(p_alice), rng.random(shape))
     accept_pair = rng.random(shape) < accept_given[outcome]
     extra = {
         "per_pair_accept_exact": per_pair,
@@ -314,8 +353,7 @@ def _reporting_ensemble(rho_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             factor[j:, j] = col / math.sqrt(col[0].real)
     weights = (factor.real**2 + factor.imag**2).sum(axis=0)
     units = np.divide(factor, np.sqrt(weights), out=np.zeros_like(factor), where=weights > 0)
-    cum = np.cumsum(weights)
-    return cum / cum[-1], units
+    return _cumulative(weights), units
 
 
 def _alice_vectors(cum: np.ndarray, units: np.ndarray, zw: np.ndarray, u: np.ndarray):
@@ -338,26 +376,89 @@ def _alice_vectors(cum: np.ndarray, units: np.ndarray, zw: np.ndarray, u: np.nda
     return z
 
 
-def _one_way_outcomes(sigma_mat: np.ndarray, rho_a: np.ndarray, z: np.ndarray,
-                      work: np.ndarray) -> np.ndarray:
+def _hermitian_basis(d: int):
+    """The real basis of d x d Hermitian matrices that Bob's coordinates use.
+
+    Basis matrix k is ``c_k E_p + conj(c_k) E_q`` at the flat indices
+    ``p_k``, ``q_k`` of vec(Z), row-major: ``E_aa / 2`` twice for Re Z_aa,
+    ``E_ab + E_ba`` for Re Z_ab and ``i E_ab - i E_ba`` for Im Z_ab, a < b.
+    They come in blocks, one per row a: Re Z_aa, then Re Z_ab and Im Z_ab for
+    b > a, the order ``_hermitian_coordinates`` writes.  Returns the (2, d^2)
+    flat indices ``[p, q]`` and coefficients ``[c, conj(c)]``.
+    """
+    p, q, c = [], [], []
+    for a in range(d):
+        b = np.arange(a + 1, d)
+        p += [a * (d + 1), *(a * d + b), *(a * d + b)]
+        q += [a * (d + 1), *(b * d + a), *(b * d + a)]
+        c += [0.5, *[1.0] * len(b), *[1j] * len(b)]
+    c = np.array(c)
+    return np.array([p, q]), np.array([c, c.conj()])
+
+
+def _bob_kernel(sigma_mat: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """The real (d^2 + 2, d^2) kernel of Bob's step on the coordinates r of
+    ``Z = z z^dag = sum_k r_k B_k`` (``_hermitian_basis``).
+
+    With V the matrix of columns vec(B_k), ``vec(Z) = V r``: rows 0 to
+    d^2 - 1 are ``Re(V^dag sigma V)``, so ``<x|sigma|x> = r . (K r)`` for
+    ``x = z (x) conj(z) = vec(Z)``; row d^2 is the linear form of
+    ``Tr(rho_A Z) = <z|rho_A|z>`` and row d^2 + 1 that of ``Tr Z = |z|^2``.
+    Each B_k has two entries, so every block is an index gather of sigma,
+    rho_A or I, O(d^4) in all, and one d^2 x d^2 gather is alive at a time.
+    """
+    d = len(rho_a)
+    idx, coef = _hermitian_basis(d)
+    kernel = np.zeros((d * d + 2, d * d))
+    for s in range(2):
+        for t in range(2):
+            block = sigma_mat[np.ix_(idx[s], idx[t])]
+            block *= coef[s, :, np.newaxis].conj()
+            block *= coef[t]
+            kernel[: d * d] += block.real
+    for row, form in ((d * d, rho_a), (d * d + 1, np.eye(d))):
+        kernel[row] = (coef * form.T.reshape(-1)[idx]).real.sum(axis=0)
+    return kernel
+
+
+def _hermitian_coordinates(z: np.ndarray, r: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The coordinates of ``z z^dag`` per column of z (d, batch), written into
+    r (d^2, batch) in ``_hermitian_basis`` order: for z = x + i y,
+    ``Re Z_ab = x_a x_b + y_a y_b`` (a <= b) and ``Im Z_ab = y_a x_b - x_a y_b``
+    (a < b).  ``tmp`` is a (d, batch) scratch array."""
+    d = len(z)
+    x, y = z.real, z.imag
+    k = 0
+    for a in range(d):
+        re, im = r[k : k + d - a], r[k + d - a : k + 2 * (d - a) - 1]
+        np.multiply(x[a], x[a:], out=re)
+        re += np.multiply(y[a], y[a:], out=tmp[: d - a])
+        np.multiply(y[a], x[a + 1 :], out=im)
+        im -= np.multiply(x[a], y[a + 1 :], out=tmp[: d - a - 1])
+        k += 2 * (d - a) - 1
+    return r
+
+
+def _one_way_outcomes(kernel: np.ndarray, z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Bob's acceptance probability for Alice's reported vectors, the columns
     of ``z`` (d, batch), which need not be normalized.
 
     Bob checks conj(v) on his conditional state, so for ``x = z (x) conj(z)`` he
-    accepts with ``<x|sigma|x> / (|z|^2 <z|rho_A|z>)``: one (d^2, d^2) x
-    (d^2, batch) product, at most 1 because ``|conj z><conj z| <= |z|^2 I``.
-    ``work`` is a (2, n) complex array with n >= d^2 batch; its rows hold x
-    and sigma x.
+    accepts with ``<x|sigma|x> / (|z|^2 <z|rho_A|z>)``, at most 1 because
+    ``|conj z><conj z| <= |z|^2 I``.  All three are forms in the d^2 real
+    coordinates r of the Hermitian ``z z^dag``, so the step is one real
+    ``(d^2 + 2, d^2) x (d^2, batch)`` product with ``_bob_kernel``, t = K r:
+    the numerator is ``r . t[:d^2]`` and the denominator ``t[d^2] t[d^2 + 1]``.
+    ``work`` is a (2, n) real array with n >= (d^2 + 2) batch; its rows hold
+    r and t, and t's row also serves as the scratch of the coordinates.
     """
     d, batch = z.shape
-    x = np.multiply(z[:, np.newaxis], z.conj(), out=work[0, : d * d * batch].reshape(d, d, batch))
-    x = x.reshape(d * d, batch)
-    sx = np.matmul(sigma_mat, x, out=work[1, : d * d * batch].reshape(d * d, batch))
-    num = np.einsum("jn,jn->n", x.real, sx.real) + np.einsum("jn,jn->n", x.imag, sx.imag)
-    rz = rho_a @ z
-    den = (np.einsum("an,an->n", z.real, rz.real) + np.einsum("an,an->n", z.imag, rz.imag)) * (
-        np.einsum("an,an->n", z.real, z.real) + np.einsum("an,an->n", z.imag, z.imag))
-    return np.clip(num / den, 0.0, 1.0)
+    q = d * d
+    t = work[1, : (q + 2) * batch].reshape(q + 2, batch)
+    r = _hermitian_coordinates(z, work[0, : q * batch].reshape(q, batch), t[:d])
+    np.matmul(kernel, r, out=t)
+    num = np.einsum("kn,kn->n", r, t[:q])
+    return np.clip(num / (t[q] * t[q + 1]), 0.0, 1.0)
 
 
 def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarray:
@@ -378,11 +479,12 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
     """
     rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
     cum, units = _reporting_ensemble(rho_a)
+    kernel = _bob_kernel(sigma_mat, rho_a)
     size = min(rounds, _ROUND_BATCH)
     sets = 1 if rounds <= size else 2
     normals = np.empty((sets, (d + 1) * size), dtype=complex)
     uniforms = np.empty((sets, 2 * size))
-    work = np.empty((2, d * d * size), dtype=complex)
+    work = np.empty((2, (d * d + 2) * size))
     out = np.empty(rounds, dtype=bool)
 
     def draw(i: int, batch: int):
@@ -395,7 +497,7 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
         for zw, u in draws:
             batch = u.shape[1]
             z = _alice_vectors(cum, units, zw, u[0])
-            np.less(u[1], _one_way_outcomes(sigma_mat, rho_a, z, work),
+            np.less(u[1], _one_way_outcomes(kernel, z, work),
                     out=out[done : done + batch])
             done += batch
     return out

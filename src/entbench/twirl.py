@@ -277,8 +277,10 @@ def _row_blocks(*arrays):
         yield tuple(a[start : start + rows] for a in arrays)
 
 
-def _chunks(total: int, size: int = _CHUNK):
-    """Batch sizes that split ``total`` items into runs of ``size`` in order."""
+def _chunks(total: int, size: int | None = None):
+    """Batch sizes that split ``total`` items into runs of ``size`` in order;
+    ``size`` defaults to ``_CHUNK`` as it stands when the run starts."""
+    size = _CHUNK if size is None else size
     for start in range(0, total, size):
         yield min(size, total - start)
 

@@ -281,6 +281,20 @@ def one_way_reference(sigma_mat: np.ndarray, d: int, g: np.ndarray, u: np.ndarra
     return p, pick, np.clip(num / den, 0.0, 1.0)
 
 
+def one_way_acceptance_reference(sigma_mat: np.ndarray, rho_a: np.ndarray, z: np.ndarray):
+    """Bob's one-way acceptance for the columns of ``z`` (d, batch) in complex
+    arithmetic: ``<x|sigma|x> / (|z|^2 <z|rho_A|z>)`` for ``x = z (x) conj(z)``,
+    clipped to [0, 1]."""
+    d, batch = z.shape
+    x = (z[:, np.newaxis] * z.conj()).reshape(d * d, batch)
+    sx = sigma_mat @ x
+    num = np.einsum("jn,jn->n", x.real, sx.real) + np.einsum("jn,jn->n", x.imag, sx.imag)
+    rz = rho_a @ z
+    den = (np.einsum("an,an->n", z.real, rz.real) + np.einsum("an,an->n", z.imag, rz.imag)) * (
+        np.einsum("an,an->n", z.real, z.real) + np.einsum("an,an->n", z.imag, z.imag))
+    return np.clip(num / den, 0.0, 1.0)
+
+
 def bell_tables_reference(sigma1: DensityMatrix, sigma2: DensityMatrix, d: int):
     """Bell-pair outcome and acceptance tables as traces against d^4 x d^4 operators.
 

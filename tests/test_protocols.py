@@ -18,7 +18,14 @@ from entbench.states import (
     random_ket,
     tensor,
 )
-from helpers import bell_tables_reference, one_way_reference, sample_povm_outcome, within_ci
+from entbench.qubit_pair import bell_diagonal_state
+from helpers import (
+    bell_tables_reference,
+    one_way_acceptance_reference,
+    one_way_reference,
+    sample_povm_outcome,
+    within_ci,
+)
 
 
 def iso_config(protocol, d, n, eps, alpha, trials, seed, p, **kw):
@@ -165,6 +172,56 @@ class TestRunBellPairs:
         with pytest.raises(ValueError):
             iso_config("bell_pairs", 2, 9, 0.0, 0.1, 10, 0, 0.1)
 
+    def test_a_uniform_at_the_top_of_the_table_picks_the_last_outcome(self, monkeypatch):
+        # at d = 9 Alice's table sums, by cumsum, to 1 - 7e-16
+        d, state = 9, isotropic_state(9, 0.1)
+        p_alice, accept_given, _ = pr._bell_tables(state, state, d)
+        assert np.cumsum(p_alice)[-1] < np.nextafter(1.0, 0.0)
+        top, make = np.nextafter(1.0, 0.0), np.random.default_rng
+
+        class TopFirst:
+            """Alice's uniforms all at the top of [0, 1); every later draw real."""
+
+            def __init__(self, seed):
+                self.rng, self.first = make(seed), True
+
+            def random(self, size=None):
+                if self.first:
+                    self.first = False
+                    return np.full(size, top)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(pr.np.random, "default_rng", TopFirst)
+        res = pr.run_bell_pairs(iso_config("bell_pairs", d, 4, 0.05, 0.1, 50, 0, 0.1))
+        rate = res.extra["per_pair_accept_rate"]
+        assert abs(rate - accept_given[-1]) <= 4.0 * math.sqrt(0.25 / res.extra["pair_trials"])
+
+    @pytest.mark.parametrize("weights, u, want", [
+        ([0.0, 0.5, 0.5], 0.0, 1),
+        ([0.0, 0.0, 1.0, 0.0], 0.0, 2),
+        ([0.25, 0.0, 0.75, 0.0], 0.25, 2),
+        ([0.25, 0.0, 0.75, 0.0], np.nextafter(1.0, 0.0), 2),
+        ([0.1] * 10, np.nextafter(1.0, 0.0), 9),
+    ])
+    def test_zero_weights_are_never_picked(self, weights, u, want):
+        cum = pr._cumulative(np.array(weights))
+        assert cum[-1] == 1.0
+        assert pr._pick(cum, np.array([u])).tolist() == [want]
+
+    @pytest.mark.parametrize("entries", [4, 9, pr._COUNTED_OUTCOMES, pr._COUNTED_OUTCOMES + 1, 400])
+    def test_pick_is_a_right_sided_search(self, entries):
+        rng = np.random.default_rng(entries)
+        weights = rng.random(entries) * (rng.random(entries) < 0.8)
+        weights[-1] = 0.0
+        cum = pr._cumulative(weights)
+        edges = cum[cum < 1.0]  # every boundary a uniform can sit on, and just below it
+        u = np.concatenate([rng.random(5000), edges, np.nextafter(edges, 0.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])[np.newaxis]
+        got = pr._pick(cum, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+        assert weights[got].min() > 0.0
+
 
 class TestRunOneWay:
     def test_perfect_state(self):
@@ -208,8 +265,8 @@ class TestReducedStateTables:
         rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
         count = 2000
         z = (rng.standard_normal((d, count)) + 1j * rng.standard_normal((d, count))) * 3.0
-        work = np.empty((2, d * d * count), dtype=complex)
-        accept = pr._one_way_outcomes(sigma, rho_a, z.copy(), work)
+        work = np.empty((2, (d * d + 2) * count))
+        accept = pr._one_way_outcomes(pr._bob_kernel(sigma, rho_a), z.copy(), work)
         # a basis whose first column is z's direction; at u = 0 Alice reports it
         basis = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
         basis[:, :, 0] = z.T
@@ -286,7 +343,8 @@ class TestOneWaySampler:
 
 
 def _serial_one_way_rounds(sigma, d, rounds, rng):
-    """The documented per-batch draws, made by hand in a serial loop with fresh arrays."""
+    """The documented per-batch draws, made by hand in a serial loop with fresh
+    arrays, and Bob's step in complex arithmetic (the helpers oracle)."""
     rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
     cum, units = pr._reporting_ensemble(rho_a)
     want = []
@@ -294,9 +352,85 @@ def _serial_one_way_rounds(sigma, d, rounds, rng):
         batch = min(pr._ROUND_BATCH, rounds - start)
         zw = rng.standard_normal(2 * (d + 1) * batch).view(complex).reshape(d + 1, batch)
         z = pr._alice_vectors(cum, units, zw, rng.random(batch))
-        work = np.empty((2, d * d * batch), dtype=complex)
-        want.append(rng.random(batch) < pr._one_way_outcomes(sigma, rho_a, z, work))
+        want.append(rng.random(batch) < one_way_acceptance_reference(sigma, rho_a, z))
     return np.concatenate(want)
+
+
+def _one_way_state(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "isotropic":
+        return isotropic_state(d, 0.3).mat
+    if kind == "product":
+        return proj(np.kron(random_ket((d,), rng).vec, random_ket((d,), rng).vec))
+    if kind == "bell_diagonal":
+        return bell_diagonal_state(0.5, 0.2, 0.1).mat
+    return random_density((d, d), rng).mat
+
+
+ONE_WAY_CASES = [(kind, d) for kind in ("isotropic", "random", "product") for d in (2, 3, 4, 5, 8)]
+ONE_WAY_CASES.append(("bell_diagonal", 2))
+
+
+class TestBobKernel:
+    """Bob's step as one real product on the Hermitian coordinates of z z^dag,
+    against its definition and the complex formula of the helpers oracle."""
+
+    @staticmethod
+    def _basis_columns(d):
+        """vec of each Hermitian basis matrix, built from the documented order."""
+        cols = []
+        for a in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[a, a] = 1.0
+            cols.append(e.reshape(-1))
+            for part in (1.0, 1j):
+                for b in range(a + 1, d):
+                    e = np.zeros((d, d), dtype=complex)
+                    e[a, b], e[b, a] = part, np.conj(part)
+                    cols.append(e.reshape(-1))
+        return np.array(cols).T
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_kernel_and_coordinates_match_their_definitions(self, d):
+        rng = np.random.default_rng(200 + d)
+        sigma = random_density((d, d), rng).mat
+        rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+        v = self._basis_columns(d)
+        basis = v.reshape(d, d, -1)  # [a, b, k]: entry (a, b) of basis matrix k
+        kernel = pr._bob_kernel(sigma, rho_a)
+        assert kernel.shape == (d * d + 2, d * d) and kernel.dtype == float
+        assert np.max(np.abs(kernel[: d * d] - (v.conj().T @ sigma @ v).real)) <= 1e-15
+        assert np.max(np.abs(kernel[d * d] - np.einsum("ab,bak->k", rho_a, basis).real)) <= 1e-15
+        assert np.array_equal(kernel[d * d + 1], np.trace(basis).real)
+        z = rng.standard_normal((d, 7)) + 1j * rng.standard_normal((d, 7))
+        r = pr._hermitian_coordinates(z, np.empty((d * d, 7)), np.empty((d, 7)))
+        x = (z[:, np.newaxis] * z.conj()).reshape(d * d, 7)
+        assert np.max(np.abs(v @ r - x)) <= 1e-14
+
+    @pytest.mark.parametrize("kind, d", ONE_WAY_CASES)
+    def test_acceptance_matches_the_complex_formula(self, kind, d):
+        sigma = _one_way_state(kind, d, 210 + d)
+        rho_a = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+        cum, units = pr._reporting_ensemble(rho_a)
+        rng = np.random.default_rng(220 + d)
+        count = 3000
+        work = np.empty((2, (d * d + 2) * count))
+        kernel = pr._bob_kernel(sigma, rho_a)
+        for scale in (1.0, 1e-3, 40.0):  # z need not be normalized
+            zw = rng.standard_normal((d + 1, 2 * count)).view(complex)
+            z = pr._alice_vectors(cum, units, zw, rng.random(count)) * scale
+            got = pr._one_way_outcomes(kernel, z, work)
+            assert np.max(np.abs(got - one_way_acceptance_reference(sigma, rho_a, z))) <= 1e-14
+
+    @pytest.mark.parametrize("kind, d", ONE_WAY_CASES)
+    def test_decisions_are_the_complex_formulas_bitwise(self, kind, d):
+        sigma = _one_way_state(kind, d, 230 + d)
+        rounds = 2 * pr._ROUND_BATCH + 300  # three batches, the last one short
+        rng = np.random.default_rng(240 + d)
+        got = pr._one_way_rounds(sigma, d, rounds, rng)
+        ref = np.random.default_rng(240 + d)
+        assert np.array_equal(got, _serial_one_way_rounds(sigma, d, rounds, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class _Failed(Exception):

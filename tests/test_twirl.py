@@ -783,6 +783,13 @@ class TestDrawAhead:
         self._assert_serial(monkeypatch, _random_ket(d, copies, 80), GroupAction(kind, d, copies),
                             3 * 64 + 5, 81)
 
+    def test_batch_size_is_read_when_the_run_starts(self, monkeypatch):
+        monkeypatch.setattr(twirl, "_CHUNK", 64)
+        v, action = _random_ket(2, 1, 84), GroupAction("local", 2)
+        kets = twirl._kets(v.vec, action, 3 * 64 + 5, np.random.default_rng(85))
+        assert [w.shape for w in kets] == [(4, 64)] * 3 + [(4, 5)]
+        self._assert_serial(monkeypatch, v, action, 3 * 64 + 5, 85)
+
     def test_at_the_real_batch_size(self, monkeypatch):
         self._assert_serial(monkeypatch, _random_ket(2, 1, 82), GroupAction("local", 2),
                             2 * 4096 + 5, 83)

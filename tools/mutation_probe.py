@@ -36,6 +36,7 @@ from pathlib import Path
 TESTS = {
     "classical": ["tests/test_classical.py"],
     "multisource": ["tests/test_multisource.py", "tests/test_acceptance.py"],
+    "protocols": ["tests/test_protocols.py", "tests/test_acceptance.py"],
     "quantum": ["tests/test_quantum.py", "tests/test_acceptance.py"],
     "qubit_pair": ["tests/test_qubit_pair.py", "tests/test_acceptance.py"],
     "states": ["tests/test_states.py", "tests/test_memory.py"],
