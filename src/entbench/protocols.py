@@ -88,23 +88,18 @@ _ROUND_ARRAYS = 2
 # 16 and 24; the complex product of the previous version grew by 25.2 at
 # d = 2 and 1124 at d = 24
 _ROUND_VECTORS = 6
-# a Bell-pair outcome table of up to this many entries is looked up by counting
-# boundaries into uint8 counts (``_pick``): over 200 000 uniforms at one core
-# counting takes about 0.7, 4 and 13 ms at d = 3, 8 and 14 against 5.5, 12 and
-# 15 ms for searchsorted, which is the faster from d = 15 on
-_COUNTED_OUTCOMES = 14 * 14
 # a Cholesky pivot of rho_A at or below this is rounding, and its column is
 # left zero; a kept column of rounding noise (~1e-16) weighs under 1e-17
 _PIVOT_FLOOR = 1e-15
 # protocol -> bytes its per-trial arrays hold (per trial, per round of a trial).
 # Peak RSS growth over the trials (getrusage, d = 2 and 3, one BLAS thread):
 # 33.98 a trial for the threshold test's counts, uniforms and weights
-# (global_projective), 18.05 a Bell pair for its uniforms, outcomes and
-# acceptances while ``_pick`` counts the outcomes into uint8 (25.09 with the
-# intp outcomes of searchsorted, past ``_COUNTED_OUTCOMES``), and 0.93 a
-# one-way round for the acceptance sequence, which one_way_repeated holds
-# twice while it counts failures (108.9 a trial of 50)
-_TRIAL_BYTES = {"global_projective": (34, 0), "bell_pairs": (34, 25),
+# (global_projective), 18.00 a Bell pair for its uniforms, outcomes and
+# acceptances while ``_pick`` counts the outcomes into uint8 (19.59 at d = 17,
+# 8e6 pairs, where the counts are uint16), and 0.93 a one-way round for the
+# acceptance sequence, which one_way_repeated holds twice while it counts
+# failures (108.9 a trial of 50)
+_TRIAL_BYTES = {"global_projective": (34, 0), "bell_pairs": (34, 20),
                 "one_way_single": (0, 1), "one_way_repeated": (34, 2)}
 
 # repeatable protocol -> (copies per round, failure probability of one round
@@ -302,12 +297,11 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     below u, ``searchsorted(cum[:-1], u, side="right")``, so an outcome of
     zero weight is never picked, even at u = 0.
 
-    A table of up to ``_COUNTED_OUTCOMES`` entries is counted, one
-    compare-add per boundary into uint8 counts; a longer one is searched.
+    The boundaries are counted, one compare-add each, into counts of the
+    smallest unsigned type that holds the last outcome (uint8 up to 256
+    outcomes, so d = 16).
     """
-    if len(cum) > _COUNTED_OUTCOMES:
-        return np.searchsorted(cum[:-1], u, side="right")
-    out = np.zeros(u.shape, dtype=np.uint8)
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
     passed = np.empty(u.shape, dtype=bool)
     for edge in cum[:-1]:
         out += np.greater_equal(u, edge, out=passed)
