@@ -182,7 +182,15 @@ def _state_spec(config: dict, key: str, d: int) -> StateSpec:
     if not isinstance(node, dict):
         raise ValueError(f"{key} must be a JSON object, got {node!r}")
     family = node.get("family", "isotropic")
-    params = tuple(node.get("params", ()))
+    params = node.get("params", [])
+    count = StateSpec.PARAMS.get(family) if isinstance(family, str) else None
+    if count is not None and not (
+        isinstance(params, list) and len(params) == count
+        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params)
+    ):
+        raise ValueError(f"{key}.params must be a JSON list of numbers, {count} for family "
+                         f"{family}, got {params!r}")
+    params = tuple(params)
     if family == "random":  # the generator's seed, never truncated
         params = tuple(_integer(f"{key}.params", p) for p in params)
     return StateSpec(family=family, d=_integer(f"{key}.d", node.get("d", d)), params=params)

@@ -25,27 +25,31 @@ conj(v) on his conditional state, so he accepts with
 
 1. each column g_i is uniform, so the d columns, each kept with probability
    ``<g_i|rho_A|g_i>``, add up to that density;
-2. for ``rho_A = sum_k w_k f_k f_k^dag`` with unit f_k, z ~ CN(0, I) whose
-   component ``c = <f_k|z>`` is tilted to ``|c|^2 + |w|^2`` (Gamma(2), for one
-   more complex normal w) has density ``|<f_k|z>|^2 e^{-|z|^2}`` up to a
-   constant, radial but for ``|<f_k|v>|^2``, so ``v = z/|z|`` has density
-   ``d |<f_k|v>|^2``;
+2. for ``rho_A = sum_k w_k f_k f_k^dag`` with unit f_k, let z be a complex
+   normal vector, real and imaginary parts N(0, 1), so ``|c|^2`` of its
+   component ``c = <f_k|z>`` is 2 Exp(1).  Tilted to ``|c|^2 + 2 E`` with c's
+   phase, for one more E ~ Exp(1) (2 E is ``|w|^2`` of one more complex
+   normal w), ``|c|^2`` is Gamma(2) with scale 2, so z has density
+   ``|<f_k|z>|^2 e^{-|z|^2 / 2}`` up to a constant, radial but for
+   ``|<f_k|v>|^2``, and ``v = z/|z|`` has density ``d |<f_k|v>|^2``;
 3. picking k with probability w_k mixes these into ``d sum_k w_k |<f_k|v>|^2
    = d <v|rho_A|v>``.
 
 The f_k and w_k are the columns of rho_A's Cholesky factor
-(``_reporting_ensemble``).  Bob's step is real: ``z (x) conj(z)`` is vec of
-the Hermitian ``z z^dag``, fixed by d^2 real coordinates r, and his
-acceptance is a ratio of forms in r.  So a batch of rounds holds the
-(d + 1, batch) normals and one real (d^2, batch) array of r, batch last, and
-Bob's step is one real product with a (d^2 + 2, d^2) kernel built once per
-run (``_bob_kernel``, ``_one_way_outcomes``).  Each batch draws 2 (d + 1)
-batch normals (z, then w, see ``_one_way_rounds``), then Alice's uniforms,
-then the acceptance uniforms; the threshold uniforms of ``one_way_repeated``
-follow the last batch.  The draws run one batch ahead on one worker thread
-(``twirl._prefetch``) while the batch before is consumed.  They keep the same
-order, so every seeded run is bit for bit the serial one; the worker is
-joined before the rounds return, and a draw must not itself prefetch.
+(``_reporting_ensemble``), and k is picked by ``_pick``.  Bob's step is real:
+``z (x) conj(z)`` is vec of the Hermitian ``z z^dag``, fixed by d^2 real
+coordinates r, and his acceptance is a ratio of forms in r.  So a batch of
+rounds holds the (d, batch) complex normals, three real rows and one real
+(d^2, batch) array of r, batch last, and Bob's step is one real product with a
+(d^2 + 2, d^2) kernel built once per run (``_bob_kernel``,
+``_one_way_outcomes``).  Each batch draws, in this order, 2 d batch normals
+for z, batch exponentials E, Alice's batch uniforms and the batch acceptance
+uniforms (see ``_one_way_rounds``); the threshold uniforms of
+``one_way_repeated`` follow the last batch.  The draws run one batch ahead on
+one worker thread (``twirl._prefetch``) while the batch before is consumed.
+They keep the same order, so every seeded run is bit for bit the serial one;
+the worker is joined before the rounds return, and a draw must not itself
+prefetch.
 """
 
 from __future__ import annotations
@@ -72,22 +76,25 @@ PROTOCOLS = tuple(_RUNNERS)
 
 _ROUND_BATCH = 8192  # one-way rounds per batch, fixed so results depend only on the seed
 # d^2 x d^2 complex arrays alive at once while the states are built and
-# validated and the Bell tables contracted (peak RSS measured at 5.0 for one
-# state at d = 50, 6.7 for bell_pairs' two states at d = 20)
+# validated and the Bell tables contracted.  Peak RSS growth of a whole run
+# (getrusage, one BLAS thread, scipy loaded before) is 4.0 for an isotropic
+# state at d = 30 and 50, 5.5, 5.7 and 5.1 for one random state at d = 30, 40
+# and 50, and 6.5 and 6.7 for bell_pairs' two random states at d = 30 and 40.
+# Below d = 20 a few MB of fixed workspace lift the ratio past 8 (10.4 for
+# bell_pairs' random states at d = 12), sizes far below any RAM limit
 _STATE_ARRAYS = 8
 # complex (d^2, batch) arrays alive at once in a one-way batch: the real
 # coordinates of z z^dag and their product with Bob's kernel, one such array
 # between them, budgeted twice for the margin at small d ...
 _ROUND_ARRAYS = 2
-# ... and complex (d + 1, batch) ones: the two sets of normals and uniforms
-# that take turns while the next batch is drawn, Alice's gathered columns,
-# their tilt and Bob's per-round sums.  Peak RSS growth over three batches
-# (getrusage, one BLAS thread) is 22.1, 31.7, 44.7 and 59.1 complex entries a
-# round at d = 2 to 5, where the (d + 1, batch) terms dominate, and 112, 197,
-# 304 and 561 (1.75, 1.36, 1.19 and 0.97 (d^2, batch) arrays) at d = 8, 12,
-# 16 and 24; the complex product of the previous version grew by 25.2 at
-# d = 2 and 1124 at d = 24
-_ROUND_VECTORS = 6
+# ... and complex (d + 1, batch) ones: the two sets of draws that take turns
+# while the next batch is drawn, each d complex rows of normals and three real
+# rows, Alice's gathered columns and their tilt, and Bob's per-round sums.
+# Peak RSS growth over three batches (getrusage, one BLAS thread) is 18.3,
+# 27.1, 38.0 and 50.1 complex entries a round at d = 2 to 5, at most 3.4
+# (d + 1) vectors beyond the (d^2, batch) budget, and 99, 193, 312 and 597
+# (1.55, 1.34, 1.22 and 1.04 (d^2, batch) arrays) at d = 8, 12, 16 and 24
+_ROUND_VECTORS = 5
 # a Cholesky pivot of rho_A at or below this is rounding, and its column is
 # left zero; a kept column of rounding noise (~1e-16) weighs under 1e-17
 _PIVOT_FLOOR = 1e-15
@@ -113,7 +120,10 @@ ROUNDS = {
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Recipe for a test state: family name plus its parameters."""
+    """Recipe for a test state: family name plus its parameters, ``PARAMS[family]``
+    of them."""
+
+    PARAMS = {"max_entangled": 0, "isotropic": 1, "bell_diagonal": 3, "random": 1}
 
     family: str
     d: int = 2
@@ -335,9 +345,8 @@ def _reporting_ensemble(rho_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     isotropic state has ``rho_A = I/d``, where the factor is ``I/sqrt(d)``).
     A pivot at or below ``_PIVOT_FLOOR`` leaves its column zero, so a singular
     rho_A (a pure product state) gets zero weights there.  Returns the
-    cumulative weights, scaled to end at exactly 1 so that
-    ``searchsorted(cum, u, side="right")`` of a uniform u in [0, 1) never picks
-    a zero weight, and the (d, d) unit columns f_k, zero where w_k is.
+    cumulative weights (``_cumulative``), so that ``_pick`` never picks a zero
+    weight, and the (d, d) unit columns f_k, zero where w_k is.
     """
     d = len(rho_a)
     factor = np.zeros((d, d), dtype=complex)
@@ -350,23 +359,22 @@ def _reporting_ensemble(rho_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _cumulative(weights), units
 
 
-def _alice_vectors(cum: np.ndarray, units: np.ndarray, zw: np.ndarray, u: np.ndarray):
+def _alice_vectors(cum: np.ndarray, units: np.ndarray, z: np.ndarray, e: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
     """Alice's reported vectors, unnormalized, for one batch of rounds, batch last.
 
-    ``zw`` is a (d + 1, batch) array of complex normals: rows 0 to d - 1 are
-    z, row d is w.  Round n picks k with probability w_k by its uniform
-    ``u[n]`` and tilts z's component ``c = <f_k|z>`` to squared modulus
-    ``|c|^2 + |w|^2`` with c's phase, in place; the direction of the result
-    has density ``d <v|rho_A|v>`` (see the module docstring).  c = 0 has
-    probability zero.  Returns the tilted z, shape (d, batch).
+    ``z`` is a (d, batch) array of complex normals, real and imaginary parts
+    N(0, 1), and ``e`` holds one standard exponential a round.  Round n picks
+    k with probability w_k by its uniform ``u[n]`` (``_pick``) and tilts z's
+    component ``c = <f_k|z>`` to squared modulus ``|c|^2 + 2 e[n]`` with c's
+    phase, in place; the direction of the result has density
+    ``d <v|rho_A|v>`` (see the module docstring).  c = 0 has probability
+    zero.  Returns z.
     """
-    d = len(units)
-    z, w = zw[:d], zw[d]
-    fk = units[:, np.searchsorted(cum, u, side="right")]
-    c = np.einsum("an,an->n", fk.conj(), z)
-    c2 = c.real**2 + c.imag**2
-    c *= np.sqrt(1.0 + (w.real**2 + w.imag**2) / c2) - 1.0
-    z += c * fk
+    fk = np.take(units.conj(), _pick(cum, u), axis=1)  # conj(f_k) per round
+    c = np.einsum("an,an->n", fk, z)
+    c *= np.sqrt(1.0 + 2.0 * e / (c.real**2 + c.imag**2)) - 1.0
+    z += np.multiply(c, np.conjugate(fk, out=fk), out=fk)
     return z
 
 
@@ -462,35 +470,39 @@ def _one_way_rounds(sigma_mat: np.ndarray, d: int, rounds: int, rng) -> np.ndarr
     Alice's reported vector is drawn from its law (``_alice_vectors``) and Bob
     accepts with his conditional probability (``_one_way_outcomes``).  Each
     batch of ``_ROUND_BATCH`` rounds, the last one shorter, draws in this
-    order: one ``standard_normal`` call for 2 (d + 1) batch normals, written
-    into a (d + 1, batch) complex array in memory order (component r of
-    round n is ``N[r, 2n] + i N[r, 2n + 1]``; rows 0 to d - 1 are z, row d is
-    w); then Alice's batch uniforms; then the batch acceptance uniforms.  The
-    draws run one batch ahead on one worker thread (``twirl._prefetch``), in
-    the same order, into two sets of normal and uniform buffers that take
-    turns; the draw does not itself prefetch, and the worker is joined before
-    this returns.  The work buffers are allocated once and reused.
+    order: one ``standard_normal`` call for 2 d batch normals, written into a
+    (d, batch) complex array z in memory order (component r of round n is
+    ``N[r, 2n] + i N[r, 2n + 1]``); one ``standard_exponential`` call for the
+    batch exponentials; then one ``random`` call for Alice's batch uniforms
+    followed by the batch acceptance uniforms.  The draws run one batch ahead
+    on one worker thread (``twirl._prefetch``), in the same order, into two
+    sets of buffers that take turns, each d complex rows of normals and three
+    real rows of exponentials and uniforms; the draw does not itself prefetch,
+    and the worker is joined before this returns.  The buffers are allocated
+    once and reused.
     """
     rho_a = np.trace(sigma_mat.reshape(d, d, d, d), axis1=1, axis2=3)
     cum, units = _reporting_ensemble(rho_a)
     kernel = _bob_kernel(sigma_mat, rho_a)
     size = min(rounds, _ROUND_BATCH)
     sets = 1 if rounds <= size else 2
-    normals = np.empty((sets, (d + 1) * size), dtype=complex)
-    uniforms = np.empty((sets, 2 * size))
+    normals = np.empty((sets, d * size), dtype=complex)
+    reals = np.empty((sets, 3 * size))
     work = np.empty((2, (d * d + 2) * size))
     out = np.empty(rounds, dtype=bool)
 
     def draw(i: int, batch: int):
-        zw = normals[i % sets, : (d + 1) * batch].reshape(d + 1, batch)
-        rng.standard_normal(out=zw.view(float))
-        return zw, rng.random(out=uniforms[i % sets, : 2 * batch].reshape(2, batch))
+        z = normals[i % sets, : d * batch].reshape(d, batch)
+        rng.standard_normal(out=z.view(float))
+        e, u = np.split(reals[i % sets, : 3 * batch], [batch])
+        rng.standard_exponential(out=e)
+        return z, e, rng.random(out=u.reshape(2, batch))
 
     done = 0
     with closing(_prefetch(draw, _chunks(rounds, _ROUND_BATCH))) as draws:
-        for zw, u in draws:
-            batch = u.shape[1]
-            z = _alice_vectors(cum, units, zw, u[0])
+        for z, e, u in draws:
+            batch = len(e)
+            _alice_vectors(cum, units, z, e, u[0])
             np.less(u[1], _one_way_outcomes(kernel, z, work),
                     out=out[done : done + batch])
             done += batch

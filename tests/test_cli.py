@@ -442,6 +442,46 @@ def test_fractional_random_seed_is_invalid_input(tmp_path, capsys, args, key):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, key, family, count",
+    [
+        (["simulate", "state.family=isotropic", "state.params=[]"], "state", "isotropic", 1),
+        (["simulate", "state.family=isotropic", "state.params=[nan]"], "state", "isotropic", 1),
+        (["simulate", "state.family=isotropic", "state.params=0.1"], "state", "isotropic", 1),
+        (["simulate", "state.family=isotropic", 'state.params=["0.1"]'], "state", "isotropic", 1),
+        (["simulate", "state.family=isotropic", "state.params=[true]"], "state", "isotropic", 1),
+        (["simulate", "state.family=random", "state.params=[1, 2]"], "state", "random", 1),
+        (["simulate", "state.family=max_entangled", "state.params=[0.1]"], "state",
+         "max_entangled", 0),
+        (["exact", "formula=qubit-optimal", "state.family=bell_diagonal", "state.params=[0.1]"],
+         "state", "bell_diagonal", 3),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2.family=isotropic",
+          "state2.params=[]"], "state2", "isotropic", 1),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2.family=isotropic",
+          "state2.params=[nan]"], "state2", "isotropic", 1),
+        (["simulate", "protocol=bell_pairs", "n=2", "state2.family=isotropic",
+          "state2.params=0.1"], "state2", "isotropic", 1),
+    ],
+    ids=["empty", "not-json", "scalar", "string", "bool", "random-two", "max-entangled-one",
+         "bell-diagonal-one", "state2-empty", "state2-not-json", "state2-scalar"],
+)
+def test_state_params_of_the_wrong_shape_are_invalid_input(tmp_path, capsys, args, key,
+                                                           family, count):
+    command, *rest = args
+    rc = main([command, "--out", str(tmp_path / "x"), *rest])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key}.params must be a JSON list of numbers, {count} for family {family}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["bogus", "[1]", '{"a": 1}'])
+def test_unknown_state_family_is_invalid_input(tmp_path, capsys, family):
+    rc = main(["simulate", "--out", str(tmp_path / "x"), f"state.family={family}"])
+    assert rc == 2
+    assert "unknown state family" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [1100, 10**12])
 def test_pooled_at_large_n(tmp_path, n):
     # the value is about (1 - p)^n; n = 10^12 must not build the integer d^n
