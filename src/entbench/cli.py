@@ -7,7 +7,8 @@
 Configuration is a single JSON document; command-line flags and trailing
 ``key=value`` tokens override file values (dots descend into nested keys).
 Every run writes a manifest with the fully resolved configuration; rerunning
-``simulate`` from a manifest reproduces the result files byte for byte.
+any command from its manifest (``--from-manifest``) reproduces the result
+files byte for byte.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
 
@@ -148,11 +149,10 @@ def _resolve_config(args, overrides) -> dict:
     config: dict = {}
     if args.config:
         config.update(json.loads(Path(args.config).read_text()))
-    if getattr(args, "from_manifest", None):
-        manifest = json.loads(Path(args.from_manifest).read_text())
-        config = manifest["config"]
+    if args.from_manifest:
+        config = json.loads(Path(args.from_manifest).read_text())["config"]
     for flag in ("seed", "trials", "samples"):
-        val = getattr(args, flag, None)
+        val = getattr(args, flag)
         if val is not None:
             config[flag] = val
     if args.out is not None:
@@ -216,11 +216,8 @@ def _now() -> str:
 
 
 def _as_list(value) -> list:
-    if value is None:
-        return [None]
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
+    """A JSON value as a list: a list as it is, anything else as one entry."""
+    return value if isinstance(value, list) else [value]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        if name == "simulate":
-            p.add_argument("--from-manifest", dest="from_manifest", default=None)
+        p.add_argument("--from-manifest", dest="from_manifest", default=None)
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     return parser
 
@@ -453,7 +449,8 @@ def main(argv=None) -> int:
         print(f"entbench: error: {exc}", file=sys.stderr)
         return 2
     manifest = _manifest(args.command, config, outputs, started, notes)
-    _write_json(out_dir / "manifest.json", manifest)
+    # not rounded to 12 digits, so a replay runs on the values that ran
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return code
 
 

@@ -78,12 +78,12 @@ def three_source_covariant_test(d: int) -> TestOperator:
     return _from_sectors(TestOperator, d, coeffs, (d, d) * 3, labels)
 
 
-def ghz_ket(d: int, labels=("A1", "A2", "A3")) -> Ket:
+def ghz_ket(d: int) -> Ket:
     """(1/sqrt(d)) sum_i |i>|i>|i>."""
     vec = np.zeros(d**3, dtype=complex)
     step = d * d + d + 1
     vec[np.arange(d) * step] = 1.0 / math.sqrt(d)
-    return Ket(vec, (d, d, d), labels)
+    return Ket(vec, (d, d, d), ("A1", "A2", "A3"))
 
 
 def ghz_seed_operator(d: int) -> np.ndarray:

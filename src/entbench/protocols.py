@@ -103,11 +103,11 @@ _PIVOT_FLOOR = 1e-15
 # 33.98 a trial for the threshold test's counts, uniforms and weights
 # (global_projective), 18.00 a Bell pair for its uniforms, outcomes and
 # acceptances while ``_pick`` counts the outcomes into uint8 (19.59 at d = 17,
-# 8e6 pairs, where the counts are uint16), and 0.93 a one-way round for the
-# acceptance sequence, which one_way_repeated holds twice while it counts
-# failures (108.9 a trial of 50)
+# 8e6 pairs, where the counts are uint16), and one byte a one-way round for
+# the acceptance sequence, which one_way_repeated frees before its threshold
+# test (34.1, 68.9 and 224.8 a trial of 10, 50 and 200 rounds at d = 2)
 _TRIAL_BYTES = {"global_projective": (34, 0), "bell_pairs": (34, 20),
-                "one_way_single": (0, 1), "one_way_repeated": (34, 2)}
+                "one_way_single": (0, 1), "one_way_repeated": (34, 1)}
 
 # repeatable protocol -> (copies per round, failure probability of one round
 # when every copy has defect x); the binomial test runs on the round count
@@ -526,9 +526,10 @@ def run_one_way_repeated(config: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(config.seed)
     sigma = config.state.build()
     accepts = _one_way_rounds(sigma.mat, config.d, config.trials * config.n, rng)
-    k = (~accepts).reshape(config.trials, config.n).sum(axis=1)
-    _, fail = ROUNDS["one_way_repeated"]
+    k = config.n - accepts.reshape(config.trials, config.n).sum(axis=1)
     extra = {"per_round_accept_rate": float(accepts.mean())}
+    del accepts  # freed before the threshold test's per-trial arrays
+    _, fail = ROUNDS["one_way_repeated"]
     return _thresholded(config, rng, k, fail(config.d, fidelity_defect(sigma)), extra)
 
 

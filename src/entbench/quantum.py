@@ -29,6 +29,7 @@ from .states import (
     RankOnePOVM,
     TestOperator,
     _from_sectors,
+    _pair_matrix,
     bell_basis,
     doubled_ket,
     max_entangled_ket,
@@ -47,11 +48,17 @@ from .twirl import (
 )
 
 # result-sized complex arrays alive at once while binomial_operator_test or
-# pooled_covariant_test builds and validates its operator: peak RSS growth
-# (getrusage, one BLAS thread) is 2.71 and 2.15 results at dim 1024, and
-# 3.52 and 2.50 at dim 256 (4.00 for each at dims 1024 and 4096 when first
-# measured, with a dense certificate's workspace and a copy of the result)
+# pooled_covariant_test builds and validates its operator.  Peak RSS growth
+# (getrusage, one BLAS thread): binomial_operator_test on a complex 2 x 2 test
+# holds the built sum, the constructor's copy and the certificate's workspace,
+# 3.21 and 3.09 results at dims 1024 and 2048 (2.67 and 2.61 on a real test,
+# whose workspace is float64); pooled_covariant_test, certified from its
+# coefficients and not copied, 2.15 at dim 1024.  At dim 256 a fixed MB or so
+# of workspace adds about one result (4.37 and 2.38)
 _BUILD_ARRAYS = 4
+# slack of the structural predicates ``separable_trace_bound`` and
+# ``is_max_entangled``
+_PREDICATE_TOL = 1e-10
 
 
 def _pair_labels(k: int) -> tuple[str, ...]:
@@ -74,27 +81,19 @@ def to_group_major(op: Operator) -> Operator:
     return permute_systems(op, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
 
 
-def test_from_povm(povm: RankOnePOVM, d: int | None = None) -> TestOperator:
+def test_from_povm(povm: RankOnePOVM, d: int) -> TestOperator:
     """Acceptance operator of the one-way protocol driven by a rank-one POVM.
 
-    The POVM lives on Alice's side of dimension D; the result acts on the
-    2D-fold space group-major.  If ``d`` divides into D as d^k the factors are
-    labeled (A1..Ak, B1..Bk); otherwise one A and one B factor of dimension D.
+    The POVM lives on Alice's k samples, of dimension d^k; the result acts on
+    the doubled space group-major, with factors (A1..Ak, B1..Bk).
     """
     vecs = povm.vectors
     big = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(len(povm), -1)
     mat = np.einsum("k,ki,kj->ij", povm.weights, big, big.conj())
-    dim = povm.dim
-    if d is not None:
-        k = round(math.log(dim, d))
-        if d**k != dim:
-            raise ValueError(f"POVM dim {dim} is not a power of {d}")
-        dims = (d,) * (2 * k)
-        labels = _group_labels(k)
-    else:
-        dims = (dim, dim)
-        labels = ("A", "B")
-    return TestOperator(mat, dims, labels)
+    k = round(math.log(povm.dim, d))
+    if d**k != povm.dim:
+        raise ValueError(f"POVM dim {povm.dim} is not a power of {d}")
+    return TestOperator(mat, (d,) * (2 * k), _group_labels(k))
 
 
 def level_adjust(t: TestOperator, eps: float, alpha: float) -> TestOperator:
@@ -246,12 +245,11 @@ def sequential_covariant_trace(
     Alice measures her first sample covariantly and steers the basis on the
     second; the POVM average is d^2 (g x g)|u1 x u2><u1 x u2|(g x g)^dag over
     Haar g with |<u1|u2>|^2 = 1/d.  Per sample g the integrand factorizes into
-    the product of two pair overlaps, so no big matrices are needed.
+    the product of two pair overlaps, so no big matrices are needed.  A state
+    that is not a square matrix on a d x d pair with d >= 2 raises
+    ``ValueError``.
     """
-    mat = sigma.mat if isinstance(sigma, Operator) else np.asarray(sigma, dtype=complex)
-    d = math.isqrt(mat.shape[0])
-    if d * d != mat.shape[0]:
-        raise ValueError("state must live on a d x d pair")
+    mat, d = _pair_matrix(sigma)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     u1, u2 = _sequential_seed_vectors(d)
@@ -292,8 +290,9 @@ class SeparableBoundResult(NamedTuple):
     overlap: float
 
 
-def separable_trace_bound(terms, d: int, tol: float = 1e-10) -> SeparableBoundResult:
-    """Check Tr T >= d <phi0|T|phi0> for T = sum_i a_i A_i (x) B_i, a_i >= 0.
+def separable_trace_bound(terms, d: int) -> SeparableBoundResult:
+    """Check Tr T >= d <phi0|T|phi0> for T = sum_i a_i A_i (x) B_i, a_i >= 0,
+    within ``_PREDICATE_TOL``.
 
     Holds for every genuinely separable operator; entangled acceptance
     operators such as |phi0><phi0| itself violate it.
@@ -307,23 +306,24 @@ def separable_trace_bound(terms, d: int, tol: float = 1e-10) -> SeparableBoundRe
         term = weight * np.kron(np.asarray(a_mat), np.asarray(b_mat))
         total_tr += float(np.trace(term).real)
         total_ov += float(np.real(phi.conj() @ term @ phi))
-    return SeparableBoundResult(total_tr >= d * total_ov - tol, total_tr, total_ov)
+    return SeparableBoundResult(total_tr >= d * total_ov - _PREDICATE_TOL, total_tr, total_ov)
 
 
-def is_max_entangled(u, tol: float = 1e-10) -> bool:
+def is_max_entangled(u) -> bool:
     """Whether u on A1 (x) A2 is maximally entangled.
 
     Evaluates the commutation residual on u (x) conj(u): the charge sector in
     which exactly one of the two pairs lies on the maximally entangled vector
     must annihilate the vector.  Equivalent to all singular values of the
-    amplitude matrix being 1/sqrt(d).
+    amplitude matrix being 1/sqrt(d).  The residual's norm must be at most
+    ``_PREDICATE_TOL``.
     """
     vec = u.vec if isinstance(u, Ket) else np.asarray(u, dtype=complex).reshape(-1)
     d = math.isqrt(vec.size)
     if d * d != vec.size:
         raise ValueError("vector must live on a d x d pair")
     w = doubled_ket(vec, d).vec
-    return bool(np.linalg.norm(sector_operator(d, [0.0, 1.0, 0.0]) @ w) <= tol)
+    return bool(np.linalg.norm(sector_operator(d, [0.0, 1.0, 0.0]) @ w) <= _PREDICATE_TOL)
 
 
 def simplex_completion(phi) -> list[Ket]:

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityMatrix, Operator, TestOperator, doubled_ket
+from .states import (HERMITIAN_TOL, PSD_TOL, TRACE_TOL, DensityMatrix, Operator, TestOperator,
+                     doubled_ket)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -51,7 +52,8 @@ SEQUENTIAL_WEIGHTS = (1.0 / 8.0, 1.0 / 4.0, 1.0 / 4.0, 0.0, 1.0 / 8.0, 1.0 / 4.0
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Bell-basis matrix elements of a single-pair state: (a, b; b, C)."""
+    """Bell-basis matrix elements of a single-pair state: (a, b; b, C), held
+    to the tolerances of a ``DensityMatrix``."""
 
     a: float
     b: np.ndarray  # 3-vector, <phi_i| sigma |phi_0>
@@ -60,11 +62,11 @@ class BlockDecomposition:
     def __post_init__(self):
         b = np.asarray(self.b, dtype=complex).reshape(3)
         c = np.asarray(self.c, dtype=complex).reshape(3, 3)
-        if abs(self.a + np.trace(c).real - 1.0) > 1e-12:
+        if abs(self.a + np.trace(c).real - 1.0) > TRACE_TOL:
             raise ValueError("a + Tr C must equal the unit trace of the state")
-        if np.max(np.abs(c - c.conj().T)) > 1e-10:
+        if np.max(np.abs(c - c.conj().T)) > HERMITIAN_TOL:
             raise ValueError("C block must be Hermitian")
-        if np.linalg.eigvalsh(c).min() < -1e-10 or self.a < -1e-12:
+        if np.linalg.eigvalsh(c).min() < -PSD_TOL or self.a < -PSD_TOL:
             raise ValueError("diagonal blocks must be positive semidefinite")
         b.setflags(write=False)
         c.setflags(write=False)
@@ -82,10 +84,7 @@ class BlockDecomposition:
 
 
 def bell_block(sigma) -> BlockDecomposition:
-    """Project a two-qubit state onto the Bell basis; a ``BlockDecomposition``
-    is returned as it is."""
-    if isinstance(sigma, BlockDecomposition):
-        return sigma
+    """Project a two-qubit state onto the Bell basis."""
     mat = sigma.mat if isinstance(sigma, Operator) else np.asarray(sigma, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError("qubit-pair analysis needs a 4 x 4 state")

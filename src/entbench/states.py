@@ -21,8 +21,11 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 POVM_TOL = 1e-9
-# entries of m - m^dag that the Hermitian check holds at once (1 MB complex)
-_HERMITIAN_BLOCK = 1 << 16
+# entries of an n x n array that a blocked pass holds at once: ``_certify``'s
+# Hermitian check, the passes of ``twirl._outer_moments`` after its two GEMMs
+# and ``TwirlEstimate``'s comparisons run on row blocks of about this size
+# (128 KB of float64)
+_ROW_BLOCK = 1 << 14
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -71,15 +74,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
-    def normalized(self) -> "Ket":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Ket(self.vec / n, self.dims, self.labels)
-
-    def conj(self) -> "Ket":
-        return Ket(np.conj(self.vec), self.dims, self.labels)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -111,6 +105,11 @@ class Operator:
         return complex(np.trace(self.mat))
 
 
+def _block_rows(width: int) -> int:
+    """Rows of a ``width``-wide array in one ``_ROW_BLOCK``-entry block, at least one."""
+    return max(1, _ROW_BLOCK // max(width, 1))
+
+
 def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     """Raise ``ValueError`` unless ``m`` is finite and Hermitian within
     ``HERMITIAN_TOL``, ``m + PSD_TOL I > 0`` and, if ``upper``,
@@ -126,7 +125,7 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     only within the factorization's backward error, about ``dim * eps``
     relative to the norm of ``m`` (1e-13 at dim 729), around the band edges.
     Only a failed factorization computes the eigenvalues, to name them.  The
-    Hermitian check compares ``_HERMITIAN_BLOCK`` entries at a time, so the
+    Hermitian check compares ``_ROW_BLOCK`` entries at a time, so the
     workspace is the one full-size array this makes.
 
     A real ``m``, of real dtype or with an imaginary part that is exactly
@@ -149,7 +148,7 @@ def _certify(m: np.ndarray, what: str, upper: bool) -> None:
     real = not np.iscomplexobj(m) or not m.imag.any()
     src, potrf = (m.real, lapack.dpotrf) if real else (m, lapack.zpotrf)
     n = m.shape[0]
-    rows = max(1, _HERMITIAN_BLOCK // n)
+    rows = _block_rows(n)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
         for start in range(0, n, rows):
             block = src[start : start + rows] - src[:, start : start + rows].T.conj()
@@ -220,7 +219,7 @@ class RankOnePOVM:
         if w.min() < 0:
             raise ValueError("POVM weights must be nonnegative")
         norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.max(np.abs(norms - 1.0)) > POVM_TOL:
             raise ValueError("POVM vectors must be unit")
         gram = (v.conj().T * w) @ v
         if np.max(np.abs(gram - np.eye(v.shape[1]))) > POVM_TOL:
@@ -258,26 +257,32 @@ def proj(u) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def fidelity_defect(sigma) -> float:
-    """1 - <phi0| sigma |phi0>, clamped to [0, 1]."""
+def _pair_matrix(sigma) -> tuple[np.ndarray, int]:
+    """The matrix of an ``Operator`` or array on a d x d pair with d >= 2, and d."""
     mat = sigma.mat if isinstance(sigma, Operator) else np.asarray(sigma, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("state must be a square matrix")
     d = math.isqrt(mat.shape[0])
     if d * d != mat.shape[0] or d < 2:
         raise ValueError(f"dimension {mat.shape[0]} is not d^2 of a d x d pair")
+    return mat, d
+
+
+def fidelity_defect(sigma) -> float:
+    """1 - <phi0| sigma |phi0>, clamped to [0, 1]."""
+    mat, d = _pair_matrix(sigma)
     phi = max_entangled_ket(d).vec
     p = 1.0 - float(np.real(phi.conj() @ mat @ phi))
     return min(max(p, 0.0), 1.0)
 
 
-def isotropic_state(d: int, p: float, labels=("A", "B")) -> DensityMatrix:
+def isotropic_state(d: int, p: float) -> DensityMatrix:
     """(1-p)|phi0><phi0| + p (I - |phi0><phi0|) / (d^2 - 1); defect is exactly p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"defect p must lie in [0, 1], got {p}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return _from_sectors(DensityMatrix, d, [1.0 - p, p / (d * d - 1)], (d, d), labels)
+    return _from_sectors(DensityMatrix, d, [1.0 - p, p / (d * d - 1)], (d, d), ("A", "B"))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,8 @@ def doubled_ket(u, d: int) -> Ket:
 
 
 def partial_trace(a: Operator, keep) -> Operator:
-    """Trace out all factors not in ``keep`` (labels or indices)."""
+    """Trace out all factors not in ``keep`` (labels or indices); the kept
+    factors stay in their order on ``a``."""
     keep_idx = _resolve_indices(keep, list(a.labels))
     if not keep_idx:
         raise ValueError("keep set must be nonempty")
@@ -378,13 +384,10 @@ def partial_trace(a: Operator, keep) -> Operator:
     for count, i in enumerate(sorted(traced, reverse=True)):
         live = n - count
         tens = np.trace(tens, axis1=i, axis2=live + i)
-    kept_sorted = sorted(keep_idx)
-    dims = tuple(a.dims[i] for i in kept_sorted)
-    labels = tuple(a.labels[i] for i in kept_sorted)
-    op = Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
-    if list(keep_idx) != kept_sorted:
-        op = permute_systems(op, [kept_sorted.index(i) for i in keep_idx])
-    return op
+    kept = sorted(keep_idx)
+    dims = tuple(a.dims[i] for i in kept)
+    labels = tuple(a.labels[i] for i in kept)
+    return Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
 
 
 def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
@@ -487,9 +490,9 @@ def generalized_pauli(d: int) -> tuple[Operator, Operator]:
     return Operator(x, (d,), ("A",)), Operator(z, (d,), ("A",))
 
 
-def bell_basis(d: int, labels=("A", "B")) -> list[Ket]:
+def bell_basis(d: int) -> list[Ket]:
     """The d^2 orthonormal vectors ((X^n Z^m) tensor I) |phi0>, row-major in (n, m)."""
-    phi0 = max_entangled_ket(d, labels)
+    phi0 = max_entangled_ket(d)
     x, z = generalized_pauli(d)
     eye = np.eye(d)
     out = []
@@ -498,7 +501,7 @@ def bell_basis(d: int, labels=("A", "B")) -> list[Ket]:
         for m in range(d):
             zm = np.linalg.matrix_power(np.asarray(z.mat), m)
             vec = np.kron(xn @ zm, eye) @ phi0.vec
-            out.append(Ket(vec, (d, d), labels))
+            out.append(Ket(vec, (d, d), phi0.labels))
     return out
 
 
@@ -569,11 +572,11 @@ def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def random_ket(dims, rng: np.random.Generator, labels=()) -> Ket:
+def random_ket(dims, rng: np.random.Generator) -> Ket:
     dims = tuple(int(d) for d in dims)
     dim = math.prod(dims)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket(v / np.linalg.norm(v), dims, labels)
+    return Ket(v / np.linalg.norm(v), dims)
 
 
 def random_density(dims, rng: np.random.Generator, labels=()) -> DensityMatrix:
@@ -584,7 +587,7 @@ def random_density(dims, rng: np.random.Generator, labels=()) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real, dims, labels)
 
 
-def random_test(dims, rng: np.random.Generator, labels=()) -> TestOperator:
+def random_test(dims, rng: np.random.Generator) -> TestOperator:
     """Random Hermitian with spectrum clipped into [0, 1]."""
     dims = tuple(int(d) for d in dims)
     g = _ginibre(math.prod(dims), rng)[:, :, 0]
@@ -592,7 +595,7 @@ def random_test(dims, rng: np.random.Generator, labels=()) -> TestOperator:
     evals, vecs = np.linalg.eigh(h)
     lo, hi = evals.min(), evals.max()
     clipped = (evals - lo) / (hi - lo) if hi > lo else np.clip(evals, 0.0, 1.0)
-    return TestOperator((vecs * clipped) @ vecs.conj().T, dims, labels)
+    return TestOperator((vecs * clipped) @ vecs.conj().T, dims)
 
 
 def random_rank_one_povm(d: int, rng: np.random.Generator, parts: int = 2) -> RankOnePOVM:

@@ -48,8 +48,8 @@ of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
 per sample, which dominate at large dim (5.3 MFLOP at dim 729).  Every dense
 pass after the two GEMMs, turning S2 into M2 with its cancellation guard in
 ``_outer_moments`` and comparing the estimate with a target in
-``TwirlEstimate``, runs in row blocks of ``_ROW_BLOCK`` entries with the
-elementwise operations of the full-size formulas, so the arrays a twirl
+``TwirlEstimate``, runs in row blocks of ``states._ROW_BLOCK`` entries with
+the elementwise operations of the full-size formulas, so the arrays a twirl
 leaves are the ones it returns, the mean and the standard error, and every
 bit is the full-size formulas'.  The twirl checks its batch's footprint with
 ``memory.check_fits`` and its sample count with ``memory.check_work`` before
@@ -80,7 +80,7 @@ from .memory import check_fits, check_work
 # names stay importable from here as well
 from .states import (
     Ket,
-    Operator,
+    _block_rows,
     haar_columns,
     haar_unitaries,
     haar_unitary,
@@ -118,10 +118,6 @@ _LIVE_ACCUMULATORS = 10
 # a batch M2 = S2 - |sum|^2/k at or below this share of S2 has lost half its
 # digits or more to cancellation, so it is recomputed from explicit deviations
 _CANCELLATION = 1e-8
-# entries of a dim x dim array that a blocked pass holds at once: the passes
-# of ``_outer_moments`` after its two GEMMs, and ``TwirlEstimate``'s
-# comparisons, run on row blocks of about this size (128 KB of float64)
-_ROW_BLOCK = 1 << 14
 # a ket of two or more pairs at or above this dimension is twirled by pair
 # factors g (x) conj(g), applied as per-sample products (``_apply_factors``)
 _PAIR_PRODUCT_DIM = 256
@@ -233,7 +229,7 @@ class GroupAction:
 class TwirlEstimate:
     """Monte-Carlo group average with per-entry standard errors.
 
-    ``deviation`` and ``within`` compare it with a target ``_ROW_BLOCK``
+    ``deviation`` and ``within`` compare it with a target ``states._ROW_BLOCK``
     entries at a time (``_row_blocks``), with the one-shot formulas'
     elementwise operations, so they make no array of the mean's size and
     return what the one-shot formulas return, bit for bit: a NaN entry makes
@@ -262,14 +258,9 @@ class TwirlEstimate:
                    for m, t, s in _row_blocks(self.mean, target, self.stderr))
 
 
-def _block_rows(width: int) -> int:
-    """Rows of a ``width``-wide array in one ``_ROW_BLOCK``-entry block, at least one."""
-    return max(1, _ROW_BLOCK // max(width, 1))
-
-
 def _row_blocks(*arrays):
     """Matching blocks of leading-axis rows of ``arrays`` broadcast together,
-    about ``_ROW_BLOCK`` entries each; a 0-d result is one row."""
+    about ``states._ROW_BLOCK`` entries each; a 0-d result is one row."""
     arrays = [np.atleast_1d(a) for a in np.broadcast_arrays(*arrays)]
     count = len(arrays[0])
     rows = _block_rows(arrays[0].size // max(count, 1))
@@ -471,10 +462,10 @@ def _outer_moments(w: np.ndarray):
     below ``_CANCELLATION * S2``, M2 is recomputed from the gathered products
     ``w_i conj(w_j)``, at most ``dim`` entries at a time.  The sum and M2 are
     the only dim x dim arrays: S2 is written into M2's array by one GEMM, and
-    then, ``_ROW_BLOCK`` entries at a time, each block of S2 is copied out and
-    its rows of M2, of the guard and of the gathered products are formed, with
-    the operations, in the order, of the formulas with full-size temporaries,
-    so every bit is theirs.
+    then, ``states._ROW_BLOCK`` entries at a time, each block of S2 is copied
+    out and its rows of M2, of the guard and of the gathered products are
+    formed, with the operations, in the order, of the formulas with full-size
+    temporaries, so every bit is theirs.
     """
     dim, k = w.shape
     part = w @ w.conj().T
@@ -569,8 +560,8 @@ def mc_twirl(
     return TwirlEstimate(mean, stderr, samples)
 
 
-def phase_twirl(op, d: int) -> np.ndarray:
-    """Exact average over the n-fold phase action.
+def phase_twirl(op: np.ndarray, d: int) -> np.ndarray:
+    """Exact average over the n-fold phase action of the matrix ``op``.
 
     The action has eigenvalue ``e^{i k theta}`` on the charge sector spanned
     by tensor products with exactly k factors along the maximally entangled
@@ -580,7 +571,7 @@ def phase_twirl(op, d: int) -> np.ndarray:
     each angle conjugates ``vec(op)`` through ``_apply_factors``.  It is a
     projection, hence idempotent.
     """
-    mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    mat = np.asarray(op, dtype=complex)
     dim = mat.shape[0]
     copies = round(math.log(dim, d * d))
     if (d * d) ** copies != dim:

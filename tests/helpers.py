@@ -295,6 +295,44 @@ def one_way_acceptance_reference(sigma_mat: np.ndarray, rho_a: np.ndarray, z: np
     return np.clip(num / den, 0.0, 1.0)
 
 
+def _exact_integers(a: np.ndarray):
+    """Integers m (an object array) and one exponent e with ``a == m 2^e`` exactly."""
+    mant, exp = np.frexp(a)
+    e = int(exp.min()) - 53
+    m = [int(x * 2.0**53) << int(k - 53 - e) for x, k in zip(mant.flat, exp.flat)]
+    return np.array(m, dtype=object).reshape(a.shape), e
+
+
+def _exact_form(m: np.ndarray, vr: np.ndarray, vi: np.ndarray):
+    """Re(v^dag m v) for each column of v = vr + i vi (integer object arrays)
+    as exact integers s, with the exponent e of m: the form is ``s 2^e`` in
+    units of the square of v's unit."""
+    (mr, mi), e = _exact_integers(np.array([m.real, m.imag]))
+    return (vr * (mr @ vr - mi @ vi) + vi * (mr @ vi + mi @ vr)).sum(axis=0), e
+
+
+def exact_one_way_acceptance(sigma_mat: np.ndarray, rho_a: np.ndarray, z: np.ndarray) -> list:
+    """``one_way_acceptance_reference`` as 50-digit mpmath numbers, one a column.
+
+    Every float64 is an integer times a power of two, so the numerator
+    Re <x|sigma|x> and the denominator Re <z|rho_A|z> |z|^2 are summed exactly
+    in Python integers from the entries of ``sigma_mat``, ``rho_a`` and ``z``;
+    only their ratio is rounded, to 50 digits.
+    """
+    import mpmath
+
+    d, batch = z.shape
+    (zr, zi), _ = _exact_integers(np.array([z.real, z.imag]))
+    xr = (zr[:, None] * zr + zi[:, None] * zi).reshape(d * d, batch)  # z (x) conj(z)
+    xi = (zi[:, None] * zr - zr[:, None] * zi).reshape(d * d, batch)
+    num, e_num = _exact_form(sigma_mat, xr, xi)
+    den, e_den = _exact_form(rho_a, zr, zi)
+    den = den * (zr * zr + zi * zi).sum(axis=0)
+    with mpmath.workdps(50):
+        return [min(max(mpmath.ldexp(mpmath.mpf(n) / mpmath.mpf(m), e_num - e_den), 0), 1)
+                for n, m in zip(num, den)]
+
+
 def bell_tables_reference(sigma1: DensityMatrix, sigma2: DensityMatrix, d: int):
     """Bell-pair outcome and acceptance tables as traces against d^4 x d^4 operators.
 

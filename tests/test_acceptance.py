@@ -307,7 +307,7 @@ def test_criterion_11_separable_trace_bound():
                 ga = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 gb = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 terms.append((float(rng.random()), ga @ ga.conj().T, gb @ gb.conj().T))
-            res = separable_trace_bound(terms, d, tol=1e-10)
+            res = separable_trace_bound(terms, d)
             ok &= res.holds
             if not ok:
                 break

@@ -187,21 +187,37 @@ class TestExact:
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
-class TestSimulate:
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        rc = main(
-            ["simulate", "--out", str(out1), "--seed", "11", "protocol=global_projective",
-             "n=20", "epsilon=0.05", "alpha=0.1", "trials=2000",
-             "state.family=isotropic", "state.params=[0.1]"]
-        )
-        assert rc == 0
-        rc = main(["simulate", "--out", str(out2), "--from-manifest", str(out1 / "manifest.json")])
-        assert rc == 0
-        assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+# one small run of each command; the exact run's defect has 16 significant
+# digits, which a manifest rounded to 12 would not replay
+REPLAYED_RUNS = {
+    "exact": ["formula=pair-repeated", "d=3", "n=4", "epsilon=0.05", "alpha=0.1",
+              "p=[0.1,0.1234567890123456]"],
+    "simulate": ["--seed", "11", "protocol=global_projective", "n=20", "epsilon=0.05",
+                 "alpha=0.1", "trials=2000", "state.family=isotropic", "state.params=[0.1]"],
+    "twirl-verify": ["--seed", "6", "--samples", "600", "target=one-sample", "d=3"],
+    "sweep": ["--seed", "7", "protocol=bell_pairs", "n_list=[10,20]", "trials=200"],
+    "classical": ["n=50", "epsilon=0.05", "alpha=0.1", "q=[0.2,0.3]", "delta=2",
+                  "tprime=[4,6]"],
+}
 
+
+class TestReplay:
+    @pytest.mark.parametrize("command", list(REPLAYED_RUNS))
+    def test_replay_from_manifest_is_byte_identical(self, tmp_path, command):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main([command, "--out", str(first), *REPLAYED_RUNS[command]]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert main([command, "--out", str(replay), "--from-manifest",
+                     str(first / "manifest.json")]) == 0
+        again = json.loads((replay / "manifest.json").read_text())
+        assert manifest["outputs"] and again["outputs"] == manifest["outputs"]
+        written = sorted(p.name for p in replay.iterdir())
+        assert written == sorted([*manifest["outputs"], "manifest.json"])
+        for name in manifest["outputs"]:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+class TestSimulate:
     def test_different_seed_changes_counts_not_exact(self, tmp_path):
         payloads = []
         for seed in (1, 2):

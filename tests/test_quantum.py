@@ -372,6 +372,20 @@ class TestSequentialCovariant:
         with pytest.raises(ValueError, match="samples"):
             sequential_covariant_trace(isotropic_state(2, 0.1), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.eye(1), "is not d\\^2 of a d x d pair"),  # d = 1: no second seed vector
+        (np.eye(3), "is not d\\^2 of a d x d pair"),
+        (np.ones((4, 2)) / 4, "must be a square matrix"),
+        (np.ones(4) / 4, "must be a square matrix"),
+    ])
+    def test_state_off_a_pair_is_refused(self, sigma, message):
+        # the refusal comes before any draw
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sequential_covariant_trace(sigma, 10, rng)
+        assert rng.bit_generator.state == before
+
     def test_matches_qubit_closed_form(self):
         from entbench.qubit_pair import beta_sequential_two_sample
 

@@ -3,7 +3,7 @@ import pytest
 
 from entbench import qubit_pair as qp
 from entbench.quantum import sequential_covariant_trace, two_sample_covariant_test
-from entbench.states import isotropic_state, random_density
+from entbench.states import DensityMatrix, isotropic_state, random_density
 from entbench.twirl import phase_unitary
 from helpers import random_state_with_defect
 
@@ -207,6 +207,27 @@ class TestValidation:
     def test_block_decomposition_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             qp.BlockDecomposition(a=0.5, b=np.zeros(3), c=np.eye(3))
+
+    QUBIT_FORMULAS = [qp.bell_block, qp.block_traces, qp.beta_optimal_two_sample,
+                      qp.beta_sequential_two_sample, qp.beta_sequential_expanded,
+                      qp.block_trace_inequalities, qp.communication_gain]
+
+    @pytest.mark.parametrize("formula", QUBIT_FORMULAS)
+    def test_trace_within_trace_tol_is_accepted(self, formula):
+        # the Bell blocks are held to the DensityMatrix tolerances, so a state
+        # that DensityMatrix certifies is one every qubit formula takes
+        mat = qp.bell_diagonal_state(0.1, 0.05, 0.2).mat * (1.0 + 5e-11)
+        sigma = DensityMatrix(mat, (2, 2))
+        formula(sigma)
+        formula(mat)
+
+    @pytest.mark.parametrize("formula", QUBIT_FORMULAS)
+    def test_trace_past_trace_tol_is_refused(self, formula):
+        mat = qp.bell_diagonal_state(0.1, 0.05, 0.2).mat * (1.0 + 2e-10)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(mat, (2, 2))
+        with pytest.raises(ValueError, match="unit trace"):
+            formula(mat)
 
     def test_bell_block_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

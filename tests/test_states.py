@@ -495,7 +495,7 @@ class TestValidityCertificate:
     @pytest.mark.parametrize("bad", [1e-9, np.nan, np.inf])
     def test_blockwise_hermitian_check_sees_every_entry(self, monkeypatch, bad):
         # two rows per block over a 5 x 5 matrix, so the last block is short
-        monkeypatch.setattr(states, "_HERMITIAN_BLOCK", 10)
+        monkeypatch.setattr(states, "_ROW_BLOCK", 10)
         m = np.diag([0.1, 0.2, 0.3, 0.4, 0.5]).astype(complex)
         m[0, 4] = m[4, 0] = 0.05
         states.TestOperator(m, (5,))

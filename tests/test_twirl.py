@@ -660,11 +660,11 @@ class TestInPlaceAccumulators:
 
 class TestBlockedPasses:
     """``_outer_moments`` forms M2, its guard and the gathered entries
-    ``_ROW_BLOCK`` entries at a time, and ``TwirlEstimate`` compares in row
+    ``states._ROW_BLOCK`` entries at a time, and ``TwirlEstimate`` compares in row
     blocks: both give the bits of the formulas with full-size temporaries,
     whatever the block size, at dim 729 too."""
 
-    BLOCKS = [twirl._ROW_BLOCK, 6 * 729 + 5, 1, 1 << 20]  # 22, 6 and 1 rows, and one block
+    BLOCKS = [states._ROW_BLOCK, 6 * 729 + 5, 1, 1 << 20]  # 22, 6 and 1 rows, and one block
 
     @staticmethod
     def _check(w):
@@ -677,7 +677,7 @@ class TestBlockedPasses:
     def test_guard_across_block_edges(self, monkeypatch, block):
         # rows constant over the batch put their pairs on the guard, around
         # the edges of 22- and 6-row blocks and in the short last block
-        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        monkeypatch.setattr(states, "_ROW_BLOCK", block)
         rng = np.random.default_rng(64)
         w = rng.standard_normal((729, 24)) + 1j * rng.standard_normal((729, 24))
         constant = [5, 6, 7, 20, 21, 22, 23, 43, 44, 725, 726, 727, 728]
@@ -692,7 +692,7 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("block", BLOCKS[:2])
     def test_every_entry_on_the_guard_at_dim_729(self, monkeypatch, block):
         # phi on every pair is fixed by the action: every entry is gathered
-        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        monkeypatch.setattr(states, "_ROW_BLOCK", block)
         phi = max_entangled_ket(3).vec
         v = np.kron(np.kron(phi, phi), phi)
         action = GroupAction("local_independent", 3, 3)
@@ -701,7 +701,7 @@ class TestBlockedPasses:
 
     @pytest.mark.parametrize("block", BLOCKS[:2])
     def test_three_source_batches_at_dim_729(self, monkeypatch, block):
-        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        monkeypatch.setattr(states, "_ROW_BLOCK", block)
         seed, action, _ = _twirl_case("three-source", 3)
         for w in twirl._kets(seed.vec, action, 40, np.random.default_rng(66)):
             self._check(w)
@@ -709,7 +709,7 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("shape", [(729, 729), (5, 7), (3,), ()])
     def test_comparisons_match_the_one_shot_formulas(self, monkeypatch, block, shape):
-        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        monkeypatch.setattr(states, "_ROW_BLOCK", block)
         rng = np.random.default_rng(67)
         mean = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         stderr = np.abs(rng.standard_normal(shape))
@@ -737,7 +737,7 @@ class TestBlockedPasses:
     def test_a_nan_anywhere_fails(self, monkeypatch, block, where):
         # a large finite entry in the first block: a NaN in a later block must
         # still give NaN (the builtin max would keep the finite one)
-        monkeypatch.setattr(twirl, "_ROW_BLOCK", block)
+        monkeypatch.setattr(states, "_ROW_BLOCK", block)
         rng = np.random.default_rng(68)
         mean = rng.standard_normal((729, 729)) + 0j
         mean[0, 0] = 1e9
