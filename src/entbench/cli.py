@@ -418,12 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON config file")
+        source.add_argument("--from-manifest", dest="from_manifest", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--from-manifest", dest="from_manifest", default=None)
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     return parser
 

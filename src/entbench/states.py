@@ -372,7 +372,7 @@ def doubled_ket(u, d: int) -> Ket:
 
 def partial_trace(a: Operator, keep) -> Operator:
     """Trace out all factors not in ``keep`` (labels or indices); the kept
-    factors stay in their order on ``a``."""
+    factors come out in the order of ``keep``."""
     keep_idx = _resolve_indices(keep, list(a.labels))
     if not keep_idx:
         raise ValueError("keep set must be nonempty")
@@ -387,7 +387,10 @@ def partial_trace(a: Operator, keep) -> Operator:
     kept = sorted(keep_idx)
     dims = tuple(a.dims[i] for i in kept)
     labels = tuple(a.labels[i] for i in kept)
-    return Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
+    op = Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
+    if list(keep_idx) != kept:
+        op = permute_systems(op, [kept.index(i) for i in keep_idx])
+    return op
 
 
 def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:

@@ -216,6 +216,13 @@ class TestReplay:
         for name in manifest["outputs"]:
             assert (replay / name).read_bytes() == (first / name).read_bytes()
 
+    @pytest.mark.parametrize("command", list(REPLAYED_RUNS))
+    def test_config_file_beside_a_manifest_is_refused(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--config", "c.json",
+                  "--from-manifest", "manifest.json"])
+        assert exc.value.code == 2
+
 
 class TestSimulate:
     def test_different_seed_changes_counts_not_exact(self, tmp_path):

@@ -233,6 +233,15 @@ class TestPartialTrace:
         red = partial_trace(op, [0, 2])
         assert abs(red.trace() - op.trace()) < 1e-12
 
+    def test_kept_factors_come_out_in_the_order_of_keep(self):
+        rng = np.random.default_rng(5)
+        s1 = random_density((2,), rng, labels=("A",))
+        s2 = random_density((3,), rng, labels=("B",))
+        s3 = random_density((2,), rng, labels=("C",))
+        red = partial_trace(tensor(s1, s2, s3), ["C", "A"])
+        assert red.dims == (2, 2) and red.labels == ("C", "A")
+        assert np.max(np.abs(red.mat - np.kron(s3.mat, s1.mat))) < 1e-12
+
     def test_empty_keep_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
