@@ -312,9 +312,7 @@ def _twirl_case(target: str, d: int):
         raise ValueError(f"twirl-verify needs d >= 2, got {d}")
     vector, kind, make_reference = TWIRL_TARGETS[target]
     u = vector(d)
-    copies = 1
-    while d**copies < len(u):  # doubled_ket checks that len(u) == d^copies
-        copies += 1
+    copies = states._exponent(len(u), d, "vector length")
     dim = d ** (2 * copies)
     memory.check_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
                       "d", d, 2, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
@@ -358,11 +356,12 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 
 def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
+    n_list = _as_list(config.get("n_list", [100, 1000, 10000]))
     rows = asymptotic_sweep(
         delta=float(config.get("delta", 1.0)),
         t_alt=float(config.get("tprime", 3.0)),
         alpha=float(config.get("alpha", 0.05)),
-        n_list=[_integer("n_list", n) for n in config.get("n_list", [100, 1000, 10000])],
+        n_list=[_integer("n_list", n) for n in n_list],
         protocol=config.get("protocol", "bell_pairs"),
         d=_integer("d", config.get("d", 2)),
         trials=_integer("trials", config.get("trials", 0)),

@@ -3,7 +3,8 @@
 Every test here is an explicit matrix with 0 <= T <= I.  Operators on several
 sample pairs are stored pair-major: the factor order is (A1, B1, A2, B2, ...).
 Operators built from a POVM on Alice's side come out group-major
-(A1, ..., Ak, B1, ..., Bk) and are permuted before comparison.
+(A1, ..., Ak, B1, ..., Bk) and are permuted before comparison.  Both layouts,
+their labels and the doubled seed u (x) conj(u) are defined in ``states``.
 
 The one-way construction pairs each POVM vector with its entrywise conjugate:
 
@@ -28,8 +29,12 @@ from .states import (
     Operator,
     RankOnePOVM,
     TestOperator,
+    _exponent,
     _from_sectors,
+    _group_labels,
+    _pair_labels,
     _pair_matrix,
+    _pair_order,
     bell_basis,
     doubled_ket,
     max_entangled_ket,
@@ -61,18 +66,9 @@ _BUILD_ARRAYS = 4
 _PREDICATE_TOL = 1e-10
 
 
-def _pair_labels(k: int) -> tuple[str, ...]:
-    return tuple(x for i in range(1, k + 1) for x in (f"A{i}", f"B{i}"))
-
-
-def _group_labels(k: int) -> tuple[str, ...]:
-    return tuple(f"A{i}" for i in range(1, k + 1)) + tuple(f"B{i}" for i in range(1, k + 1))
-
-
 def to_pair_major(op: Operator) -> Operator:
     """Reorder (A1..Ak, B1..Bk) factors to (A1, B1, ..., Ak, Bk)."""
-    k = len(op.dims) // 2
-    return permute_systems(op, [j for i in range(k) for j in (i, k + i)])
+    return permute_systems(op, _pair_order(len(op.dims) // 2))
 
 
 def to_group_major(op: Operator) -> Operator:
@@ -87,12 +83,10 @@ def test_from_povm(povm: RankOnePOVM, d: int) -> TestOperator:
     The POVM lives on Alice's k samples, of dimension d^k; the result acts on
     the doubled space group-major, with factors (A1..Ak, B1..Bk).
     """
+    k = _exponent(povm.dim, d, "POVM dim")
     vecs = povm.vectors
     big = np.einsum("ka,kb->kab", vecs, vecs.conj()).reshape(len(povm), -1)
     mat = np.einsum("k,ki,kj->ij", povm.weights, big, big.conj())
-    k = round(math.log(povm.dim, d))
-    if d**k != povm.dim:
-        raise ValueError(f"POVM dim {povm.dim} is not a power of {d}")
     return TestOperator(mat, (d,) * (2 * k), _group_labels(k))
 
 
@@ -273,11 +267,11 @@ def sequential_covariant_operator(
     """MC average of the sequential covariant test operator, pair-major.
 
     The seed is d^2 |x><x| with x = (u1 (x) conj(u1)) (x) (u2 (x) conj(u2)),
-    so it is twirled as the vector d x.
+    the doubled (u1 (x) u2), so it is twirled as the vector d x.
     """
-    u1, u2 = _sequential_seed_vectors(d)
-    x = np.kron(np.kron(u1, u1.conj()), np.kron(u2, u2.conj()))
-    return mc_twirl(Ket(d * x, (d,) * 4), GroupAction("local", d, 2), samples, rng)
+    seed = doubled_ket(np.kron(*_sequential_seed_vectors(d)), d)
+    return mc_twirl(Ket(d * seed.vec, seed.dims, seed.labels), GroupAction("local", d, 2),
+                    samples, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .states import (HERMITIAN_TOL, PSD_TOL, TRACE_TOL, DensityMatrix, Operator, TestOperator,
-                     doubled_ket)
+                     _pair_labels, doubled_ket)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -186,7 +186,7 @@ def _effective_test(weights) -> TestOperator:
     mat = np.zeros((16, 16), dtype=complex)
     for w, dim, pi in zip(weights, BLOCK_DIMS, irrep_projectors()):
         mat += (4.0 * w / dim) * pi
-    return TestOperator(mat, (2, 2, 2, 2), ("A1", "B1", "A2", "B2"))
+    return TestOperator(mat, (2, 2, 2, 2), _pair_labels(2))
 
 
 def optimal_two_sample_test() -> TestOperator:

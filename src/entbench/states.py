@@ -6,6 +6,10 @@ with the LEFT factor most significant, so the basis state ``|i, j>`` of a
 ``(dA, dB)`` system sits at flat index ``i * dB + j``.  Complex conjugation is
 always entrywise in this computational basis.
 
+The layout of k sample pairs lives here too: the pair-major (A1, B1, ..., Ak,
+Bk) and group-major (A1..Ak, B1..Bk) orders and labels, the rule d^k, k >= 1,
+for Alice's side (``_exponent``), and the doubled seed u (x) conj(u).
+
 Arrays held by the dataclasses are frozen (non-writeable); all operations
 return new values, so everything here is safe for concurrent use.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,19 +39,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _default_labels(count: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(count))
-
-
-def _check_factors(size: int, dims: tuple[int, ...], labels: tuple[str, ...]) -> None:
+def _settle(obj, field: str, array: np.ndarray, dims, labels) -> None:
+    """Store the frozen ``array`` as ``obj.<field>`` with its checked factors;
+    ``labels`` default to ``s0, s1, ...``."""
+    dims = tuple(int(d) for d in dims)
+    labels = tuple(labels) if labels else tuple(f"s{i}" for i in range(len(dims)))
     if any(d < 1 for d in dims):
         raise ValueError(f"factor dimensions must be positive, got {dims}")
-    if math.prod(dims) != size:
-        raise ValueError(f"total dimension {size} != product of factors {dims}")
+    if math.prod(dims) != array.shape[0]:
+        raise ValueError(f"total dimension {array.shape[0]} != product of factors {dims}")
     if len(labels) != len(dims):
         raise ValueError("one label per factor required")
     if len(set(labels)) != len(labels):
         raise ValueError(f"factor labels must be unique, got {labels}")
+    object.__setattr__(obj, field, array)
+    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, "labels", labels)
+
+
+def _exponent(size: int, base: int, what: str) -> int:
+    """The k >= 1 with ``base**k == size``; ``ValueError`` naming ``what``
+    otherwise, and for ``base < 2``."""
+    k, power = 1, base
+    while 1 < base and power < size:
+        k, power = k + 1, power * base
+    if base < 2 or power != size:
+        raise ValueError(f"{what} {size} is not a power of {base}")
+    return k
+
+
+def _pair_order(k: int) -> list[int]:
+    """Group-major positions of the pair-major factors (A1, B1, ..., Ak, Bk)."""
+    return [j for i in range(k) for j in (i, k + i)]
+
+
+def _pair_labels(k: int) -> tuple[str, ...]:
+    return tuple(x for i in range(1, k + 1) for x in (f"A{i}", f"B{i}"))
+
+
+def _group_labels(k: int) -> tuple[str, ...]:
+    return tuple(f"A{i}" for i in range(1, k + 1)) + tuple(f"B{i}" for i in range(1, k + 1))
 
 
 @dataclass(frozen=True)
@@ -58,13 +90,7 @@ class Ket:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        vec = _frozen(np.asarray(self.vec).reshape(-1))
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(self.labels) if self.labels else _default_labels(len(dims))
-        _check_factors(vec.size, dims, labels)
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+        _settle(self, "vec", _frozen(np.asarray(self.vec).reshape(-1)), self.dims, self.labels)
 
     @property
     def dim(self) -> int:
@@ -84,18 +110,10 @@ class Operator:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self._settle(_frozen(np.asarray(self.mat)))
-
-    def _settle(self, mat: np.ndarray) -> None:
-        """Check and store the frozen complex matrix ``mat`` with its factors."""
+        mat = _frozen(np.asarray(self.mat))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(self.labels) if self.labels else _default_labels(len(dims))
-        _check_factors(mat.shape[0], dims, labels)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
+        _settle(self, "mat", mat, self.dims, self.labels)
 
     @property
     def dim(self) -> int:
@@ -296,27 +314,18 @@ def tensor(*factors):
     """
     if not factors:
         raise ValueError("tensor of nothing")
-    kinds = {isinstance(f, Ket) for f in factors}
-    if len(kinds) != 1:
+    if len({isinstance(f, Ket) for f in factors}) != 1:
         raise TypeError("cannot mix Kets and Operators in one tensor product")
     dims = tuple(d for f in factors for d in f.dims)
     labels = [lab for f in factors for lab in f.labels]
     if len(set(labels)) != len(labels):
         labels = [f"{lab}.{i}" for i, lab in enumerate(labels)]
     if isinstance(factors[0], Ket):
-        vec = factors[0].vec
-        for f in factors[1:]:
-            vec = np.kron(vec, f.vec)
-        return Ket(vec, dims, tuple(labels))
-    mat = factors[0].mat
-    for f in factors[1:]:
-        mat = np.kron(mat, f.mat)
-    cls = Operator
-    if all(isinstance(f, DensityMatrix) for f in factors):
-        cls = DensityMatrix
-    elif all(isinstance(f, TestOperator) for f in factors):
-        cls = TestOperator
-    return cls(mat, dims, tuple(labels))
+        return Ket(reduce(np.kron, [f.vec for f in factors]), dims, tuple(labels))
+    # certified again: two in-band factors can leave the band, (1 + 1e-10)^2 > 1 + 1e-10
+    cls = next((c for c in (DensityMatrix, TestOperator) if all(isinstance(f, c) for f in factors)),
+               Operator)
+    return cls(reduce(np.kron, [f.mat for f in factors]), dims, tuple(labels))
 
 
 def _resolve_indices(spec, labels) -> tuple[int, ...]:
@@ -335,7 +344,9 @@ def permute_systems(x, order):
     """Reorder tensor factors; ``order[j]`` is the old position of new factor j.
 
     Entries of ``order`` may be factor indices or labels.  On operators this is
-    conjugation by the corresponding permutation matrix.
+    conjugation by the corresponding permutation matrix, which keeps
+    Hermiticity and the spectrum exactly: the result keeps the input's class
+    and adopts its one permuted array, with no second copy or certificate.
     """
     order = _resolve_indices(order, list(x.labels))
     n = len(x.dims)
@@ -346,9 +357,10 @@ def permute_systems(x, order):
     if isinstance(x, Ket):
         vec = x.vec.reshape(x.dims).transpose(order).reshape(-1)
         return Ket(vec, dims, labels)
-    axes = list(order) + [n + i for i in order]
-    mat = x.mat.reshape(x.dims + x.dims).transpose(axes).reshape(x.dim, x.dim)
-    return type(x)(mat, dims, labels)
+    mat = np.empty_like(x.mat)
+    mat.reshape(dims + dims)[...] = x.mat.reshape(x.dims + x.dims).transpose(
+        list(order) + [n + i for i in order])
+    return _adopt(type(x), mat, dims, labels)
 
 
 def doubled_ket(u, d: int) -> Ket:
@@ -358,16 +370,11 @@ def doubled_ket(u, d: int) -> Ket:
     conjugate of Alice's; ``len(u)`` must be d^k for some k >= 1.
     """
     vec = u.vec if isinstance(u, Ket) else np.asarray(u, dtype=complex).reshape(-1)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    k = 1
-    while d**k < vec.size:
-        k += 1
-    if d**k != vec.size:
-        raise ValueError(f"vector length {vec.size} is not a power of {d}")
-    labels = tuple(f"A{i}" for i in range(1, k + 1)) + tuple(f"B{i}" for i in range(1, k + 1))
-    w = Ket(np.kron(vec, vec.conj()), (d,) * (2 * k), labels)
-    return permute_systems(w, [j for i in range(k) for j in (i, k + i)])
+    k = _exponent(vec.size, d, "vector length")
+    dims = (d,) * (2 * k)
+    # entry (a, b) of the outer product is u[a] conj(u[b]), as in np.kron
+    outer = (vec[:, None] * vec.conj()).reshape(dims)
+    return Ket(outer.transpose(_pair_order(k)), dims, _pair_labels(k))
 
 
 def partial_trace(a: Operator, keep) -> Operator:
@@ -378,19 +385,16 @@ def partial_trace(a: Operator, keep) -> Operator:
         raise ValueError("keep set must be nonempty")
     if len(set(keep_idx)) != len(keep_idx):
         raise ValueError("duplicate factors in keep set")
-    n = len(a.dims)
     tens = a.mat.reshape(a.dims + a.dims)
-    traced = [i for i in range(n) if i not in keep_idx]
-    for count, i in enumerate(sorted(traced, reverse=True)):
-        live = n - count
-        tens = np.trace(tens, axis1=i, axis2=live + i)
+    for i in reversed([i for i in range(len(a.dims)) if i not in keep_idx]):
+        tens = np.trace(tens, axis1=i, axis2=tens.ndim // 2 + i)
+    # the kept axes are left in ascending order; move them into keep's
     kept = sorted(keep_idx)
-    dims = tuple(a.dims[i] for i in kept)
-    labels = tuple(a.labels[i] for i in kept)
-    op = Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
-    if list(keep_idx) != kept:
-        op = permute_systems(op, [kept.index(i) for i in keep_idx])
-    return op
+    order = [kept.index(i) for i in keep_idx]
+    tens = tens.transpose(order + [len(kept) + j for j in order])
+    dims = tuple(a.dims[i] for i in keep_idx)
+    labels = tuple(a.labels[i] for i in keep_idx)
+    return Operator(tens.reshape(math.prod(dims), math.prod(dims)), dims, labels)
 
 
 def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
@@ -452,11 +456,9 @@ def _from_sectors(cls, d: int, coeffs, dims, labels):
     messages are ``_certify``'s and the dataclasses', with the extreme
     eigenvalues named exactly.  The built matrix is exactly Hermitian: P is
     ``v v^dag`` and real coefficients keep conjugate symmetry bit for bit.
-    ``Operator``'s shape and factor checks run as in any constructor.  The
-    certificate is skipped, so this builds no workspace and loads no
-    ``scipy.linalg``; and the freshly built matrix, which nothing else holds,
-    is frozen itself, not copied as the public constructors copy, so the
-    operator owns its one array.
+    The certificate is skipped, so this builds no workspace and loads no
+    ``scipy.linalg``; and ``_adopt`` freezes the fresh matrix itself, not a
+    copy as the public constructors do, so the operator owns its one array.
     """
     what = "test operator" if cls is TestOperator else "density matrix"
     c = np.asarray(coeffs)
@@ -472,12 +474,17 @@ def _from_sectors(cls, d: int, coeffs, dims, labels):
         trace = sum(float(ck) * math.comb(n, k) * (d * d - 1) ** k for k, ck in enumerate(c))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"{what} trace {trace} is not 1")
-    mat = sector_operator(d, c)
+    return _adopt(cls, sector_operator(d, c), dims, labels)
+
+
+def _adopt(cls, mat: np.ndarray, dims, labels):
+    """A ``cls`` operator holding ``mat``, a fresh complex square array that
+    nothing else holds, frozen in place rather than copied, with its factors
+    checked as in any constructor.  ``__post_init__`` does not run, so the
+    caller vouches for the class's certificate."""
     mat.setflags(write=False)
     op = object.__new__(cls)
-    object.__setattr__(op, "dims", dims)
-    object.__setattr__(op, "labels", labels)
-    op._settle(mat)
+    _settle(op, "mat", mat, dims, labels)
     return op
 
 

@@ -67,7 +67,6 @@ returns, and a draw must not itself prefetch.
 
 from __future__ import annotations
 
-import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -81,6 +80,7 @@ from .memory import check_fits, check_work
 from .states import (
     Ket,
     _block_rows,
+    _exponent,
     haar_columns,
     haar_unitaries,
     haar_unitary,
@@ -573,9 +573,7 @@ def phase_twirl(op: np.ndarray, d: int) -> np.ndarray:
     """
     mat = np.asarray(op, dtype=complex)
     dim = mat.shape[0]
-    copies = round(math.log(dim, d * d))
-    if (d * d) ** copies != dim:
-        raise ValueError(f"dim {dim} is not a power of {d * d}")
+    copies = _exponent(dim, d * d, "dim")
     factors = [phase_unitary(2.0 * np.pi * np.arange(copies + 1) / (copies + 1), d)] * copies
     conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
     return conj.mean(axis=0).reshape(dim, dim)

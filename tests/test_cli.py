@@ -558,9 +558,17 @@ class TestSweep:
         assert rc == 2
         assert "d >= 2" in capsys.readouterr().err
 
-    def test_scalar_copy_list_is_invalid_input(self, tmp_path):
+    def test_scalar_copy_list_is_invalid_input(self, tmp_path, capsys):
+        # a scalar is a one-entry list, refused here because 5 is odd
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=5"])
         assert rc == 2
+        assert "multiple of 2, got [5]" in capsys.readouterr().err
+
+    def test_scalar_copy_list_is_a_one_entry_list(self, tmp_path):
+        for name, value in (("scalar", "50"), ("list", "[50]")):
+            main(["sweep", "--out", str(tmp_path / name), "protocol=bell_pairs", f"n_list={value}"])
+        assert (tmp_path / "scalar" / "sweep.csv").read_bytes() == (
+            tmp_path / "list" / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "rest",

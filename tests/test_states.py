@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entbench import multisource, protocols, quantum, states
+from entbench import cli, multisource, protocols, quantum, states, twirl
 from entbench.states import (
     PSD_TOL,
     TRACE_TOL,
@@ -189,6 +189,41 @@ class TestTensorAndPermute:
         twice = permute_systems(permute_systems(op, (1, 0)), (1, 0))
         assert np.allclose(twice.mat, op.mat)
 
+    def test_tensor_certifies_the_product(self):
+        # each factor's top eigenvalue is inside the band, their product is not
+        edge = states.TestOperator(np.diag([0.5, 1.0 + 0.9 * PSD_TOL]), (2,))
+        with pytest.raises(ValueError, match="leave"):
+            tensor(edge, edge)
+
+
+def _permute_reference(op, order):
+    """The permuted matrix as ``permute_systems`` computed it before it adopted
+    its array: one transpose of the factor axes, then a reshape."""
+    n = len(op.dims)
+    axes = list(order) + [n + i for i in order]
+    return op.mat.reshape(op.dims + op.dims).transpose(axes).reshape(op.dim, op.dim)
+
+
+class TestPermuteAdopts:
+    """A permuted operator keeps its class and owns one frozen array, with no
+    second certificate: a permutation keeps Hermiticity and the spectrum."""
+
+    @pytest.mark.parametrize("make", [random_test, random_density], ids=["test", "state"])
+    def test_keeps_class_owns_a_frozen_array_and_is_not_certified(self, monkeypatch, make):
+        op = make((2, 3, 2, 3), np.random.default_rng(6))
+        monkeypatch.setattr(states, "_certify", lambda *a, **k: pytest.fail("certified again"))
+        cases = [((2, 0, 3, 1), permute_systems(op, (2, 0, 3, 1))),
+                 ((0, 1, 2, 3), permute_systems(op, (0, 1, 2, 3))),
+                 ((0, 2, 1, 3), quantum.to_pair_major(op))]
+        for order, out in cases:
+            assert type(out) is type(op)
+            assert out.dims == tuple(op.dims[i] for i in order)
+            assert out.labels == tuple(op.labels[i] for i in order)
+            assert out.mat.tobytes() == _permute_reference(op, order).tobytes()
+            assert out.mat.flags.owndata and out.mat.base is None
+            assert out.mat.flags.c_contiguous and not out.mat.flags.writeable
+            assert not np.shares_memory(out.mat, op.mat)
+
 
 class TestDoubledKet:
     @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
@@ -210,6 +245,58 @@ class TestDoubledKet:
     def test_length_must_be_a_power_of_d(self, size, d):
         with pytest.raises(ValueError):
             doubled_ket(np.ones(size), d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bits_of_the_kron_and_permute_construction(self, d, k):
+        rng = np.random.default_rng(100 * d + k)
+        u = rng.standard_normal(d**k) + 1j * rng.standard_normal(d**k)
+        group_major = Ket(np.kron(u, u.conj()), (d,) * (2 * k))
+        old = permute_systems(group_major, [j for i in range(k) for j in (i, k + i)])
+        assert doubled_ket(u, d).vec.tobytes() == old.vec.tobytes()
+
+
+def _power_entry_points(monkeypatch):
+    """Each entry point that reads k from a size d^k, as a function of
+    (size, d).  ``phase_twirl`` reads the copies of a (d^2)^k operator, and
+    ``_twirl_case`` the length of its target's vector."""
+    def twirl_case(size, d):
+        monkeypatch.setitem(cli.TWIRL_TARGETS, "sized", (lambda _: np.ones(size), "local", None))
+        return cli._twirl_case("sized", d)
+
+    return {
+        "doubled_ket": lambda size, d: doubled_ket(np.ones(size), d),
+        "test_from_povm": lambda size, d: quantum.test_from_povm(
+            RankOnePOVM(np.ones(size), np.eye(size)), d),
+        "phase_twirl": lambda size, d: twirl.phase_twirl(np.eye(size), d),
+        "_twirl_case": twirl_case,
+    }
+
+
+class TestExponent:
+    """``states._exponent`` is the one reading of k >= 1 from a size d^k."""
+
+    @pytest.mark.parametrize("size,base,k", [(2, 2, 1), (8, 2, 3), (9, 3, 2), (16, 4, 2),
+                                             (3**20, 3, 20)])
+    def test_exponent(self, size, base, k):
+        assert states._exponent(size, base, "size") == k
+
+    @pytest.mark.parametrize("size,base", [(1, 2), (0, 2), (6, 2), (4, 1), (1, 1), (4, 0),
+                                           (3**20 + 1, 3)])
+    def test_refusals_name_the_base(self, size, base):
+        with pytest.raises(ValueError, match=f"size {size} is not a power of {base}"):
+            states._exponent(size, base, "size")
+
+    @pytest.mark.parametrize("entry", ["doubled_ket", "test_from_povm", "phase_twirl",
+                                       "_twirl_case"])
+    @pytest.mark.parametrize("size,d", [(1, 2), (8, 3), (4, 1)], ids=["k=0", "not-a-power", "d=1"])
+    def test_every_entry_point_refuses(self, monkeypatch, entry, size, d):
+        # before, test_from_povm and phase_twirl divided by log(1) at d = 1 and
+        # accepted k = 0 copies from a size-one input
+        call = _power_entry_points(monkeypatch)[entry]
+        message = "needs d >= 2" if entry == "_twirl_case" and d < 2 else "is not a power of"
+        with pytest.raises(ValueError, match=message):
+            call(size, d)
 
 
 class TestPartialTrace:
@@ -353,6 +440,20 @@ class TestFactorBookkeeping:
             from entbench.states import TestOperator
 
             TestOperator(TestMatrix, (2, 2))
+
+    def test_factors_of_dimension_one_are_kept(self):
+        k = Ket([0.6, 0.8], (1, 2))
+        op = Operator(np.eye(2), (2, 1), ("A", "B"))
+        assert (k.dims, k.labels) == ((1, 2), ("s0", "s1"))
+        assert (op.dims, op.labels) == ((2, 1), ("A", "B"))
+        for dims in ((0, 2), (2, -1)):
+            with pytest.raises(ValueError, match="must be positive"):
+                Ket([0.6, 0.8], dims)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_group_major_labels_reorder_to_pair_major(self, k):
+        group = states._group_labels(k)
+        assert tuple(group[j] for j in states._pair_order(k)) == states._pair_labels(k)
 
 
 def _hermitian_with_spectrum(evals, rng) -> np.ndarray:
@@ -527,7 +628,7 @@ def _sector_built(kind: str, d: int, x):
     """A sector-built operator or state, and the recipe ``(cls, coeffs, dims,
     labels)`` of the dense construction it replaces, ``cls(sector_operator(d,
     coeffs), dims, labels)``, which ``_certify`` certifies."""
-    pairs = quantum._pair_labels
+    pairs = states._pair_labels
     if kind == "one-sample":
         return (quantum.one_sample_covariant_test(d),
                 (states.TestOperator, [1.0, 1.0 / (d + 1)], (d, d), ("A", "B")))
