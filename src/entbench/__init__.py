@@ -29,6 +29,7 @@ from .states import (
 from .twirl import (
     GroupAction,
     TwirlEstimate,
+    doubled_twirl,
     haar_unitary,
     mc_twirl,
     orthocomplement_unitary,
@@ -46,6 +47,7 @@ __all__ = [
     "TestOperator",
     "TwirlEstimate",
     "bell_basis",
+    "doubled_twirl",
     "fidelity_defect",
     "generalized_pauli",
     "haar_unitary",

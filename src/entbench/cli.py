@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, classical, memory, multisource, qubit_pair, quantum, states
 from .protocols import ExperimentConfig, StateSpec, asymptotic_sweep, run_experiment
-from .twirl import GroupAction, mc_twirl
+from .twirl import GroupAction, doubled_twirl
 
 EXACT_COLUMNS = ["formula", "d", "n", "epsilon", "alpha", "p", "p1", "p2", "p3", "value", "flag"]
 
@@ -301,10 +301,11 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 
 def _twirl_case(target: str, d: int):
-    """Seed ket, group action, and closed-form target for each check.
+    """Alice's vector u, group action, and closed-form target for each check.
 
-    The seed d^k |v><v| goes to the twirl as the ket sqrt(d^k) v.  The dense
-    reference is the one large array, so its size is checked first.
+    The seed d^k |v><v|, v = u (x) conj(u) pair-major, is twirled from u by
+    ``doubled_twirl``.  The dense reference is the one large array, so its
+    size is checked first.
     """
     if target not in TWIRL_TARGETS:
         raise ValueError(f"unknown twirl target {target!r}; choose from {tuple(TWIRL_TARGETS)}")
@@ -316,9 +317,7 @@ def _twirl_case(target: str, d: int):
     dim = d ** (2 * copies)
     memory.check_fits(f"target {target!r} at d={d}, with a {dim} x {dim} reference operator,",
                       "d", d, 2, lambda x: _REFERENCE_ARRAYS * 16 * x ** (4 * copies))
-    ket = states.doubled_ket(u, d)
-    seed = states.Ket(math.sqrt(d**copies) * ket.vec, ket.dims, ket.labels)
-    return seed, GroupAction(kind, d, copies), make_reference(d).mat
+    return u, GroupAction(kind, d, copies), make_reference(d).mat
 
 
 def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
@@ -329,9 +328,9 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         raise ValueError(f"twirl-verify needs samples >= 2 for a standard error, got {samples}")
     # the twirl's own guard, run here before the seed and the reference are built
     memory.check_work(f"a {samples}-sample twirl", "samples", samples)
-    seed, action, reference = _twirl_case(target, d)
+    u, action, reference = _twirl_case(target, d)
     rng = np.random.default_rng(_integer("seed", config.get("seed", 0)))
-    est = mc_twirl(seed, action, samples, rng)
+    est = doubled_twirl(u, action, samples, rng)
     max_dev = est.deviation(reference)
     max_stderr = float(est.stderr.max())
     if max_stderr > _CONCLUSIVE_STDERR:

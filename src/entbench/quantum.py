@@ -48,8 +48,8 @@ from .twirl import (
     _batch_moments,
     _chunks,
     _mean_stderr,
+    doubled_twirl,
     haar_unitaries,
-    mc_twirl,
 )
 
 # result-sized complex arrays alive at once while binomial_operator_test or
@@ -267,11 +267,11 @@ def sequential_covariant_operator(
     """MC average of the sequential covariant test operator, pair-major.
 
     The seed is d^2 |x><x| with x = (u1 (x) conj(u1)) (x) (u2 (x) conj(u2)),
-    the doubled (u1 (x) u2), so it is twirled as the vector d x.
+    the doubled (u1 (x) u2), so it is twirled from u1 (x) u2 by
+    ``doubled_twirl``, which draws two columns of each g.
     """
-    seed = doubled_ket(np.kron(*_sequential_seed_vectors(d)), d)
-    return mc_twirl(Ket(d * seed.vec, seed.dims, seed.labels), GroupAction("local", d, 2),
-                    samples, rng)
+    return doubled_twirl(np.kron(*_sequential_seed_vectors(d)), GroupAction("local", d, 2),
+                         samples, rng)
 
 
 # ---------------------------------------------------------------------------

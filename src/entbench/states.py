@@ -519,16 +519,20 @@ def bell_basis(d: int) -> list[Ket]:
 # random instances (Ginibre-based; bit-reproducible for a fixed Generator state)
 
 
-def _ginibre(dim: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """``count`` complex Ginibre matrices, batch last: shape (dim, dim, count).
+def _ginibre(
+    dim: int, rng: np.random.Generator, count: int = 1, columns: int | None = None
+) -> np.ndarray:
+    """``count`` complex Ginibre matrices of ``columns`` columns (default
+    ``dim``), batch last: shape (dim, columns, count).
 
-    Every real part is drawn first, as ``standard_normal((count, dim, dim))``,
+    Every real part is drawn first, as ``standard_normal((count, dim, columns))``,
     then every imaginary part, and each is written straight into its half of
     the complex result, so no other complex array is made.
     """
-    g = np.empty((dim, dim, count), dtype=complex)
-    g.real = rng.standard_normal((count, dim, dim)).transpose(1, 2, 0)
-    g.imag = rng.standard_normal((count, dim, dim)).transpose(1, 2, 0)
+    columns = dim if columns is None else columns
+    g = np.empty((dim, columns, count), dtype=complex)
+    g.real = rng.standard_normal((count, dim, columns)).transpose(1, 2, 0)
+    g.imag = rng.standard_normal((count, dim, columns)).transpose(1, 2, 0)
     return g
 
 
@@ -543,19 +547,25 @@ def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     return np.ascontiguousarray(haar_columns(dim, count, rng).transpose(2, 0, 1))
 
 
-def haar_columns(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed unitaries, batch last: ``u[:, j, n]`` is
-    column j of the n-th, shape (dim, dim, count).
+def haar_columns(dim: int, count: int, rng: np.random.Generator,
+                 columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` columns (default all ``dim``) of ``count``
+    Haar-distributed unitaries, batch last: ``u[:, j, n]`` is column j of the
+    n-th, shape (dim, columns, count).
 
-    Each is a complex Ginibre matrix with its columns orthonormalized in
-    order.  That is the Q of its QR decomposition with a positive real R
-    diagonal, which is exactly Haar (Mezzadri, Notices AMS 54, 2007).
+    Each is a complex dim x columns Ginibre matrix with its columns
+    orthonormalized in order.  At ``columns = dim`` that is the Q of its QR
+    decomposition with a positive real R diagonal, which is exactly Haar, and
+    any fixed ``columns`` columns of a Haar unitary have the law of the same
+    steps on a dim x columns Ginibre matrix (Mezzadri, Notices AMS 54, 2007).
+    The Gaussians are drawn in the order of ``_ginibre``, so ``columns = dim``
+    is the full draw's stream.
     """
-    return _orthonormal_columns(_ginibre(dim, rng, count))
+    return _orthonormal_columns(_ginibre(dim, rng, count, columns))
 
 
 def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """The columns of each matrix in a batch-last (dim, dim, count) array,
+    """The columns of each matrix in a batch-last (dim, columns, count) array,
     orthonormalized in order, in place; returns ``a``.
 
     Classical Gram-Schmidt with each column projected twice against the ones

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy import stats
@@ -184,6 +184,29 @@ def reference_twirl(op, action, samples: int, rng: np.random.Generator) -> Twirl
         mat = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
         conj = (f @ mat) @ f.conj().transpose(0, 2, 1)
     return TwirlEstimate(conj.mean(axis=0), conj.std(axis=0, ddof=1) / np.sqrt(samples), samples)
+
+
+def local_twirl_exact(mat: np.ndarray, d: int, copies: int) -> np.ndarray:
+    """The exact Haar average of f T f^dag with f = (g (x) conj(g))^{(x) copies},
+    for a pair-major operator T on ``copies`` pairs.
+
+    As a vector on 4 copies legs, f T f^dag is T's vector under g on the
+    A legs of the rows and the B legs of the columns, and conj(g) on the
+    others.  The Haar average of that representation is the orthogonal
+    projection onto its fixed vectors, which are spanned by the (2 copies)!
+    vectors that pair every g leg with a conj(g) leg by a Kronecker delta
+    (Schur-Weyl duality); the projection is a least-squares fit on them.
+    """
+    n = 2 * copies
+    g_legs = [2 * c for c in range(copies)] + [n + 2 * c + 1 for c in range(copies)]
+    h_legs = [2 * c + 1 for c in range(copies)] + [n + 2 * c for c in range(copies)]
+    letters = "abcdefghijklmnop"[: 2 * n]
+    eye = np.eye(d)
+    span = np.array([np.einsum(",".join(letters[g] + letters[h] for g, h in zip(g_legs, perm))
+                               + "->" + letters, *[eye] * n).reshape(-1)
+                     for perm in permutations(h_legs)]).T
+    vec = np.asarray(mat, dtype=complex).reshape(-1)
+    return (span @ np.linalg.lstsq(span, vec, rcond=None)[0]).reshape(np.shape(mat))
 
 
 def invariance_deviation(op, action, samples: int, rng: np.random.Generator) -> float:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entbench import memory, quantum, states
+from entbench import memory, quantum
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
 from entbench.protocols import ROUNDS, StateSpec
 from entbench.quantum import beta_one_way
@@ -296,7 +296,7 @@ class TestTwirlVerify:
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_fewer_than_two_samples_is_invalid_input(self, tmp_path, monkeypatch, capsys, samples):
         # one sample has no standard error; refused before any draw
-        monkeypatch.setattr("entbench.cli.mc_twirl", lambda *a: pytest.fail("twirl ran"))
+        monkeypatch.setattr("entbench.cli.doubled_twirl", lambda *a: pytest.fail("twirl ran"))
         out = tmp_path / "run"
         rc = main(["twirl-verify", "--out", str(out), "--samples", samples,
                    "target=one-sample", "d=2"])
@@ -316,8 +316,8 @@ class TestTwirlVerify:
         assert rc == 2
 
     def test_unsupported_dimension_refused_before_the_seed(self, tmp_path, monkeypatch, capsys):
-        # at d=5 the three-source seed alone would take 3.9 GB
-        monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+        # at d=5 the three-source reference alone would take 3.9 GB
+        monkeypatch.setattr("entbench.cli.doubled_twirl", lambda *a: pytest.fail("twirl ran"))
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=three-source", "d=5"])
         assert rc == 2
         assert "capped" in capsys.readouterr().err

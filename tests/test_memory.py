@@ -5,7 +5,7 @@ import pytest
 
 from entbench import memory, multisource, protocols, quantum, states
 from entbench.cli import main
-from entbench.twirl import GroupAction, TwirlEstimate, mc_twirl
+from entbench.twirl import GroupAction, TwirlEstimate, doubled_twirl, mc_twirl
 
 # the one wording every refusal shares, at a faked RAM of 1000 bytes
 SHARED = r"needs about \d+ bytes, more than the 1000 bytes of RAM; (the largest \w+ that fits is \d+|no \w+ fits)$"
@@ -62,8 +62,17 @@ def test_twirl_refuses_before_any_draw(tiny_ram):
     assert rng.bit_generator.state == state
 
 
+def test_doubled_twirl_refuses_before_any_draw(tiny_ram):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=SHARED):
+        doubled_twirl(states.max_entangled_ket(2).vec, GroupAction("local_independent", 2, 2), 100,
+                      rng)
+    assert rng.bit_generator.state == state
+
+
 def test_twirl_verify_refuses_before_any_build(tiny_ram, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+    monkeypatch.setattr("entbench.cli.doubled_twirl", lambda *a: pytest.fail("twirl ran"))
     monkeypatch.setattr(quantum, "one_sample_covariant_test", lambda d: pytest.fail("reference was built"))
     rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=one-sample", "--samples", "10"])
     assert rc == 2
@@ -136,10 +145,22 @@ def test_twirl_verify_checks_the_work_before_the_seed_and_reference(no_work, tmp
                                                                      capsys):
     # the dim-729 three-source reference is the largest fixed cost of a twirl
     monkeypatch.setattr(states, "sector_operator", lambda *a: pytest.fail("reference was built"))
-    monkeypatch.setattr(states, "doubled_ket", lambda *a: pytest.fail("seed was built"))
+    monkeypatch.setattr("entbench.cli.doubled_twirl", lambda *a: pytest.fail("twirl ran"))
     args = ["target=three-source", "d=3", "samples=1e30"]
     assert main(["twirl-verify", "--out", str(tmp_path / "x"), *args]) == 2
     assert capsys.readouterr().err.rstrip().endswith("samples allowed is 1000000000")
+
+
+@pytest.mark.parametrize("kind, d, copies, u", [
+    ("local", 3, 1, [1, 0, 0]),
+    ("local_independent", 3, 2, [1, 0, 0, 0, 1, 0, 0, 0, 1]),
+    ("local_phase", 2, 2, [0, 1, 1, 0]),
+])
+def test_doubled_twirl_past_the_work_ceiling_refuses_before_any_draw(no_work, kind, d, copies, u):
+    action = GroupAction(kind, d, copies)
+    with pytest.raises(ValueError, match="more than the ceiling of 1000000000; "
+                                         "the largest samples allowed is 1000000000$"):
+        doubled_twirl(np.array(u, dtype=complex), action, 10**9 + 1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("protocol", protocols.PROTOCOLS)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbench import memory, states, twirl
+from entbench import memory, quantum, qubit_pair, states, twirl
 from entbench.cli import _twirl_case
 from entbench.multisource import three_source_covariant_test
 from entbench.states import (
@@ -21,6 +21,7 @@ from entbench.twirl import (
     KINDS,
     GroupAction,
     TwirlEstimate,
+    doubled_twirl,
     haar_unitaries,
     haar_unitary,
     mc_twirl,
@@ -32,6 +33,7 @@ from entbench.twirl import (
 from helpers import (
     haar_batch_first,
     invariance_deviation,
+    local_twirl_exact,
     mean_stderr_reference,
     outer_moments_reference,
     placement_sum,
@@ -150,13 +152,26 @@ class TestOrthonormalColumns:
 
     @pytest.mark.parametrize("dim, count", [(2, 8192), (3, 5000), (4, 8192), (5, 7), (3, 1), (15, 40)])
     def test_batch_last_sampler_is_the_batch_first_stream(self, dim, count):
-        rngs = [np.random.default_rng(dim * count) for _ in range(3)]
+        rngs = [np.random.default_rng(dim * count) for _ in range(4)]
         q = states.haar_columns(dim, count, rngs[0])
         u = haar_unitaries(dim, count, rngs[1])
         assert q.shape == (dim, dim, count) and u.shape == (count, dim, dim)
         assert np.array_equal(q.transpose(2, 0, 1), u)
         assert np.array_equal(u, haar_batch_first(dim, count, rngs[2]))
-        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+        # every column asked for by name is the default draw
+        assert np.array_equal(states.haar_columns(dim, count, rngs[3], columns=dim), q)
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random() == rngs[3].random()
+
+    @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (4, 2), (5, 3), (5, 5)])
+    def test_leading_columns_are_orthonormal_with_haar_second_moment(self, d, r):
+        # E|U_ij|^2 = 1/d for every entry of a Haar unitary
+        n = 20000
+        q = states.haar_columns(d, n, np.random.default_rng(90 + 10 * d + r), columns=r)
+        assert q.shape == (d, r, n)
+        gram = np.einsum("irn,isn->rsn", q.conj(), q)
+        assert np.max(np.abs(gram - np.eye(r)[:, :, np.newaxis])) <= 1e-14
+        x = np.abs(q) ** 2
+        assert np.all(np.abs(x.mean(axis=2) - 1.0 / d) <= 5 * x.std(axis=2, ddof=1) / np.sqrt(n))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_haar_moments(self, d):
@@ -489,6 +504,137 @@ class TestRankOneTwirl:
             mc_twirl(_random_ket(2, 1, 25), GroupAction("local", 2, 2), 10, np.random.default_rng(0))
 
 
+def _doubled_seed(u, d):
+    """The ``Ket`` sqrt(d^k) u (x) conj(u), pair-major, that ``doubled_twirl``
+    twirls from u."""
+    ket = states.doubled_ket(np.reshape(u, -1), d)
+    return Ket(np.sqrt(np.size(u)) * ket.vec, ket.dims, ket.labels)
+
+
+def _library_case(target, d):
+    """Alice's vector and the action of a twirl the library runs."""
+    if target == "sequential":
+        return np.kron(*quantum._sequential_seed_vectors(d)), GroupAction("local", d, 2)
+    return _twirl_case(target, d)[:2]
+
+
+class TestDoubledTwirl:
+    """``doubled_twirl`` twirls a doubled seed from u: where u's support
+    reaches every column of g it is ``mc_twirl`` on the doubled ``Ket`` to
+    rounding, from the same draws; elsewhere it draws fewer columns, and its
+    law is checked against exact averages."""
+
+    @pytest.mark.parametrize("target,d", [("two-sample", 2), ("two-sample", 3), ("three-source", 2),
+                                          ("qubit-weights", 2), ("sequential", 2)])
+    def test_matches_mc_twirl_on_the_doubled_ket(self, target, d):
+        u, action = _library_case(target, d)
+        rng, ref = np.random.default_rng(93), np.random.default_rng(93)
+        got = doubled_twirl(u, action, 4096 + 1, rng)
+        want = mc_twirl(_doubled_seed(u, d), action, 4096 + 1, ref)
+        top = np.max(np.abs(want.mean))
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-15 * top
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15 * top
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def _columns_drawn(monkeypatch):
+        drawn, draws = [], GroupAction._draws
+        monkeypatch.setattr(GroupAction, "_draws", lambda action, count, rng, columns=None:
+                            drawn.append(columns) or draws(action, count, rng, columns))
+        return drawn
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_sample_draws_one_column_and_meets_its_closed_form(self, monkeypatch, d):
+        drawn = self._columns_drawn(monkeypatch)
+        u, action, reference = _twirl_case("one-sample", d)
+        est = doubled_twirl(u, action, 20000, np.random.default_rng(94 + d))
+        assert set(drawn) == {1}
+        assert np.max(est.stderr) <= 5e-3 and est.within(reference)
+
+    @pytest.mark.parametrize("target,d", [("one-sample", d) for d in (2, 3, 4, 5)]
+                             + [("sequential", 2)])
+    def test_exact_average_oracle_meets_the_closed_forms(self, target, d):
+        # the oracle of the law tests below, on closed forms it shares no code with
+        u, action = _library_case(target, d)
+        w = _doubled_seed(u, d).vec
+        want = (quantum.one_sample_covariant_test(d) if target == "one-sample"
+                else qubit_pair.sequential_two_sample_test()).mat
+        got = local_twirl_exact(np.outer(w, w.conj()), d, action.copies)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sequential_draws_two_columns_and_meets_the_exact_average(self, monkeypatch, d):
+        drawn = self._columns_drawn(monkeypatch)
+        u, action = _library_case("sequential", d)
+        w = _doubled_seed(u, d).vec
+        est = quantum.sequential_covariant_operator(d, 20000, np.random.default_rng(98 + d))
+        assert set(drawn) == {2}
+        assert est.within(local_twirl_exact(np.outer(w, w.conj()), d, 2))
+
+    def test_phase_on_two_columns_meets_the_exact_average(self):
+        # the local and phase averages commute, so the exact local_phase
+        # average is the phase twirl of the exact local one
+        u = np.zeros((3, 3), dtype=complex)
+        u[:2, :2] = _random_ket(2, 1, 32).vec.reshape(2, 2)
+        w = _doubled_seed(u, 3).vec
+        est = doubled_twirl(u, GroupAction("local_phase", 3, 2), 20000, np.random.default_rng(102))
+        assert est.within(phase_twirl(local_twirl_exact(np.outer(w, w.conj()), 3, 2), 3))
+
+    @pytest.mark.parametrize(
+        "kind,d,copies,u,message",
+        [("ortho", 2, 1, [1, 0], "takes the kinds"), ("phase", 2, 1, [1, 0], "takes the kinds"),
+         ("local", 3, 2, [1, 0, 0], "vector length 3 != d\\^copies = 9"),
+         ("local", 2, 1, [0, 0], "zero vector")],
+    )
+    def test_refuses_before_any_draw(self, kind, d, copies, u, message):
+        rng = np.random.default_rng(103)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            doubled_twirl(np.array(u, dtype=complex), GroupAction(kind, d, copies), 10, rng)
+        assert rng.bit_generator.state == state
+
+    def test_one_sample_twirls_and_zero_is_refused(self):
+        u, action, _ = _twirl_case("one-sample", 2)
+        est = doubled_twirl(u, action, 1, np.random.default_rng(106))
+        assert est.samples == 1 and np.max(est.stderr) == 0.0
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            doubled_twirl(u, action, 0, np.random.default_rng(106))
+
+    @pytest.mark.parametrize("target,batches,columns", [("one-sample", 1, 1), ("two-sample", 2, 3),
+                                                        ("sequential", 1, 2)])
+    def test_memory_guard_budgets_the_drawn_columns(self, monkeypatch, target, batches, columns):
+        # at d = 3, y has d^k entries a sample and the doubled vectors d^2k;
+        # each of the batches of g holds d x columns entries
+        u, action = _library_case(target, 3)
+        q = 3**action.copies
+        per_sample = 16 * (3 * q + twirl._DOUBLED_BATCHES * q * q
+                           + (batches + twirl._FACTOR_TEMPS) * 3 * columns)
+        monkeypatch.setattr(memory, "ram_bytes",
+                            lambda: 300 * per_sample + 8 * twirl._LIVE_ACCUMULATORS * q**4)
+        rng = np.random.default_rng(104)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="the largest samples that fits is 300$"):
+            doubled_twirl(u, action, 301, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        assert doubled_twirl(u, action, 300, rng).samples == 300
+
+    def test_batch_footprint_within_its_budget(self):
+        # tracemalloc sees numpy's buffers without allocator slack: three
+        # batches at dim 81, each drawn while the one before is twirled, hold
+        # 0.70 of the budget (getrusage: 0.84)
+        u, action, _ = _twirl_case("two-sample", 3)
+        samples = 2 * 4096 + 1
+        doubled_twirl(u, action, 2, np.random.default_rng(105))  # caches filled
+        tracemalloc.start()
+        try:
+            doubled_twirl(u, action, samples, np.random.default_rng(105))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = twirl._doubled_footprint(action, 3, samples)
+        assert 0.5 * budget <= peak <= budget
+
+
 def _ket_batches(v, action, samples, rng):
     """The batches of ``twirl._kets`` side by side, copied, since each is a view
     of a buffer that the next batch reuses."""
@@ -522,6 +668,15 @@ class TestBatchLastKets:
         for count in (4096, 1):
             action._draws(count, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+        if kind in twirl.DOUBLED_KINDS:
+            # u on the first two basis vectors of each site: two columns of
+            # each g, all of them at d = 2
+            u = np.zeros(d**copies, dtype=complex)
+            u[[0, 1]] = 0.6, 0.8j
+            doubled_twirl(u, action, 4096 + 1, rng)
+            for count in (4096, 1):
+                action._draws(count, ref, 2)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize(
         "kind,d,copies",
@@ -533,9 +688,10 @@ class TestBatchLastKets:
         # move its state or its result away from the identity action's
         draws = GroupAction._draws
 
-        def identity_draws(action, count, rng):
-            us, theta = draws(action, count, np.random.default_rng(0))
-            us = [np.repeat(np.eye(len(u), dtype=complex)[:, :, None], count, axis=2) for u in us]
+        def identity_draws(action, count, rng, columns=None):
+            us, theta = draws(action, count, np.random.default_rng(0), columns)
+            us = [np.repeat(np.eye(*u.shape[:2], dtype=complex)[:, :, None], count, axis=2)
+                  for u in us]
             return us, None if theta is None else np.zeros(count)
 
         monkeypatch.setattr(GroupAction, "_draws", identity_draws)
@@ -547,6 +703,13 @@ class TestBatchLastKets:
         assert np.max(np.abs(est.mean - np.outer(v.vec, v.vec.conj()))) <= 1e-14
         f = action.sample_batch(5, rng)
         assert np.max(np.abs(f - np.eye(action.dim))) <= 1e-14
+        if kind in twirl.DOUBLED_KINDS:
+            # u on the first two basis vectors of each site: two columns drawn
+            u = np.zeros((d,) * copies, dtype=complex)
+            u[:2, :2] = _random_ket(2, 1, 31).vec.reshape(2, 2)
+            w = _doubled_seed(u, d).vec
+            est = doubled_twirl(u, action, 5, rng)
+            assert np.max(np.abs(est.mean - np.outer(w, w.conj()))) <= 1e-14
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -702,8 +865,8 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("block", BLOCKS[:2])
     def test_three_source_batches_at_dim_729(self, monkeypatch, block):
         monkeypatch.setattr(states, "_ROW_BLOCK", block)
-        seed, action, _ = _twirl_case("three-source", 3)
-        for w in twirl._kets(seed.vec, action, 40, np.random.default_rng(66)):
+        u, action, _ = _twirl_case("three-source", 3)
+        for w in twirl._doubled_kets(u, action, 40, np.random.default_rng(66)):
             self._check(w)
 
     @pytest.mark.parametrize("block", BLOCKS)

@@ -9,8 +9,10 @@ comparison (``< <= > >= == !=``) inside the named functions of
 every top-level function and method).  The mutated module is written, by
 ``ast.unparse``, into a copy of ``src/`` in a temporary directory, and the
 module's own test files (``TESTS``) run against that copy with ``-x``.  A
-mutant is killed when the tests fail, error or run past ``TIMEOUT`` seconds,
-and survives when they pass.  With ``--max``, a sample of that many sites is
+mutant is killed when the tests fail, error or time out, and survives when
+they pass.  The timeout is ``TIMEOUT_SCALE`` times the unmutated run of the
+same tests, and at least ``TIMEOUT_FLOOR`` seconds, so a mutant that loops
+forever costs a few test runs, not minutes.  With ``--max``, a sample of that many sites is
 drawn with the fixed ``SEED``, so a run is reproducible.  Only the standard
 library is used; pytest runs as a subprocess.
 
@@ -28,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # module -> the test files that pin it, run for each of its mutants; the known
@@ -44,7 +47,10 @@ TESTS = {
 }
 DESELECT = "tests/test_acceptance.py::test_criterion_09_large_deviation"
 SEED = 0  # draws the --max sample of sites
-TIMEOUT = 300.0  # seconds per mutant; a walk sent far off runs until then
+# a mutant's tests time out after this many times the unmutated run, and no
+# sooner than the floor in seconds, which covers a slow pytest start
+TIMEOUT_SCALE = 4.0
+TIMEOUT_FLOOR = 60.0
 
 # each operator and the one it is swapped for
 SWAPS = {
@@ -100,7 +106,7 @@ def mutate(node, field, index):
     return lambda: node.ops.__setitem__(index, old)
 
 
-def run_tests(src: Path, tests: list[str]) -> str:
+def run_tests(src: Path, tests: list[str], timeout: float | None = None) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     # the empty pythonpath option keeps pytest from putting the checkout's
     # own src/ ahead of the mutated copy
@@ -108,7 +114,7 @@ def run_tests(src: Path, tests: list[str]) -> str:
            "--deselect", DESELECT, *tests]
     try:
         proc = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+                              stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if proc.returncode == 0 else "killed"
@@ -133,13 +139,18 @@ def main() -> int:
         shutil.copytree("src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "entbench" / path.name
         target.write_text(ast.unparse(tree) + "\n")
+        start = time.monotonic()
         if run_tests(src, tests) != "survived":
             raise SystemExit(f"the tests fail on the unmutated {path} as unparsed; nothing to probe")
+        unmutated = time.monotonic() - start
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_SCALE * unmutated)
+        print(f"unmutated tests took {unmutated:.1f} s; a mutant times out after {timeout:.0f} s",
+              flush=True)
         for name, line, node, field, index in chosen:
             restore = mutate(node, field, index)
             target.write_text(ast.unparse(tree) + "\n")
             restore()
-            verdict = run_tests(src, tests)
+            verdict = run_tests(src, tests, timeout)
             print(f"{verdict:17s} {name}:{line}  {describe(node, field, index)}", flush=True)
             if verdict == "survived":
                 survivors.append((name, line))
