@@ -560,6 +560,8 @@ def asymptotic_sweep(
         raise ValueError(f"sweep needs d >= 2, got {d}")
     copies, fail = ROUNDS[protocol]
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("sweep needs at least one n in n_list")
     if any(n < 1 or n % copies for n in n_list):
         raise ValueError(
             f"{protocol} sweep needs every n >= 1 and a multiple of {copies}, got {n_list}"

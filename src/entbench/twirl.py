@@ -47,22 +47,15 @@ rounding.  Median times at one BLAS thread against ``mc_twirl`` on that
 3.6 -> 1.8 ms, three-source d=3 16 samples 8.2 -> 8.1 ms.
 
 ``mc_twirl`` twirls any ``Ket`` v, under every kind: the ``ortho`` and
-``phase`` actions, and the tests' oracles.  It twirls the vectors f v, batch
-last: a (dim, batch) array W.  For the phase and local actions each g
-and conj(g) acts on its own d-axis of W (``_apply_columns``), so
-g (x) conj(g) is never formed: ``16 copies d dim`` real flops per sample, the
-first factor one matmul with the shared v, the rest multiply-adds over rows
-that run over the batch, and Ph(theta) rank-one updates of v before any g.
-``ortho``, and kets of two or more pairs at dim >= 256, apply pair factors
-instead, ``8 copies d^2 dim`` flops per sample as per-sample products
-(``_apply_factors``), which measured faster there.  Median ``mc_twirl`` times
-at one BLAS thread, 8192 samples, against the pair-factor kernel with the
-batch first: one-sample d=3 20 -> 8.5 ms, d=8 526 -> 119 ms, two-sample d=2
-19 -> 11 ms, qubit-weights 23 -> 11 ms, three-source d=2 73 -> 53 ms.
-Forcing either kernel on two-sample d=4 (dim 256) gave 354 ms batch last
-against 324 ms in pair factors, and on three-source d=3 (dim 729,
-512 samples) 139 against 111 ms; at dim 81 the two were even (73 against
-75 ms).
+``phase`` actions, and the tests' oracles; no command reaches it.  It twirls
+the vectors f v, batch last, in ``doubled_twirl``'s kernel
+(``_apply_columns``): g and conj(g) on the two d-axes of every pair,
+``16 copies d dim`` real flops per sample, or the (d^2, d^2) ``ortho``
+unitary on each pair's axis, ``8 copies d^2 dim``; then Ph(theta) on each
+pair's diagonal (``_phase_pairs``).  Against the per-sample pair-factor
+kernel it replaced, median times at one BLAS thread are even at small dim
+and slower at large: three-source d=3 (dim 729, 512 samples) 73-80 -> 98-100
+ms, local d=4 on two pairs (dim 256, 4096 samples) 107-118 -> 123-130 ms.
 
 The sum of ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum
 of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
@@ -80,8 +73,8 @@ moments with Chan's pairwise update.
 The draws of each batch run one batch ahead on one worker thread
 (``_prefetch``): while a batch is twirled and accumulated, the next one's
 ``GroupAction._draws`` fill their arrays, and numpy's ``Generator`` releases
-the GIL while it does.  Only the draws run there, never the pair factors
-built from them.  The draws keep the same order, so every seeded result is
+the GIL while it does.  Only the draws run there, never the factors built
+from them.  The draws keep the same order, so every seeded result is
 bit for bit the serial one; the worker is joined before a twirl returns, and
 a draw must not itself prefetch.  Both twirls accumulate their batches of
 vectors alike (``_average``).
@@ -113,20 +106,22 @@ from .states import (
 
 _CHUNK = 4096  # fixed batch size so results depend only on (seed, samples)
 # a twirl budgets (dim, batch) vectors: the three rows of the work buffer of
-# ``_apply_columns`` (or a product's input and output), then conj(W) or the
-# two gathered rows of the cancellation guard.  Peak RSS growth (getrusage,
-# one BLAS thread) over three 4096-sample batches, each drawn while the one
-# before is twirled, in (dim, batch) batches with factors and accumulators
-# included: 3.4-8.0 on random kets at dims 4-256 and 4.2-6.3 at dims 64-729
-# with every entry on the guard (the maximally entangled vector on every
-# pair), 0.39-0.88 of the whole budget below
+# ``_apply_columns``, then conj(W) and |W|^2, or the guard's gathered rows.
+# tracemalloc peaks of ``mc_twirl`` over three 4096-sample batches, each
+# drawn while the one before is twirled, less the accumulators' budget, are
+# 3.6-5.1 vectors on random kets at dims 81, 256 and 729 where the factors
+# are small (the ``phase`` kind, whose fixed entries go to the guard, at the
+# top); peak RSS growth (getrusage, one BLAS thread) 3.0-4.6.  With every
+# kind's factors, ortho's q x q ones too, the peaks are 0.48-0.92 of the
+# whole budget below
 _KET_BATCHES = 5
 # a twirl also budgets arrays of one factor's size that the factor draws hold
 # while they are built (ortho: g, b g and b g b^dag; U(d): the Ginibre draws)
-# and the next batch's draws in flight, on top of the ones kept per copy:
-# g (x) conj(g), or g and conj(g).  ortho at one copy, where U(d^2 - 1) draws
-# are about factor-sized, holds 4.4, 5.4 and 5.9 factors at d = 2, 3 and 4
-# (peak RSS growth over three 4096-sample batches, getrusage) ...
+# and the next batch's draws in flight, on top of the ones kept: g and conj(g)
+# per copy, or the one ortho unitary.  ortho at one copy, where U(d^2 - 1)
+# draws are about factor-sized, holds 3.5, 3.9 and 4.1 factors, the kept one
+# included, beyond five vectors at d = 2, 3 and 4 (tracemalloc over three
+# 4096-sample batches; getrusage 3.1, 3.8 and 4.1) ...
 _FACTOR_TEMPS = 6
 # ... and dim x dim float64 arrays alive while a batch is accumulated and
 # merged, complex ones counting twice: the running sum and M2, a batch's sum
@@ -146,9 +141,6 @@ _CANCELLATION = 1e-8
 # and three (d^k, batch) rows for y, and the drawn columns as a twirl's
 # factors (``_doubled_footprint``)
 _DOUBLED_BATCHES = 3
-# a ket of two or more pairs at or above this dimension is twirled by pair
-# factors g (x) conj(g), applied as per-sample products (``_apply_factors``)
-_PAIR_PRODUCT_DIM = 256
 
 KINDS = ("phase", "local", "local_phase", "ortho", "local_independent")
 # the kinds ``doubled_twirl`` takes: g (x) conj(g) on every pair, each with
@@ -341,96 +333,51 @@ def _prefetch(draw, batches):
         yield ahead.result()
 
 
-def _apply_factors(vec: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """``(f_1 (x) ... (x) f_n) vec`` per sample of the factor batches, shape (batch, vec.size).
-
-    Factor f_c, of dimension k with ``lead`` dimensions before its axes and
-    ``tail`` after, multiplies ``w.reshape(batch, lead, k, tail)`` from the
-    left; the last one is ``w @ f_c^T``.  The first factor (lead 1) meets the
-    one shared ``vec``, so its whole batch is one 2-D product,
-    ``(batch k, k) x (k, tail)``.
-    """
-    w, lead = vec[np.newaxis], 1
-    for factor in factors:
-        k = factor.shape[-1]
-        tail = vec.size // (lead * k)
-        if tail == 1:  # one wide product in place of lead k x 1 ones
-            w = w.reshape(len(w), lead, k) @ factor.transpose(0, 2, 1)
-        elif lead == 1:  # the shared vec: the whole batch in one 2-D product
-            w = (factor.reshape(-1, k) @ w.reshape(k, tail)).reshape(len(factor), k * tail)
-        else:
-            w = factor[:, np.newaxis] @ w.reshape(len(w), lead, k, tail)
-        lead *= k
-    return w.reshape(len(w), vec.size)
-
-
 def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Generator):
     """Batches of f(g) vec, batch last: shape (dim, batch), over ``samples``
     sampled group elements.
 
     The draws of ``GroupAction._draws`` run one batch ahead (``_prefetch``);
-    everything built from them is built here, as each batch is consumed.
-    ``ortho``, and a vector of two or more pairs at dim >= ``_PAIR_PRODUCT_DIM``,
-    build the pair factors of ``GroupAction._factors`` and apply them through
-    ``_apply_factors``.  Every other vector is twirled in a buffer that every
-    batch reuses, so each batch must be consumed before the next is asked
-    for: Ph(theta), the rightmost factor, meets the shared vec first
-    (``_phase_kets``); then each g and conj(g) acts on its own d-axis
-    (``_apply_columns``).  A caller that may stop mid-stream closes the
-    generator, which joins the draw worker.
+    everything built from them is built here, as each batch is consumed, in a
+    buffer that every batch reuses, so each batch must be consumed before the
+    next is asked for.  Each factor acts on its own axis of vec
+    (``_apply_columns``): g and conj(g) on the two d-axes of every pair, or
+    the ``ortho`` unitary, a (d^2, d^2, batch) stack, on every pair's axis;
+    the ``phase`` kind copies vec into the buffer.  Ph(theta) commutes with
+    g (x) conj(g), so it acts last (``_phase_pairs``).  A caller that may stop
+    mid-stream closes the generator, which joins the draw worker.
     """
-    dim, q, copies = action.dim, action.d * action.d, action.copies
+    d, dim, copies = action.d, action.dim, action.copies
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if vec.size != dim:
         raise ValueError(f"ket dim {vec.size} != action dim {dim}")
-    pairwise = action.kind == "ortho" or (copies > 1 and dim >= _PAIR_PRODUCT_DIM)
-    # complex factor entries a sample holds: q x q pair factors, or d x d ones
-    factor_entries = ((copies + _FACTOR_TEMPS) * q if pairwise else 2 * copies + _FACTOR_TEMPS) * q
-    per_sample, fixed = 16 * (_KET_BATCHES * dim + factor_entries), 8 * _LIVE_ACCUMULATORS * dim * dim
+    # a sample's factors: g and conj(g) on every copy, or the one q x q ortho
+    # unitary, each side x side, and the temporaries of their draws
+    side, held = (d * d, 1) if action.kind == "ortho" else (d, 2 * copies)
+    per_sample = 16 * (_KET_BATCHES * dim + (held + _FACTOR_TEMPS) * side * side)
     check_fits(f"the batch of a {samples}-sample twirl at dim {dim}", "samples", samples, 1,
-               lambda s: min(_CHUNK, s) * per_sample + fixed)
+               lambda s: min(_CHUNK, s) * per_sample + 8 * _LIVE_ACCUMULATORS * dim * dim)
     check_work(f"a {samples}-sample twirl", "samples", samples)
     draws = _prefetch(lambda i, batch: action._draws(batch, rng), _chunks(samples))
     with closing(draws):
-        if pairwise:
-            for us, theta in draws:
-                w = _apply_factors(vec, action._factors(us, theta)).T
-                del us, theta  # released before the batch is consumed
-                yield w
-            return
         work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
         for us, theta in draws:
-            factors = [f for g in us for f in (g, g.conj())]
+            if action.kind == "ortho":
+                factors = [orthocomplement_unitary(us[0].transpose(2, 0, 1), d).transpose(1, 2, 0)]
+            else:
+                factors = [f for g in us for f in (g, g.conj())]
             if action.kind != "local_independent":  # the same g on every copy
                 factors *= copies
-            w = vec if theta is None else _phase_kets(vec, action.d, copies, theta,
-                                                      work[0, : dim * len(theta)])
-            w = _apply_columns(w, factors, work)
+            if factors:
+                w = _apply_columns(vec, factors, work)
+            else:  # phase
+                w = work[0, : dim * len(theta)].reshape(dim, -1)
+                w[...] = vec[:, np.newaxis]
+            if theta is not None:
+                _phase_pairs(w, d, copies, theta)
             del us, theta, factors  # released before the batch is consumed
             yield w
-
-
-def _phase_kets(
-    vec: np.ndarray, d: int, copies: int, theta: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Ph(theta) on every pair of vec, one angle per sample, written to the
-    flat buffer ``out`` as shape (dim, count).
-
-    Ph(theta) = I + (e^{i theta} - 1) P with P = |phi><phi|, so the product
-    over the pairs is the sum over m of (e^{i theta} - 1)^m y_m, where y_m sums
-    P_S vec over the sets S of m pairs.  The y_m come from rank-one updates of
-    the shared vec, pair by pair, and the batch from one
-    ``(dim, copies + 1) x (copies + 1, count)`` product.
-    """
-    phi, q = max_entangled_ket(d).vec, d * d
-    ys = [vec]
-    for c in range(copies):
-        projected = [(phi[:, None] * (phi.conj() @ y.reshape(q**c, q, -1))[:, None]).reshape(-1)
-                     for y in ys]
-        ys = [a + b for a, b in zip([*ys, 0], [0, *projected])]
-    powers = np.vander(np.exp(1j * theta) - 1.0, copies + 1, increasing=True)
-    return np.matmul(np.array(ys).T, powers.T, out=out.reshape(vec.size, len(theta)))
 
 
 def _doubled_footprint(action: GroupAction, columns: int, samples: int) -> int:
@@ -517,11 +464,12 @@ def _apply_columns(w: np.ndarray, factors: list[np.ndarray], work: np.ndarray) -
     """``(f_1 (x) ... (x) f_n) w`` per sample, batch last: shape (size, batch).
 
     Each factor is an (m, k, batch) stack that maps its own k-axis of w to an
-    m-axis, ``8 m`` real flops per entry of w and sample.  A 1-D w is one
-    vector every sample shares, so the first factor meets it as one matmul,
-    ``(rest, k) x (m, k, batch)``.  Each later factor, with ``lead``
-    dimensions before its axis and ``tail`` after, is m k multiply-adds of
-    (lead, tail, batch) slices whose rows run over the batch.
+    m-axis, ``8 m`` real flops per entry of w and sample: g or its leading
+    columns, conj(g), the (d^2, d^2) ortho unitary or Ph, one per sample.  A
+    1-D w is one vector every sample shares, so the first factor meets it as
+    one matmul, ``(rest, k) x (m, k, batch)``.  Each later factor, with
+    ``lead`` dimensions before its axis and ``tail`` after, is m k
+    multiply-adds of (lead, tail, batch) slices whose rows run over the batch.
 
     ``work`` is a (3, n) complex array with n >= size batch at every step.
     Its rows 0 and 1 hold w and its image in turn, and row 2 one term; a 2-D
@@ -660,7 +608,7 @@ def mc_twirl(
     ``ket`` is the ``Ket`` v.
 
     v is twirled as vectors, batch last (see ``_kets``), ``16 copies d dim``
-    real flops per sample for the phase and local actions, and accumulated by
+    real flops per sample for the local actions, and accumulated by
     two GEMMs (see ``_outer_moments``), ``10 dim^2`` more; its memory is a few
     batches of vectors and a few dim x dim accumulators.  It accumulates in
     sample order with a fixed internal batch size, so the result is a
@@ -711,13 +659,15 @@ def phase_twirl(op: np.ndarray, d: int) -> np.ndarray:
     by tensor products with exactly k factors along the maximally entangled
     vector, so it multiplies the block between sectors k and k' by
     ``e^{i (k - k') theta}``.  Since |k - k'| <= n, the mean over the n + 1
-    angles ``2 pi j / (n + 1)`` keeps the diagonal blocks and zeroes the rest;
-    each angle conjugates ``vec(op)`` through ``_apply_factors``.  It is a
-    projection, hence idempotent.
+    angles ``2 pi j / (n + 1)`` keeps the diagonal blocks and zeroes the rest.
+    The n + 1 angles are the batch of one ``_apply_columns`` run on
+    ``vec(op)``: Ph on each pair of the rows and conj(Ph) on each of the
+    columns.  It is a projection, hence idempotent.
     """
     mat = np.asarray(op, dtype=complex)
     dim = mat.shape[0]
     copies = _exponent(dim, d * d, "dim")
-    factors = [phase_unitary(2.0 * np.pi * np.arange(copies + 1) / (copies + 1), d)] * copies
-    conj = _apply_factors(mat.reshape(-1), factors + [f.conj() for f in factors])
-    return conj.mean(axis=0).reshape(dim, dim)
+    ph = phase_unitary(2.0 * np.pi * np.arange(copies + 1) / (copies + 1), d).transpose(1, 2, 0)
+    work = np.empty((3, dim * dim * (copies + 1)), dtype=complex)
+    conj = _apply_columns(mat.reshape(-1), [ph] * copies + [ph.conj()] * copies, work)
+    return conj.mean(axis=1).reshape(dim, dim)

@@ -548,6 +548,13 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert len({r["poisson_limit"] for r in rows}) == 1
 
+    def test_empty_copy_list_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["sweep", "--out", str(out), "n_list=[]"])
+        assert rc == 2
+        assert "at least one n" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_zero_copies_is_invalid_input(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=[0]"])
         assert rc == 2

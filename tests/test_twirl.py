@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestMcTwirl:
 
 
 class TestPhaseTwirl:
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_matches_dense_mean_over_its_angles(self, copies):
+        d, dim = 2, 4**copies
+        g = np.random.default_rng(12).standard_normal((2, dim, dim))
+        op = g[0] + 1j * g[1]  # neither Hermitian nor invariant
+        want = np.zeros_like(op)
+        for theta in 2.0 * np.pi * np.arange(copies + 1) / (copies + 1):
+            f = reduce(np.kron, [phase_unitary(theta, d)] * copies)
+            want += f @ op @ f.conj().T / (copies + 1)
+        assert np.max(np.abs(phase_twirl(op, d) - want)) <= 1e-14
+
     def test_sector_diagonal_unchanged(self):
         d = 2
         p = proj(max_entangled_ket(d))
@@ -393,9 +405,9 @@ class TestSampledStream:
 
 
 class TestBlockedConjugation:
-    """Conjugation as the vector twirl of vec(T), one pair factor at a time
-    (``_apply_factors``, as ``phase_twirl`` applies it), against the dense
-    per-sample reference, and invariance at dim 729."""
+    """Conjugation as the vector twirl of vec(T), one batch-last pair factor
+    per axis (``_apply_columns``, as ``phase_twirl`` applies it), against the
+    dense per-sample reference, and invariance at dim 729."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -410,9 +422,11 @@ class TestBlockedConjugation:
         samples = 3
         f = reference_samples(action, samples, np.random.default_rng(44))
         want = (f @ op) @ f.conj().transpose(0, 2, 1)
-        factors = action._factors(*action._draws(samples, np.random.default_rng(44)))
-        got = twirl._apply_factors(op.reshape(-1), factors + [u.conj() for u in factors])
-        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
+        draws = action._draws(samples, np.random.default_rng(44))
+        factors = [factor.transpose(1, 2, 0) for factor in action._factors(*draws)]
+        work = np.empty((3, op.size * samples), dtype=complex)
+        got = twirl._apply_columns(op.reshape(-1), factors + [u.conj() for u in factors], work)
+        assert np.max(np.abs(got.T.reshape(want.shape) - want)) <= 1e-12
 
     def test_three_source_test_invariant_at_dim_729(self):
         action = GroupAction("local_independent", 3, 3)
@@ -445,6 +459,16 @@ class TestRankOneTwirl:
         v = _random_ket(2, 2, 21)
         got = mc_twirl(v, action, 4096 + 1, np.random.default_rng(46))
         want = reference_twirl(v, action, 4096 + 1, np.random.default_rng(46))
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
+
+    @pytest.mark.parametrize("kind,d,copies", [("local", 4, 2), ("local_independent", 4, 2),
+                                               ("ortho", 2, 4)])
+    def test_matches_reference_at_dim_256(self, kind, d, copies):
+        action = GroupAction(kind, d, copies)
+        v = _random_ket(d, copies, 23)
+        got = mc_twirl(v, action, 64, np.random.default_rng(49))
+        want = reference_twirl(v, action, 64, np.random.default_rng(49))
         assert np.max(np.abs(got.mean - want.mean)) <= 1e-15
         assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-15
 
@@ -642,8 +666,8 @@ def _ket_batches(v, action, samples, rng):
 
 
 class TestBatchLastKets:
-    """The rank-one path, batch last: g and conj(g) on their own d-axes, the
-    phase as rank-one updates, pair factors for ortho."""
+    """The one vector path, batch last: g and conj(g) on their own d-axes, the
+    ortho unitary on each pair's axis, then Ph(theta) on each pair's diagonal."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -743,6 +767,42 @@ class TestBatchLastKets:
             mc_twirl(v, action, 301, rng)
         assert rng.bit_generator.state == state  # refused before any draw
         assert mc_twirl(v, action, 300, rng).samples == 300
+
+    def test_memory_guard_budgets_the_ortho_unitary(self, monkeypatch):
+        # ortho at d = 4 holds its (d^2, d^2) unitary, d^4 entries a sample
+        action, dim = GroupAction("ortho", 4), 16
+        per_sample = 16 * (twirl._KET_BATCHES * dim + (1 + twirl._FACTOR_TEMPS) * dim * dim)
+        fixed = 8 * twirl._LIVE_ACCUMULATORS * dim * dim
+        monkeypatch.setattr(memory, "ram_bytes", lambda: 300 * per_sample + fixed)
+        v = _random_ket(4, 1, 33)
+        rng = np.random.default_rng(57)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="the largest samples that fits is 300$"):
+            mc_twirl(v, action, 301, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        assert mc_twirl(v, action, 300, rng).samples == 300
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_sample_twirls(self, kind):
+        est = mc_twirl(_random_ket(2, 2, 34), GroupAction(kind, 2, 2), 1, np.random.default_rng(58))
+        assert est.samples == 1 and np.max(est.stderr) == 0.0
+
+    def test_batch_footprint_within_its_budget(self):
+        # tracemalloc sees numpy's buffers without allocator slack: two
+        # batches at dim 729, the second drawn while the first is twirled,
+        # hold 0.70 of the budget (getrusage: 0.60)
+        action, dim = GroupAction("local_independent", 3, 3), 729
+        v = _random_ket(3, 3, 32)
+        mc_twirl(v, action, 2, np.random.default_rng(56))  # caches filled
+        tracemalloc.start()
+        try:
+            mc_twirl(v, action, 4096 + 1, np.random.default_rng(56))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_sample = 16 * (twirl._KET_BATCHES * dim + (2 * 3 + twirl._FACTOR_TEMPS) * 9)
+        budget = 4096 * per_sample + 8 * twirl._LIVE_ACCUMULATORS * dim * dim
+        assert 0.5 * budget <= peak <= budget
 
 
 def _bits(x):
@@ -938,7 +998,7 @@ class TestDrawAhead:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (4, 2)])  # (4, 2) takes pair factors
+    @pytest.mark.parametrize("d,copies", [(2, 1), (2, 2), (4, 2)])
     def test_mc_twirl_is_the_serial_loop_bitwise(self, monkeypatch, kind, d, copies):
         chunks = twirl._chunks
         monkeypatch.setattr(twirl, "_chunks", lambda total: chunks(total, 64))
