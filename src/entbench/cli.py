@@ -237,7 +237,7 @@ def _exact_arg(config: dict, formula: str, key: str):
 
 def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     formula = config.get("formula")
-    if formula not in EXACT_FORMULAS:
+    if not isinstance(formula, str) or formula not in EXACT_FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; choose from {tuple(EXACT_FORMULAS)}")
     closed_form, grid, reads = EXACT_FORMULAS[formula]
     d = _integer("d", config.get("d", 2))

@@ -132,7 +132,8 @@ def beta_three_source(d: int, p1: float, p2: float, p3: float) -> ConditionedVal
         prod(1-p_i) + (d+2) p1 p2 p3 / ((d+1)^3 (d-1))
                     + [one-pass terms] / ((d+1)^2 (d-1)),
 
-    flagged optimal when every p_i <= (d-1)/d.
+    flagged optimal when every p_i <= (d-1)/d, within 1e-15, which takes in
+    inputs rounded above it such as 1 - 1/d at d = 3.
     """
     check_defects(p1, p2, p3)
     warnings.warn(

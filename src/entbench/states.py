@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -427,6 +427,41 @@ def mixed_tensor_sum(a: np.ndarray, b: np.ndarray, coeffs) -> np.ndarray:
     return h[0]
 
 
+@lru_cache(maxsize=None)
+def _sector_pattern(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where a sector operator on n pairs can be nonzero, and how each entry is made.
+
+    On one pair, P = |phi0><phi0| and I - P are zero but at 2d^2 - d
+    entries (ab, a'b'), in three classes: a = b and a' = b' with ab != a'b'
+    (P = P0, I - P = -P0); ab = a'b' with a != b (0 and 1); and
+    a = b = a' = b' (P0 and 1 - P0).  Returns the flat positions of
+    the (2d^2 - d)^n entries of the n-pair matrix on which every pair is in a
+    class; each one's class sequence s, the base-3 number whose digit i is
+    the class of pair i (pair 0 most significant); and ``x[i, s]`` and
+    ``y[i, s]``, the entries of P and I - P in pair i's class, taken from the
+    fold's own matrices so that ``sector_operator`` computes with its values.
+    """
+    pair = d * d
+    diag = np.arange(d) * (d + 1)  # |aa>
+    a, b = np.nonzero(~np.eye(d, dtype=bool))
+    off = a * d + b  # |ab>, a != b
+    rows = np.concatenate([diag[a], off, diag])
+    cols = np.concatenate([diag[b], off, diag])
+    kind = np.repeat([0, 1, 2], [pair - d, pair - d, d])
+    r = c = s = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        r, c, s = ((acc[:, None] * base + digit).ravel()
+                   for acc, base, digit in ((r, pair, rows), (c, pair, cols), (s, 3, kind)))
+    # P and I - P at one entry of each class: (00, 11), (01, 01) and (00, 00)
+    p = proj(max_entangled_ket(d).vec[[0, d + 1, 1]])
+    at = ([0, 2, 0], [1, 2, 0])
+    classes = np.arange(3**n) // 3 ** np.arange(n - 1, -1, -1)[:, None] % 3
+    out = r * pair**n + c, s, p[at][classes], (np.eye(3) - p)[at][classes]
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def sector_operator(d: int, coeffs) -> np.ndarray:
     """``coeffs[k]`` on each charge sector of n = len(coeffs) - 1 pairs, pair-major.
 
@@ -438,9 +473,29 @@ def sector_operator(d: int, coeffs) -> np.ndarray:
     ``coeffs``, ``coeffs[k]`` with multiplicity C(n, k) (d^2 - 1)^k; the
     library's sector-built operators and states are certified from it by
     ``_from_sectors``.
+
+    Only the (2d^2 - d)^n entries of ``_sector_pattern`` can be nonzero, of
+    d^{4n}, and an entry's value depends only on its class sequence.  So the
+    fold's recursion ``h_j <- x h_j + y h_{j+1}``, pairs from right to left,
+    runs once on the 3^n sequences, with the fold's own entries (x, y) of P
+    and I - P, and its values are put into one zeroed array.  Each is the
+    fold's, bit for bit, for finite ``coeffs``: the result is
+    ``np.array_equal`` to ``mixed_tensor_sum(P, I - P, coeffs)``, whose
+    entries off the pattern are zeros of either sign, here all +0.  It owns
+    its data, and the build holds it and nothing else full-size.
     """
-    p = proj(max_entangled_ket(d))
-    return mixed_tensor_sum(p, np.eye(d * d) - p, coeffs)
+    c = np.asarray(coeffs, dtype=complex).reshape(-1)
+    if c.size == 0:
+        raise ValueError("need at least one coefficient")
+    n = c.size - 1
+    pos, seq, x, y = _sector_pattern(d, n)
+    h = c[:, None]
+    for i in reversed(range(n)):
+        h = x[i] * h[:-1] + y[i] * h[1:]
+    dim = (d * d) ** n
+    out = np.zeros((dim, dim), dtype=complex)
+    np.put(out, pos, h[0][seq])
+    return out
 
 
 def _from_sectors(cls, d: int, coeffs, dims, labels):
@@ -454,11 +509,13 @@ def _from_sectors(cls, d: int, coeffs, dims, labels):
     for a test operator, and for a state each at least ``-PSD_TOL`` with
     ``sum_k coeffs[k] C(n, k) (d^2 - 1)^k`` within ``TRACE_TOL`` of 1.  The
     messages are ``_certify``'s and the dataclasses', with the extreme
-    eigenvalues named exactly.  The built matrix is exactly Hermitian: P is
-    ``v v^dag`` and real coefficients keep conjugate symmetry bit for bit.
-    The certificate is skipped, so this builds no workspace and loads no
-    ``scipy.linalg``; and ``_adopt`` freezes the fresh matrix itself, not a
-    copy as the public constructors do, so the operator owns its one array.
+    eigenvalues named exactly.  The built matrix is exactly Hermitian and
+    real: an entry and its transpose have the same class sequence, so
+    ``sector_operator`` writes them the same real value.  The certificate is
+    skipped, so this builds no workspace and loads no ``scipy.linalg``; and
+    ``_adopt`` freezes the fresh matrix itself, not a copy as the public
+    constructors do, so the operator owns its one array, the only full-size
+    one the build holds.
     """
     what = "test operator" if cls is TestOperator else "density matrix"
     c = np.asarray(coeffs)

@@ -89,6 +89,12 @@ class TestExact:
         rc = main(["exact", "--out", str(tmp_path / "x"), *args])
         assert rc == 2
 
+    @pytest.mark.parametrize("formula", ["[]", "{}", "nope", "2"])
+    def test_unknown_formula_message_names_the_key_and_the_choices(self, tmp_path, capsys, formula):
+        assert main(["exact", "--out", str(tmp_path / "x"), f"formula={formula}", "d=2"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown formula" in err and "choose from" in err and "'one-way'" in err
+
     @pytest.mark.parametrize(
         "args,count",
         [

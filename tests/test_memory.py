@@ -196,9 +196,10 @@ def test_three_source_twirl_verify_holds_little_but_what_it_returns(tmp_path):
 
 
 def test_sector_operator_is_built_without_a_second_copy(monkeypatch):
-    # the build holds its result and one level's scratch, and the operator
-    # takes the built matrix itself: the public constructors' copy never runs
-    assert _peak_arrays(lambda: multisource.three_source_covariant_test(3)) <= 2.1
+    # the build holds its result and the 3375 pattern values (1.010 arrays,
+    # measured; 0.04 of margin), and the operator takes the built matrix
+    # itself: the public constructors' copy never runs
+    assert _peak_arrays(lambda: multisource.three_source_covariant_test(3)) <= 1.05
     frozen = states._frozen
 
     def copy(a):

@@ -143,15 +143,17 @@ class TestBetaThreeSource:
         assert val == pytest.approx(1.0) and ok
 
     def test_matches_trace_oracle(self):
+        # at d = 2, d - 1 = 1 cannot tell a product by (d - 1) from a quotient
         rng = np.random.default_rng(3)
-        t3 = ms.three_source_covariant_test(2).mat
-        for _ in range(10):
-            sigmas = [random_state_with_defect(2, float(p), rng) for p in rng.random(3) * 0.5]
-            joint = np.kron(np.kron(sigmas[0].mat, sigmas[1].mat), sigmas[2].mat)
-            direct = np.real(np.trace(t3 @ joint))
-            with pytest.warns(ms.TripleTermNote):
-                val, _ = ms.beta_three_source(2, *[fidelity_defect(s) for s in sigmas])
-            assert abs(val - direct) <= 1e-9
+        for d in (2, 3):
+            t3 = ms.three_source_covariant_test(d).mat
+            for _ in range(10):
+                sigmas = [random_state_with_defect(d, float(p), rng) for p in rng.random(3) * 0.5]
+                joint = np.kron(np.kron(sigmas[0].mat, sigmas[1].mat), sigmas[2].mat)
+                direct = np.real(np.sum(t3 * joint.T))  # Tr(T joint)
+                with pytest.warns(ms.TripleTermNote):
+                    val, _ = ms.beta_three_source(d, *[fidelity_defect(s) for s in sigmas])
+                assert abs(val - direct) <= 1e-9
 
     def test_symmetric_under_permutations(self):
         import itertools
@@ -172,6 +174,20 @@ class TestBetaThreeSource:
             assert ok
             _, bad = ms.beta_three_source(2, 0.7, 0.2, 0.1)  # above (d-1)/d = 1/2
             assert not bad
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_condition_flag_at_its_edge(self, d):
+        # p_i = (d-1)/d is optimal, and so is 1 - 1/d, one rounding above it
+        # at d = 3; the flag's 1e-15 of slack ends at ``edge``
+        import warnings
+
+        edge = (d - 1.0) / d + 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p, optimal in (((d - 1.0) / d, True), (1.0 - 1.0 / d, True), (edge, True),
+                               (np.nextafter(edge, 1.0), False)):
+                for ps in ((p, 0.1, 0.2), (0.1, 0.2, p)):
+                    assert ms.beta_three_source(d, *ps).condition_holds is optimal, (p, ps)
 
     def test_emits_discrepancy_note(self):
         with pytest.warns(ms.TripleTermNote):

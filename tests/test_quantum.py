@@ -273,7 +273,7 @@ class TestPooled:
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(50):
             for n in (1, 2, 10, 100, 646, 647, 1023, 1024, 1100):
-                for p in (0.0, 1e-3, 0.1, 0.5, 1.0 - 1.0 / d, 0.9):
+                for p in (0.0, 1e-3, 0.1, 0.5, 1.0 - 1.0 / d, 0.9, 1.0):
                     dn = mp.mpf(d) ** n
                     want = (dn * (1 - mp.mpf(p)) ** n + 1) / (dn + 1)
                     got = pooled_trace(d, n, p)
@@ -281,6 +281,23 @@ class TestPooled:
                         assert got < sys.float_info.min, (d, n, p)
                     else:
                         assert abs(got - want) <= 1e-12 * want, (d, n, p)
+
+    def test_trace_keeps_its_digits_at_tiny_defects(self):
+        # (1-p)^n is exp(n log1p(-p)): rounding 1 - p first costs about n eps
+        mp = pytest.importorskip("mpmath").mp
+        eps = sys.float_info.epsilon
+        with mp.workdps(50):
+            for n in (10**3, 10**5, 10**7, 10**9, 10**12):
+                for p in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
+                    dn = mp.mpf(2) ** n
+                    want = (dn * (1 - mp.mpf(p)) ** n + 1) / (dn + 1)
+                    if want < 1e-300:
+                        continue
+                    got = pooled_trace(2, n, p)
+                    bound = 4 * eps * (1 + abs(float(n * mp.log1p(-mp.mpf(p)))))
+                    assert abs(got - want) <= bound * want, (n, p)
+        # the cell ``exact formula=pooled d=2 n=1000000000 p=1e-9`` writes
+        assert f"{pooled_trace(2, 10**9, 1e-9):.12g}" == "0.367879440988"
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_trace_refuses_fewer_than_one_pair(self, n):
@@ -371,6 +388,10 @@ class TestSequentialCovariant:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             sequential_covariant_trace(isotropic_state(2, 0.1), 0, np.random.default_rng(0))
+
+    def test_one_sample_has_zero_stderr(self):
+        est = sequential_covariant_trace(isotropic_state(2, 0.1), 1, np.random.default_rng(0))
+        assert est.samples == 1 and est.stderr == 0.0 and math.isfinite(est.value)
 
     @pytest.mark.parametrize("sigma, message", [
         (np.eye(1), "is not d\\^2 of a d x d pair"),  # d = 1: no second seed vector

@@ -656,6 +656,67 @@ SECTOR_CASES = (
 )
 
 
+def _sector_fold(d: int, coeffs) -> np.ndarray:
+    p = proj(max_entangled_ket(d))
+    return mixed_tensor_sum(p, np.eye(d * d) - p, coeffs)
+
+
+def _random_sector_coeffs():
+    """Seeded coefficient sets at d = 2..5 and n = 1..3 (dims up to 729), the
+    band edges -PSD_TOL and 1 + PSD_TOL and zeros among them, and two more."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in (2, 3, 4, 5):
+        for n in (1, 2, 3):
+            if (d * d) ** n > 729:
+                continue
+            for _ in range(3):
+                coeffs = rng.uniform(0.0, 1.0, n + 1)
+                coeffs[rng.integers(0, n + 1)] = rng.choice([-PSD_TOL, 1.0 + PSD_TOL, 0.0])
+                cases.append((d, list(coeffs)))
+            cases.append((d, [-PSD_TOL] + [1.0 + PSD_TOL] * n))
+    return cases + [(2, [1, 0, 1]), (3, [0.25])]  # integers; no pair, a 1 x 1 scalar
+
+
+class TestSectorOperator:
+    """``sector_operator`` writes only the pattern's entries, each the fold's
+    ``mixed_tensor_sum(P, I - P, coeffs)`` bit for bit."""
+
+    @staticmethod
+    def _assert_the_fold(d, coeffs):
+        got, want = sector_operator(d, coeffs), _sector_fold(d, coeffs)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        # on the pattern, which holds every nonzero entry, each bit is the
+        # fold's, zeros included; off it, +0
+        n = len(coeffs) - 1
+        pos = states._sector_pattern(d, n)[0]
+        assert np.array_equal(got.reshape(-1)[pos].view(np.uint64), want.reshape(-1)[pos].view(np.uint64))
+        off = np.ones(got.size, dtype=bool)
+        off[pos] = False
+        assert not got.reshape(-1)[off].view(np.uint64).any()
+        assert np.array_equal(got, got.conj().T)  # exactly Hermitian
+        assert got.flags.owndata and got.base is None and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind, d, x", SECTOR_CASES, ids=lambda v: str(v))
+    def test_the_library_coefficients_give_the_fold(self, kind, d, x):
+        _, (_, coeffs, _, _) = _sector_built(kind, d, x)
+        self._assert_the_fold(d, coeffs)
+
+    @pytest.mark.parametrize("d, coeffs", _random_sector_coeffs())
+    def test_random_coefficients_give_the_fold(self, d, coeffs):
+        self._assert_the_fold(d, coeffs)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1)])
+    def test_writes_exactly_the_pattern(self, d, n):
+        # at generic coefficients no pattern entry cancels to zero
+        got = sector_operator(d, np.random.default_rng(10 * d + n).uniform(0.1, 0.9, n + 1))
+        assert np.count_nonzero(got) == len(states._sector_pattern(d, n)[0]) == (2 * d * d - d) ** n
+
+    def test_rejects_empty_coefficients(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            sector_operator(2, [])
+
+
 class TestSectorCertificate:
     """``_from_sectors`` certifies the covariant tests and isotropic states
     from their sector coefficients, with ``_certify``'s verdicts."""
