@@ -175,6 +175,18 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _real(key: str, value) -> float:
+    """A real key's value as a float: a number or a numeric string; a bool, a
+    list, an object, other text or an integer past the float range is invalid
+    input (exit 2)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be a real number, got {value!r}")
+
+
 def _state_spec(config: dict, key: str, d: int) -> StateSpec:
     node = config.get(key)
     if node is None:
@@ -249,7 +261,7 @@ def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     defect = {"p": states.fidelity_defect(scalars["state"])} if "state" in scalars else {}
     rows = []
     for point in itertools.product(*axes):
-        value = closed_form(d, *scalars.values(), *(float(x) for x in point))
+        value = closed_form(d, *scalars.values(), *map(_real, grid, point))
         flag = ""
         if isinstance(value, multisource.ConditionedValue):
             value, flag = value.value, "ok" if value.condition_holds else "outside-validity"
@@ -268,8 +280,8 @@ def cmd_simulate(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         protocol=config.get("protocol", "global_projective"),
         d=d,
         n=_integer("n", config.get("n", 1)),
-        epsilon=float(config.get("epsilon", 0.0)),
-        alpha=float(config.get("alpha", 0.05)),
+        epsilon=_real("epsilon", config.get("epsilon", 0.0)),
+        alpha=_real("alpha", config.get("alpha", 0.05)),
         trials=_integer("trials", config.get("trials", 10000)),
         seed=_integer("seed", config.get("seed", 0)),
         state=_state_spec(config, "state", d),
@@ -307,7 +319,7 @@ def _twirl_case(target: str, d: int):
     ``doubled_twirl``.  The dense reference is the one large array, so its
     size is checked first.
     """
-    if target not in TWIRL_TARGETS:
+    if not isinstance(target, str) or target not in TWIRL_TARGETS:
         raise ValueError(f"unknown twirl target {target!r}; choose from {tuple(TWIRL_TARGETS)}")
     if d < 2:
         raise ValueError(f"twirl-verify needs d >= 2, got {d}")
@@ -357,9 +369,9 @@ def cmd_twirl_verify(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     n_list = _as_list(config.get("n_list", [100, 1000, 10000]))
     rows = asymptotic_sweep(
-        delta=float(config.get("delta", 1.0)),
-        t_alt=float(config.get("tprime", 3.0)),
-        alpha=float(config.get("alpha", 0.05)),
+        delta=_real("delta", config.get("delta", 1.0)),
+        t_alt=_real("tprime", config.get("tprime", 3.0)),
+        alpha=_real("alpha", config.get("alpha", 0.05)),
         n_list=[_integer("n_list", n) for n in n_list],
         protocol=config.get("protocol", "bell_pairs"),
         d=_integer("d", config.get("d", 2)),
@@ -373,14 +385,14 @@ def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 
 def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
-    alpha = float(config.get("alpha", 0.05))
+    alpha = _real("alpha", config.get("alpha", 0.05))
     # (kind, n, boundary, test, key of the alternatives, largest alternative)
     families = []
     if config.get("n") is not None:
-        n, eps = _integer("n", config["n"]), float(config.get("epsilon", 0.0))
+        n, eps = _integer("n", config["n"]), _real("epsilon", config.get("epsilon", 0.0))
         families.append(("binomial", n, eps, classical.binomial_ump_test(n, eps, alpha), "q", 1.0))
     if config.get("delta") is not None:
-        delta = float(config["delta"])
+        delta = _real("delta", config["delta"])
         families.append(("poisson", None, delta, classical.poisson_ump_test(delta, alpha),
                          "tprime", math.inf))
     rows = []
@@ -388,10 +400,12 @@ def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
         head = [kind, n, boundary, alpha, test.threshold, test.gamma]
         # without alternatives a family still writes its threshold row
         alternatives = _as_list(config.get(key, []))
-        for x in alternatives:
-            if not (math.isfinite(float(x)) and 0.0 <= float(x) <= top):
+        values = [_real(key, x) for x in alternatives]
+        for x, value in zip(alternatives, values):
+            if not (math.isfinite(value) and 0.0 <= value <= top):
                 raise ValueError(f"{key} must be a finite number in [0, {top:g}], got {x!r}")
-        rows += [[*head, x, test.accepted_mass(float(x))] for x in alternatives] or [[*head, None, None]]
+        rows += ([[*head, x, test.accepted_mass(value)] for x, value in zip(alternatives, values)]
+                 or [[*head, None, None]])
     header = ["kind", "n", "boundary", "alpha", "threshold", "gamma", "alternative", "beta"]
     _write_csv(out_dir / "classical.csv", header, rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'classical.csv'}")

@@ -554,7 +554,7 @@ def asymptotic_sweep(
     null boundary delta/n; the small-deviation limits of both columns are
     reported rather than asserted.
     """
-    if protocol not in ROUNDS:
+    if not isinstance(protocol, str) or protocol not in ROUNDS:
         raise ValueError(f"sweep needs a repeatable protocol {tuple(ROUNDS)}, got {protocol!r}")
     if d < 2:
         raise ValueError(f"sweep needs d >= 2, got {d}")

@@ -21,10 +21,14 @@ angles.
 
 Every sampled element is a tensor power ``u_1 (x) ... (x) u_copies`` of
 single-pair unitaries, so the dim x dim unitary is never formed.  The local
-actions are defined with g in SU(d) but sampled from Haar U(d): a Haar U(d)
-element is a Haar SU(d) element times the global phase det(g)^(1/d), which
-cancels in ``g (x) conj(g)`` and in every ``g|i><i|g^dag``.  Every path draws
-through ``GroupAction._draws``, so the kernels apply the same elements.
+actions are defined with g in SU(d).  At d = 2 a whole g is drawn in SU(2):
+the unit quaternion [[a, -conj(b)], [b, conj(a)]] of one uniform column
+(a, b) (``_su2``), four normals a sample and no Gram-Schmidt.  At d >= 3,
+and wherever only leading columns are drawn, g comes from Haar U(d): a Haar
+U(d) element is a Haar SU(d) element times a global phase, which cancels in
+``g (x) conj(g)`` and in every ``g|i><i|g^dag``, so the twirl's law is the
+same either way.  Every path draws through ``GroupAction._draws``, so the
+kernels apply the same elements.
 
 Every operator the library twirls is a doubled seed d^k |v><v| with
 v = u (x) conj(u), pair-major, for a vector u on k sites, under ``local``,
@@ -44,7 +48,11 @@ column, so their results are ``mc_twirl``'s on the doubled ``Ket`` to
 rounding.  Median times at one BLAS thread against ``mc_twirl`` on that
 ``Ket``: one-sample d=3 40000 samples 23.5 -> 9.1 ms, two-sample d=2 30000
 21.3 -> 15.8 ms, qubit-weights 30000 21.2 -> 13.3 ms, three-source d=2 1024
-3.6 -> 1.8 ms, three-source d=3 16 samples 8.2 -> 8.1 ms.
+3.6 -> 1.8 ms, three-source d=3 16 samples 8.2 -> 8.1 ms.  The SU(2) draw
+takes 4096 ``local`` d=2 draws from 0.91 to 0.35 ms and ``doubled_twirl``
+from 17.6 to 16.6 ms (two-sample), 17.2 to 12.7 ms (qubit-weights) and 2.2
+to 1.8 ms (three-source d=2), medians of 16 alternating calls against the
+U(2) draw.
 
 ``mc_twirl`` twirls any ``Ket`` v, under every kind: the ``ortho`` and
 ``phase`` actions, and the tests' oracles; no command reaches it.  It twirls
@@ -191,6 +199,21 @@ def orthocomplement_unitary(g: np.ndarray, d: int) -> np.ndarray:
     return b @ g @ b.conj().T + proj(max_entangled_ket(d))
 
 
+def _su2(column: np.ndarray) -> np.ndarray:
+    """The SU(2) elements [[a, -conj(b)], [b, conj(a)]] of a batch-last
+    (2, 1, count) stack of unit columns (a, b), shape (2, 2, count).
+
+    A unit quaternion is one uniform point of S^3, so a uniform column gives
+    exactly a Haar SU(2) element: four normals a sample and no Gram-Schmidt
+    (Mezzadri, Notices AMS 54, 2007).
+    """
+    a, b = column[:, 0]
+    g = np.empty((2, 2, column.shape[-1]), dtype=complex)
+    g[0, 0], g[1, 0] = a, b
+    g[0, 1], g[1, 1] = -b.conj(), a.conj()
+    return g
+
+
 def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product over the last two axes, broadcast over leading ones."""
     dim = a.shape[-1] * b.shape[-1]
@@ -224,11 +247,20 @@ class GroupAction:
         ``theta`` ~ U[0, 2 pi) for ``phase`` and ``local_phase``, else None.
         With ``columns``, each batch holds only the first ``columns`` columns
         of its unitaries; the default, all of them, is the full draws' stream.
+
+        A whole g of the ``DOUBLED_KINDS`` at d = 2 is drawn as a Haar SU(2)
+        element (``_su2``): its first column is the one-column draw, so one
+        and two columns consume the same stream, and the global phase a Haar
+        U(2) element adds cancels in g (x) conj(g), so the twirl's law is the
+        same.
         """
-        kind = self.kind
+        kind, d = self.kind, self.d
         batches = {"phase": 0, "local_independent": self.copies}.get(kind, 1)
-        k = self.d * self.d - 1 if kind == "ortho" else self.d
-        us = [haar_columns(k, count, rng, columns) for _ in range(batches)]
+        if kind in DOUBLED_KINDS and d == 2 and columns in (None, 2):
+            us = [_su2(haar_columns(2, count, rng, 1)) for _ in range(batches)]
+        else:
+            k = d * d - 1 if kind == "ortho" else d
+            us = [haar_columns(k, count, rng, columns) for _ in range(batches)]
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind in ("phase", "local_phase") else None
         return us, theta
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, permutations
 
@@ -15,6 +16,7 @@ from entbench.states import (
     Operator,
     bell_basis,
     fidelity_defect,
+    haar_columns,
     haar_unitaries,
     max_entangled_ket,
     permute_systems,
@@ -134,11 +136,25 @@ def mean_stderr_reference(moments):
     return total * (1.0 / n), np.sqrt(m2 / max(n - 1, 1) / n)
 
 
+def su2_reference(count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar SU(2) elements, shape (count, 2, 2): each unit column
+    (a, b) of one one-column ``haar_columns`` draw completed, one sample at a
+    time, to the unit quaternion [[a, -conj(b)], [b, conj(a)]]."""
+    columns = haar_columns(2, count, rng, 1)
+    out = []
+    for i in range(count):
+        a, b = columns[:, 0, i]
+        out.append(np.array([[a, -np.conj(b)], [b, np.conj(a)]]))
+    return np.array(out).reshape(count, 2, 2)
+
+
 def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -> np.ndarray:
     """The ``count`` group elements that ``GroupAction._draws`` draws, in its
     documented order, each built as a per-sample ``np.kron`` chain of its pair
-    unitaries; only the samples at the indices ``keep`` (default all) are built."""
+    unitaries; only the samples at the indices ``keep`` (default all) are built.
+    The local kinds' g is Haar U(d), or at d = 2 Haar SU(2) (``su2_reference``)."""
     d, kind, copies = action.d, action.kind, action.copies
+    local = su2_reference if d == 2 else functools.partial(haar_unitaries, d)
     p = proj(max_entangled_ket(d))
 
     def phase(theta):
@@ -150,10 +166,10 @@ def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -
         gs = haar_unitaries(d * d - 1, count, rng)
         factors = [[orthocomplement_unitary(g, d)] * copies for g in gs]
     elif kind == "local_independent":
-        gs = [haar_unitaries(d, count, rng) for _ in range(copies)]
+        gs = [local(count, rng) for _ in range(copies)]
         factors = [[np.kron(g[i], g[i].conj()) for g in gs] for i in range(count)]
     else:
-        gs = haar_unitaries(d, count, rng)
+        gs = local(count, rng)
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind == "local_phase" else None
         factors = []
         for i, g in enumerate(gs):

@@ -321,6 +321,12 @@ class TestTwirlVerify:
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=eq99"])
         assert rc == 2
 
+    @pytest.mark.parametrize("target", ["[]", "{}", "eq99", "2"])
+    def test_unknown_target_message_names_the_key_and_the_choices(self, tmp_path, capsys, target):
+        assert main(["twirl-verify", "--out", str(tmp_path / "x"), f"target={target}"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown twirl target" in err and "choose from" in err and "'one-sample'" in err
+
     def test_unsupported_dimension_refused_before_the_seed(self, tmp_path, monkeypatch, capsys):
         # at d=5 the three-source reference alone would take 3.9 GB
         monkeypatch.setattr("entbench.cli.doubled_twirl", lambda *a: pytest.fail("twirl ran"))
@@ -539,6 +545,59 @@ def test_integral_float_is_read_as_integer(tmp_path):
     assert (row["d"], row["n"]) == ("2", "2")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classical", "n=10", "epsilon=[0.1]"], "epsilon must be a real number, got [0.1]"),
+        (["classical", "n=10", "alpha={}"], "alpha must be a real number, got {}"),
+        (["classical", "delta=true"], "delta must be a real number, got True"),
+        (["classical", "n=10", 'q=["x"]'], "q must be a real number, got 'x'"),
+        (["classical", "delta=1", "tprime=[[3]]"], "tprime must be a real number, got [3]"),
+        (["simulate", "epsilon=[0.1]"], "epsilon must be a real number, got [0.1]"),
+        (["simulate", "alpha=abc"], "alpha must be a real number, got 'abc'"),
+        (["simulate", "alpha=1" + "0" * 400], "alpha must be a real number, got 1000"),
+        (["sweep", "delta=[1]"], "delta must be a real number, got [1]"),
+        (["sweep", "tprime=abc"], "tprime must be a real number, got 'abc'"),
+        (["sweep", "alpha=false"], "alpha must be a real number, got False"),
+        (["exact", "formula=one-way", "epsilon=0", "alpha=0.05", 'p=["x"]'],
+         "p must be a real number, got 'x'"),
+        (["exact", "formula=two-source", "p1=[0.1,[0.2]]", "p2=0.2"],
+         "p1 must be a real number, got [0.2]"),
+    ],
+    ids=["classical-epsilon", "classical-alpha", "classical-delta", "classical-q",
+         "classical-tprime", "simulate-epsilon", "simulate-alpha", "simulate-huge-alpha",
+         "sweep-delta", "sweep-tprime", "sweep-alpha", "exact-p", "exact-p1"],
+)
+def test_malformed_real_value_names_its_key(tmp_path, capsys, args, message):
+    command, *rest = args
+    out = tmp_path / "x"
+    assert main([command, "--out", str(out), *rest]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["classical", "n=10", 'epsilon="0.1"', 'alpha="0.05"', 'q=["0.5",0.7]'], "classical.csv"),
+        (["classical", 'delta="1"', 'tprime=["3"]'], "classical.csv"),
+        (["simulate", "protocol=bell_pairs", "n=2", 'epsilon="0.05"', 'alpha="0.1"',
+          "trials=100"], "trace.csv"),
+        (["sweep", 'delta="1.0"', 'tprime="3"', 'alpha="0.05"', "n_list=[100]"], "sweep.csv"),
+        (["exact", "formula=two-source", 'p1=["0.1",0.2]', 'p2="0.3"'], "exact.csv"),
+    ],
+    ids=["classical-binomial", "classical-poisson", "simulate", "sweep", "exact"],
+)
+def test_numeric_strings_are_read_as_their_numbers(tmp_path, args, name):
+    command, *rest = args
+    numbers = [token.replace('"', "") for token in rest]
+    assert main([command, "--out", str(tmp_path / "text"), *rest]) == 0
+    assert main([command, "--out", str(tmp_path / "number"), *numbers]) == 0
+    text, number = (read_csv(tmp_path / run / name) for run in ("text", "number"))
+    values = [key for key in ("beta", "value", "exact", "count", "occurrences") if key in text[0]]
+    assert [[row[k] for k in values] for row in text] == [[row[k] for k in values] for row in number]
+
+
 class TestSweep:
     def test_single_row(self, tmp_path):
         out = tmp_path / "run"
@@ -560,6 +619,13 @@ class TestSweep:
         assert rc == 2
         assert "at least one n" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("protocol", ["[]", "{}", "one_way_single"])
+    def test_unknown_protocol_message_names_the_key_and_the_choices(self, tmp_path, capsys,
+                                                                    protocol):
+        assert main(["sweep", "--out", str(tmp_path / "x"), f"protocol={protocol}"]) == 2
+        err = capsys.readouterr().err
+        assert "repeatable protocol" in err and "'bell_pairs'" in err
 
     def test_zero_copies_is_invalid_input(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path / "x"), "n_list=[0]"])

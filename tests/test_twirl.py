@@ -404,6 +404,56 @@ class TestSampledStream:
         assert np.max(np.abs(est.stderr - want.stderr)) <= 1e-15
 
 
+class TestSu2Draws:
+    """At d = 2 a whole g of the doubled kinds is a Haar SU(2) element built
+    from one uniform column; ``ortho``, partial columns and d >= 3 keep the
+    Ginibre and Gram-Schmidt stream of ``haar_columns``."""
+
+    @pytest.mark.parametrize("kind", twirl.DOUBLED_KINDS)
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_special_unitary_from_the_one_column_draw(self, kind, columns):
+        n = 5000
+        rng, ref = np.random.default_rng(110), np.random.default_rng(110)
+        us, theta = GroupAction(kind, 2, 2)._draws(n, rng, columns)
+        assert len(us) == (2 if kind == "local_independent" else 1)
+        for g in us:
+            assert g.shape == (2, 2, n)
+            q = g.transpose(2, 0, 1)
+            assert np.max(np.abs(q @ q.conj().transpose(0, 2, 1) - np.eye(2))) <= 1e-15
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+            assert np.max(np.abs(det - 1.0)) <= 1e-15
+            assert np.array_equal(g[:, :1], states.haar_columns(2, n, ref, 1))
+        if kind == "local_phase":
+            assert np.array_equal(theta, ref.uniform(0.0, 2.0 * np.pi, size=n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", twirl.DOUBLED_KINDS)
+    def test_one_column_is_the_first_column_of_the_whole_draw(self, kind):
+        action = GroupAction(kind, 2, 1)
+        rng, ref = np.random.default_rng(111), np.random.default_rng(111)
+        one, whole = action._draws(300, rng, 1), action._draws(300, ref)
+        assert np.array_equal(one[0][0], whole[0][0][:, :1])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_haar_moments(self):
+        # E|g_00|^2 = 1/2 and E|g_00|^4 = 1/3 under the Haar measure on U(2)
+        # and on SU(2)
+        n = 20000
+        g = GroupAction("local", 2)._draws(n, np.random.default_rng(112))[0][0]
+        x = np.abs(g[0, 0]) ** 2
+        for moment, want in ((x, 0.5), (x**2, 1.0 / 3.0)):
+            assert abs(moment.mean() - want) <= 5 * moment.std(ddof=1) / np.sqrt(n)
+
+    @pytest.mark.parametrize("kind,d,columns,dim", [("ortho", 2, None, 3), ("ortho", 3, None, 8),
+                                                    ("local", 3, None, 3), ("local", 3, 2, 3),
+                                                    ("local_independent", 3, None, 3)])
+    def test_other_draws_keep_the_ginibre_stream(self, kind, d, columns, dim):
+        rng, ref = np.random.default_rng(113), np.random.default_rng(113)
+        us, _ = GroupAction(kind, d)._draws(40, rng, columns)
+        assert np.array_equal(us[0], states.haar_columns(dim, 40, ref, columns))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestBlockedConjugation:
     """Conjugation as the vector twirl of vec(T), one batch-last pair factor
     per axis (``_apply_columns``, as ``phase_twirl`` applies it), against the
