@@ -239,12 +239,15 @@ def _as_list(value) -> list:
 def _exact_arg(config: dict, formula: str, key: str):
     """A key the formula reads, checked before any row: its absence is invalid
     input (exit 2), except ``state``, which defaults to the maximally entangled
-    qubit pair."""
+    qubit pair.  ``n`` is read as an integer and every other scalar as a real;
+    a grid key is returned as it is, its points read one by one."""
     if key == "state":
         return _state_spec(config, "state", 2).build()
     if config.get(key) is None:
         raise ValueError(f"formula {formula!r} needs {key}=...")
-    return _integer(key, config[key]) if key == "n" else config[key]
+    if key in EXACT_FORMULAS[formula][1]:
+        return config[key]
+    return (_integer if key == "n" else _real)(key, config[key])
 
 
 def cmd_exact(config: dict, out_dir: Path) -> tuple[int, list[str]]:
@@ -386,6 +389,9 @@ def cmd_sweep(config: dict, out_dir: Path) -> tuple[int, list[str]]:
 
 def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     alpha = _real("alpha", config.get("alpha", 0.05))
+    for key, family in (("q", "n"), ("tprime", "delta")):
+        if config.get(key) is not None and config.get(family) is None:
+            raise ValueError(f"{key} needs {family}=..., the family its alternatives belong to")
     # (kind, n, boundary, test, key of the alternatives, largest alternative)
     families = []
     if config.get("n") is not None:

@@ -49,7 +49,6 @@ from .twirl import (
     _chunks,
     _mean_stderr,
     doubled_twirl,
-    haar_unitaries,
 )
 
 # result-sized complex arrays alive at once while binomial_operator_test or
@@ -243,20 +242,24 @@ def sequential_covariant_trace(
     Alice measures her first sample covariantly and steers the basis on the
     second; the POVM average is d^2 (g x g)|u1 x u2><u1 x u2|(g x g)^dag over
     Haar g with |<u1|u2>|^2 = 1/d.  Per sample g the integrand factorizes into
-    the product of two pair overlaps, so no big matrices are needed.  A state
-    that is not a square matrix on a d x d pair with d >= 2 raises
-    ``ValueError``.
+    the product of two pair overlaps, so no big matrices are needed.  u1 = e_0
+    and u2 lies in span(e_0, e_1), so only the first two columns of each g are
+    drawn, through ``GroupAction._draws`` in ``_chunks`` order: the draw
+    ``sequential_covariant_operator`` makes, so at the same seed both use the
+    same group elements.  A state that is not a square matrix on a d x d pair
+    with d >= 2 raises ``ValueError``.
     """
     mat, d = _pair_matrix(sigma)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    u1, u2 = _sequential_seed_vectors(d)
+    seeds = [u[:2] for u in _sequential_seed_vectors(d)]
+    action = GroupAction("local", d)
 
     def values(batch):
-        g = haar_unitaries(d, batch, rng)
+        (g,), _ = action._draws(batch, rng, 2)
         vals = np.ones(batch)
-        for u in (u1, u2):
-            gu = g @ u
+        for u in seeds:
+            gu = np.einsum("akn,k->na", g, u)
             w = np.einsum("na,nb->nab", gu, gu.conj()).reshape(batch, d * d)
             vals = vals * np.real(np.einsum("ni,ij,nj->n", w.conj(), mat, w))
         return d * d * vals

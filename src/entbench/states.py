@@ -595,7 +595,7 @@ def _ginibre(
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary; see ``haar_columns``."""
-    return haar_unitaries(dim, 1, rng)[0]
+    return haar_columns(dim, 1, rng)[:, :, 0]
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,14 +45,7 @@ a Haar unitary have the law of r orthonormalized Ginibre columns, and at
 r = d the draws are ``mc_twirl``'s bit for bit.  ``one-sample`` (u = e_0)
 draws one column of d, the sequential seed two; the others reach every
 column, so their results are ``mc_twirl``'s on the doubled ``Ket`` to
-rounding.  Median times at one BLAS thread against ``mc_twirl`` on that
-``Ket``: one-sample d=3 40000 samples 23.5 -> 9.1 ms, two-sample d=2 30000
-21.3 -> 15.8 ms, qubit-weights 30000 21.2 -> 13.3 ms, three-source d=2 1024
-3.6 -> 1.8 ms, three-source d=3 16 samples 8.2 -> 8.1 ms.  The SU(2) draw
-takes 4096 ``local`` d=2 draws from 0.91 to 0.35 ms and ``doubled_twirl``
-from 17.6 to 16.6 ms (two-sample), 17.2 to 12.7 ms (qubit-weights) and 2.2
-to 1.8 ms (three-source d=2), medians of 16 alternating calls against the
-U(2) draw.
+rounding.
 
 ``mc_twirl`` twirls any ``Ket`` v, under every kind: the ``ortho`` and
 ``phase`` actions, and the tests' oracles; no command reaches it.  It twirls
@@ -60,10 +53,7 @@ the vectors f v, batch last, in ``doubled_twirl``'s kernel
 (``_apply_columns``): g and conj(g) on the two d-axes of every pair,
 ``16 copies d dim`` real flops per sample, or the (d^2, d^2) ``ortho``
 unitary on each pair's axis, ``8 copies d^2 dim``; then Ph(theta) on each
-pair's diagonal (``_phase_pairs``).  Against the per-sample pair-factor
-kernel it replaced, median times at one BLAS thread are even at small dim
-and slower at large: three-source d=3 (dim 729, 512 samples) 73-80 -> 98-100
-ms, local d=4 on two pairs (dim 256, 4096 samples) 107-118 -> 123-130 ms.
+pair's diagonal (``_phase_pairs``).
 
 The sum of ``|f v><f v|`` over a batch is one GEMM, ``W W^dag``, and the sum
 of the squared moduli a second, ``|W|^2 (|W|^2)^T``: ``10 dim^2`` real flops
@@ -268,7 +258,7 @@ class GroupAction:
         """The samples that ``_draws`` returned as ``(us, theta)``, as one
         batch-first pair-factor batch per copy, left first: g (x) conj(g) Ph(theta)."""
         d = self.d
-        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in us]  # haar_unitaries' layout
+        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in us]  # batch first
         if self.kind == "ortho":
             factors = [orthocomplement_unitary(gs[0], d)]
         else:
@@ -505,10 +495,9 @@ def _apply_columns(w: np.ndarray, factors: list[np.ndarray], work: np.ndarray) -
 
     ``work`` is a (3, n) complex array with n >= size batch at every step.
     Its rows 0 and 1 hold w and its image in turn, and row 2 one term; a 2-D
-    w must be row 0.  The result is a view of row 0 or 1.
+    w must be row 0.  ``factors`` is not empty.  The result is a view of row
+    0 or 1.
     """
-    if not factors:
-        return w
     batch = factors[0].shape[-1]
     w_buf, out, spare = work
     size, lead = w.shape[0], 1

@@ -137,8 +137,13 @@ class TestExact:
              "alpha must be a real number, got [0.1]"),
             (["formula=classical-one", "p=0.1", "epsilon=true", "alpha=0.05"],
              "epsilon must be a real number, got True"),
+            (["formula=one-way", "p=0.1", "epsilon=0.1", "alpha=abc"],
+             "alpha must be a real number, got 'abc'"),
+            (["formula=pair-repeated", "n=2", "p=0.1", "epsilon=false", "alpha=0.05"],
+             "epsilon must be a real number, got False"),
         ],
-        ids=["one-way-epsilon-list", "pair-repeated-alpha-list", "classical-one-epsilon-bool"],
+        ids=["one-way-epsilon-list", "pair-repeated-alpha-list", "classical-one-epsilon-bool",
+             "one-way-alpha-text", "pair-repeated-epsilon-bool"],
     )
     def test_level_that_is_not_a_real_number_is_invalid_input(self, tmp_path, capsys, args,
                                                               message):
@@ -166,6 +171,12 @@ class TestExact:
         err = capsys.readouterr().err
         assert "defect " in err and "outside [0, 1]" in err
         assert not (out / "exact.csv").exists()
+
+    def test_override_that_is_not_key_value_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["exact", "--out", str(out), "formula=one-way", "d"]) == 2
+        assert "override 'd' is not key=value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_qubit_formulas_from_state(self, tmp_path):
         out = tmp_path / "run"
@@ -248,6 +259,22 @@ class TestSimulate:
         rc = main(["simulate", "--out", str(tmp_path / "x"), "protocol=bogus"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["state.family=bell_diagonal", "state.params=[0.1,0.1,0.1]", "d=3"],
+             "bell_diagonal states are d=2 only"),
+            (["trials=0"], "trials must be >= 1"),
+            (["n=0"], "need at least one copy"),
+        ],
+        ids=["bell-diagonal-d3", "no-trials", "no-copies"],
+    )
+    def test_refusal_names_its_reason(self, tmp_path, capsys, args, message):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"
         main(
@@ -316,6 +343,26 @@ class TestTwirlVerify:
                    "target=qubit-weights", "--seed", "6"])
         assert rc == 0
         assert json.loads((out / "twirl_report.json").read_text())["status"] == "pass"
+
+    def test_qubit_weights_at_other_d_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["twirl-verify", "--out", str(out), "target=qubit-weights", "d=3"]) == 2
+        assert "qubit-weights target is d=2 only" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_wrong_reference_fails_with_exit_one(self, tmp_path, monkeypatch):
+        # a conclusive twirl against a reference it does not match: the
+        # maximally entangled state, not the one-sample covariant test
+        monkeypatch.setattr(quantum, "one_sample_covariant_test",
+                            lambda d: StateSpec("max_entangled", d).build())
+        out = tmp_path / "run"
+        rc = main(["twirl-verify", "--out", str(out), "--samples", "30000",
+                   "target=one-sample", "d=2", "--seed", "5"])
+        assert rc == 1
+        report = json.loads((out / "twirl_report.json").read_text())
+        assert report["status"] == "fail" and report["max_stderr"] <= 5e-3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["twirl_report.json"]
 
     def test_unknown_target(self, tmp_path):
         rc = main(["twirl-verify", "--out", str(tmp_path / "x"), "target=eq99"])
@@ -585,8 +632,12 @@ def test_malformed_real_value_names_its_key(tmp_path, capsys, args, message):
           "trials=100"], "trace.csv"),
         (["sweep", 'delta="1.0"', 'tprime="3"', 'alpha="0.05"', "n_list=[100]"], "sweep.csv"),
         (["exact", "formula=two-source", 'p1=["0.1",0.2]', 'p2="0.3"'], "exact.csv"),
+        (["exact", "formula=one-way", 'epsilon="0"', "alpha=0.05", "p=0.1"], "exact.csv"),
+        (["exact", "formula=pair-repeated", "n=3", "epsilon=0.1", 'alpha="0.05"', "p=0.1"],
+         "exact.csv"),
     ],
-    ids=["classical-binomial", "classical-poisson", "simulate", "sweep", "exact"],
+    ids=["classical-binomial", "classical-poisson", "simulate", "sweep", "exact",
+         "exact-epsilon", "exact-alpha"],
 )
 def test_numeric_strings_are_read_as_their_numbers(tmp_path, args, name):
     command, *rest = args
@@ -690,6 +741,19 @@ class TestClassicalCommand:
         assert row["kind"] == ("poisson" if "delta=1" in args else "binomial")
         assert row["threshold"] and row["gamma"]
         assert row["alternative"] == row["beta"] == ""
+
+    @pytest.mark.parametrize(
+        "args, key, family",
+        [(['q=["x"]'], "q", "n"), (["n=10", "tprime=abc"], "tprime", "delta"),
+         (["delta=1", "q=[0.5]"], "q", "n")],
+        ids=["q-alone", "tprime-with-n", "q-with-delta"],
+    )
+    def test_alternatives_without_their_family_are_invalid_input(self, tmp_path, capsys, args,
+                                                                 key, family):
+        out = tmp_path / "run"
+        assert main(["classical", "--out", str(out), *args]) == 2
+        assert f"{key} needs {family}=..." in capsys.readouterr().err
+        assert not (out / "classical.csv").exists()
 
     def test_infinite_rate_is_invalid_input(self, tmp_path):
         rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])

@@ -417,6 +417,20 @@ class TestSequentialCovariant:
             exact = beta_sequential_two_sample(sigma)
             assert abs(est.value - exact) <= 5 * est.stderr + 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trace_is_the_operator_trace_on_the_same_draws(self, d):
+        # both draw two columns of each g through GroupAction._draws, in
+        # _chunks order, so they use the same group elements sample for sample
+        from entbench.twirl import _CHUNK
+
+        samples = _CHUNK + 5
+        sigma = random_density((d, d), np.random.default_rng(d)).mat
+        rng, rng_op = np.random.default_rng(22), np.random.default_rng(22)
+        est = sequential_covariant_trace(sigma, samples, rng)
+        mean = sequential_covariant_operator(d, samples, rng_op).mean
+        assert abs(est.value - np.trace(np.kron(sigma, sigma) @ mean).real) <= 1e-14
+        assert rng.bit_generator.state == rng_op.bit_generator.state
+
     def test_operator_is_phase_invariant_within_mc_error(self):
         rng = np.random.default_rng(15)
         est = sequential_covariant_operator(2, 30000, rng)

@@ -163,6 +163,14 @@ class TestOrthonormalColumns:
         assert np.array_equal(states.haar_columns(dim, count, rngs[3], columns=dim), q)
         assert rngs[0].random() == rngs[1].random() == rngs[2].random() == rngs[3].random()
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_one_unitary_is_the_one_sample_batch(self, dim):
+        rngs = [np.random.default_rng(dim) for _ in range(2)]
+        u = haar_unitary(dim, rngs[0])
+        assert u.flags.c_contiguous
+        assert np.array_equal(u, haar_unitaries(dim, 1, rngs[1])[0])
+        assert rngs[0].random() == rngs[1].random()
+
     @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (4, 2), (5, 3), (5, 5)])
     def test_leading_columns_are_orthonormal_with_haar_second_moment(self, d, r):
         # E|U_ij|^2 = 1/d for every entry of a Haar unitary
