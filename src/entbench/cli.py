@@ -392,6 +392,8 @@ def cmd_classical(config: dict, out_dir: Path) -> tuple[int, list[str]]:
     for key, family in (("q", "n"), ("tprime", "delta")):
         if config.get(key) is not None and config.get(family) is None:
             raise ValueError(f"{key} needs {family}=..., the family its alternatives belong to")
+    if config.get("n") is None and config.get("delta") is None:
+        raise ValueError("classical needs n=... (binomial) or delta=... (Poisson), or both")
     # (kind, n, boundary, test, key of the alternatives, largest alternative)
     families = []
     if config.get("n") is not None:

@@ -97,8 +97,7 @@ def level_adjust(t: TestOperator, eps: float, alpha: float) -> TestOperator:
     or with probability (eps-alpha)/eps on the complement outcome (eps > alpha)
     makes the acceptance probability at the null boundary exactly 1 - alpha.
     """
-    if not 0.0 <= eps <= 1.0 or not 0.0 < alpha < 1.0:
-        raise ValueError("need 0 <= eps <= 1 and 0 < alpha < 1")
+    check_level(eps, alpha)
     if eps <= alpha:
         mat = (1.0 - alpha) / (1.0 - eps) * t.mat
     else:

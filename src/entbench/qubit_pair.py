@@ -92,43 +92,28 @@ def bell_block(sigma) -> BlockDecomposition:
     return BlockDecomposition(a=float(x[0, 0].real), b=x[1:, 0], c=x[1:, 1:])
 
 
-def _bb(i: int, j: int) -> np.ndarray:
-    """|i, j> = phi_i on pair 1 tensor phi_j on pair 2, pair-major."""
-    return np.kron(BELL_VECTORS[i], BELL_VECTORS[j])
-
-
 @lru_cache(maxsize=1)
 def irrep_projectors() -> tuple[np.ndarray, ...]:
     """The six orthogonal block projectors on the pair-major two-pair space,
-    in ``BLOCK_NAMES`` order."""
-    omega = np.exp(2j * np.pi / 3.0)
+    in ``BLOCK_NAMES`` order.
 
-    def span(*vectors) -> np.ndarray:
-        out = np.zeros((16, 16), dtype=complex)
-        for v in vectors:
-            out += np.outer(v, v.conj())
-        out.setflags(write=False)
-        return out
-
-    def sym(i, j):
-        return (_bb(i, j) + _bb(j, i)) / _SQ2
-
-    def anti(i, j):
-        return (_bb(i, j) - _bb(j, i)) / _SQ2
-
-    sym5 = span(
-        sym(1, 2),
-        sym(2, 3),
-        sym(3, 1),
-        (_bb(1, 1) + omega * _bb(2, 2) + omega**2 * _bb(3, 3)) / math.sqrt(3.0),
-        (_bb(1, 1) + omega**2 * _bb(2, 2) + omega * _bb(3, 3)) / math.sqrt(3.0),
-    )
-    sym3 = span(sym(0, 1), sym(0, 2), sym(0, 3))
-    sym1_c2 = span(_bb(0, 0))
-    sym1_c0 = span((_bb(1, 1) + _bb(2, 2) + _bb(3, 3)) / math.sqrt(3.0))
-    anti3_c0 = span(anti(1, 2), anti(2, 3), anti(3, 1))
-    anti3_c1 = span(anti(0, 1), anti(0, 2), anti(0, 3))
-    return sym5, sym3, sym1_c2, sym1_c0, anti3_c0, anti3_c1
+    With P = |phi0><phi0| and Q = I - P on one pair, the charge projectors are
+    Q (x) Q, P (x) Q + Q (x) P and P (x) P, and the swap parities of the two
+    pairs (I +- S)/2; each block is a charge times a parity, but the even
+    charge-0 sector splits into s = (phi1 phi1 + phi2 phi2 + phi3 phi3)/sqrt(3)
+    and its 5-dimensional complement.
+    """
+    p = np.outer(BELL_VECTORS[0], BELL_VECTORS[0].conj())
+    q = np.eye(4) - p
+    c0, c1, c2 = np.kron(q, q), np.kron(p, q) + np.kron(q, p), np.kron(p, p)
+    swap = np.eye(16).reshape(4, 4, 4, 4).transpose(0, 1, 3, 2).reshape(16, 16)
+    even, odd = (np.eye(16) + swap) / 2.0, (np.eye(16) - swap) / 2.0
+    s = sum(np.kron(v, v) for v in BELL_VECTORS[1:]) / math.sqrt(3.0)
+    singlet = np.outer(s, s.conj())
+    blocks = (even @ c0 - singlet, even @ c1, c2, singlet, odd @ c0, odd @ c1)
+    for pi in blocks:
+        pi.setflags(write=False)
+    return blocks
 
 
 def block_traces(sigma) -> np.ndarray:

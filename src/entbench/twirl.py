@@ -156,28 +156,21 @@ def phase_unitary(theta, d: int) -> np.ndarray:
 def pair_conjugate_unitary(g: np.ndarray) -> np.ndarray:
     """g (x) conj(g), stacked over leading axes; it fixes the maximally entangled vector."""
     g = np.asarray(g, dtype=complex)
-    return _kron_batch(g, g.conj())
+    dim = g.shape[-1] ** 2
+    return np.einsum("...ab,...cd->...acbd", g, g.conj()).reshape(g.shape[:-2] + (dim, dim))
 
 
 @lru_cache(maxsize=None)
 def _orthocomplement_basis(d: int) -> np.ndarray:
-    """Isometry (d^2, d^2-1) onto the orthocomplement of |phi0>.
+    """Real isometry (d^2, d^2-1) onto the orthocomplement of |phi0>.
 
-    Columns come from Gram-Schmidt of the computational basis against |phi0>,
-    in index order, dropping the one dependent vector; fixed here so that
-    embedded unitaries are reproducible.
+    The Householder reflection I - 2 v v^T / (v^T v) with v = phi0 - e_0 is
+    orthogonal and maps e_0 to phi0, so its other columns are an orthonormal
+    basis of the complement; fixed here so that embedded unitaries are
+    reproducible.
     """
-    phi = max_entangled_ket(d).vec
-    cols = [phi]
-    for i in range(d * d):
-        e = np.zeros(d * d, dtype=complex)
-        e[i] = 1.0
-        for c in cols:
-            e = e - (c.conj() @ e) * c
-        n = np.linalg.norm(e)
-        if n > 1e-9:
-            cols.append(e / n)
-    b = np.array(cols[1:]).T
+    v = max_entangled_ket(d).vec.real - np.eye(d * d)[0]
+    b = (np.eye(d * d) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
     b.setflags(write=False)
     return b
 
@@ -186,7 +179,7 @@ def orthocomplement_unitary(g: np.ndarray, d: int) -> np.ndarray:
     """Embed a (d^2-1) x (d^2-1) unitary into the orthocomplement of |phi0>."""
     g = np.asarray(g, dtype=complex)
     b = _orthocomplement_basis(d)
-    return b @ g @ b.conj().T + proj(max_entangled_ket(d))
+    return b @ g @ b.T + proj(max_entangled_ket(d))
 
 
 def _su2(column: np.ndarray) -> np.ndarray:
@@ -202,13 +195,6 @@ def _su2(column: np.ndarray) -> np.ndarray:
     g[0, 0], g[1, 0] = a, b
     g[0, 1], g[1, 1] = -b.conj(), a.conj()
     return g
-
-
-def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product over the last two axes, broadcast over leading ones."""
-    dim = a.shape[-1] * b.shape[-1]
-    out = np.einsum("...ab,...cd->...acbd", a, b)
-    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 @dataclass(frozen=True)
@@ -254,22 +240,31 @@ class GroupAction:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count) if kind in ("phase", "local_phase") else None
         return us, theta
 
-    def _factors(self, us: list[np.ndarray], theta) -> list[np.ndarray]:
-        """The samples that ``_draws`` returned as ``(us, theta)``, as one
-        batch-first pair-factor batch per copy, left first: g (x) conj(g) Ph(theta)."""
-        d = self.d
-        gs = [np.ascontiguousarray(u.transpose(2, 0, 1)) for u in us]  # batch first
+    def _factors(self, us: list[np.ndarray]) -> list[np.ndarray]:
+        """The unitary batches ``us`` that ``_draws`` returned, as the
+        batch-last factors ``_apply_columns`` applies, one per axis, left
+        first: g and conj(g) on the two d-axes of every pair, or the
+        (d^2, d^2, batch) ``ortho`` unitary on every pair's axis; none for
+        ``phase``."""
         if self.kind == "ortho":
-            factors = [orthocomplement_unitary(gs[0], d)]
+            factors = [orthocomplement_unitary(us[0].transpose(2, 0, 1), self.d).transpose(1, 2, 0)]
         else:
-            factors = [pair_conjugate_unitary(g) for g in gs]
-        if theta is not None:
-            factors = [f @ phase_unitary(theta, d) for f in factors] or [phase_unitary(theta, d)]
+            factors = [f for g in us for f in (g, g.conj())]
         return factors if self.kind == "local_independent" else factors * self.copies
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` samples of the action, shape (count, dim, dim), drawn as ``_factors``."""
-        return reduce(_kron_batch, self._factors(*self._draws(count, rng)))
+        """``count`` samples of the action, shape (count, dim, dim): the
+        identity's image under ``_factors`` (``_apply_columns``), times
+        Ph(theta) on every pair (``_phase_pairs``)."""
+        us, theta = self._draws(count, rng)
+        factors, eye = self._factors(us), np.eye(self.dim, dtype=complex).reshape(-1)
+        if factors:
+            f = _apply_columns(eye, factors, np.empty((3, eye.size * count), dtype=complex))
+        else:  # phase
+            f = np.repeat(eye[:, np.newaxis], count, axis=1)
+        if theta is not None:
+            _phase_pairs(f, self.d, self.copies, theta)
+        return np.moveaxis(f.reshape(self.dim, self.dim, count), 2, 0)
 
 
 @dataclass(frozen=True)
@@ -362,12 +357,13 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
     The draws of ``GroupAction._draws`` run one batch ahead (``_prefetch``);
     everything built from them is built here, as each batch is consumed, in a
     buffer that every batch reuses, so each batch must be consumed before the
-    next is asked for.  Each factor acts on its own axis of vec
-    (``_apply_columns``): g and conj(g) on the two d-axes of every pair, or
-    the ``ortho`` unitary, a (d^2, d^2, batch) stack, on every pair's axis;
-    the ``phase`` kind copies vec into the buffer.  Ph(theta) commutes with
-    g (x) conj(g), so it acts last (``_phase_pairs``).  A caller that may stop
-    mid-stream closes the generator, which joins the draw worker.
+    next is asked for.  Each factor of ``GroupAction._factors`` acts on its
+    own axis of vec (``_apply_columns``): g and conj(g) on the two d-axes of
+    every pair, or the ``ortho`` unitary, a (d^2, d^2, batch) stack, on every
+    pair's axis; the ``phase`` kind copies vec into the buffer.  Ph(theta)
+    commutes with g (x) conj(g), so it acts last (``_phase_pairs``).  A caller
+    that may stop mid-stream closes the generator, which joins the draw
+    worker.
     """
     d, dim, copies = action.d, action.dim, action.copies
     if samples < 1:
@@ -385,12 +381,7 @@ def _kets(vec: np.ndarray, action: GroupAction, samples: int, rng: np.random.Gen
     with closing(draws):
         work = np.empty((3, dim * min(samples, _CHUNK)), dtype=complex)
         for us, theta in draws:
-            if action.kind == "ortho":
-                factors = [orthocomplement_unitary(us[0].transpose(2, 0, 1), d).transpose(1, 2, 0)]
-            else:
-                factors = [f for g in us for f in (g, g.conj())]
-            if action.kind != "local_independent":  # the same g on every copy
-                factors *= copies
+            factors = action._factors(us)
             if factors:
                 w = _apply_columns(vec, factors, work)
             else:  # phase
@@ -466,8 +457,8 @@ def _doubled_kets(u, action: GroupAction, samples: int, rng: np.random.Generator
 
 
 def _phase_pairs(w: np.ndarray, d: int, copies: int, theta: np.ndarray) -> None:
-    """Ph(theta) on every pair of the batch-last (dim, batch) w, in place, one
-    angle a sample.
+    """Ph(theta) on each of the ``copies`` leading pairs of the batch-last
+    (dim tail, batch) w, in place, one angle a sample.
 
     Ph(theta) = I + (e^{i theta} - 1) |phi><phi|, and <phi| on a pair is the
     sum of its d diagonal entries over sqrt(d), so each pair adds its sector
@@ -475,7 +466,7 @@ def _phase_pairs(w: np.ndarray, d: int, copies: int, theta: np.ndarray) -> None:
     """
     scale = (np.exp(1j * theta) - 1.0) / d
     for c in range(copies):
-        sectors = w.reshape(d ** (2 * c), d * d, d ** (2 * (copies - c - 1)), len(theta))
+        sectors = w.reshape(d ** (2 * c), d * d, -1, len(theta))
         diagonal = sectors[:, :: d + 1]
         trace = diagonal.sum(axis=1)
         trace *= scale
@@ -487,25 +478,21 @@ def _apply_columns(w: np.ndarray, factors: list[np.ndarray], work: np.ndarray) -
 
     Each factor is an (m, k, batch) stack that maps its own k-axis of w to an
     m-axis, ``8 m`` real flops per entry of w and sample: g or its leading
-    columns, conj(g), the (d^2, d^2) ortho unitary or Ph, one per sample.  A
-    1-D w is one vector every sample shares, so the first factor meets it as
+    columns, conj(g), the (d^2, d^2) ortho unitary or Ph, one per sample.  w
+    is one 1-D vector every sample shares, so the first factor meets it as
     one matmul, ``(rest, k) x (m, k, batch)``.  Each later factor, with
     ``lead`` dimensions before its axis and ``tail`` after, is m k
     multiply-adds of (lead, tail, batch) slices whose rows run over the batch.
+    Axes past the factors' are left as they are.
 
     ``work`` is a (3, n) complex array with n >= size batch at every step.
-    Its rows 0 and 1 hold w and its image in turn, and row 2 one term; a 2-D
-    w must be row 0.  ``factors`` is not empty.  The result is a view of row
-    0 or 1.
+    Its rows 0 and 1 hold w and its image in turn, and row 2 one term.
+    ``factors`` is not empty.  The result is a view of row 0 or 1.
     """
-    batch = factors[0].shape[-1]
-    w_buf, out, spare = work
-    size, lead = w.shape[0], 1
-    if w.ndim == 1:
-        f, factors = factors[0], factors[1:]
-        m, k = f.shape[:2]
-        lead, size = m, m * (size // k)
-        np.matmul(w.reshape(k, -1).T, f, out=w_buf[: size * batch].reshape(m, -1, batch))
+    (f, *factors), (w_buf, out, spare) = factors, work
+    m, k, batch = f.shape
+    lead, size = m, m * (w.size // k)
+    np.matmul(w.reshape(k, -1).T, f, out=w_buf[: size * batch].reshape(m, -1, batch))
     w = w_buf
     for f in factors:
         m, k = f.shape[:2]

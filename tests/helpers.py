@@ -148,11 +148,11 @@ def su2_reference(count: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(out).reshape(count, 2, 2)
 
 
-def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -> np.ndarray:
+def reference_factors(action, count: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
     """The ``count`` group elements that ``GroupAction._draws`` draws, in its
-    documented order, each built as a per-sample ``np.kron`` chain of its pair
-    unitaries; only the samples at the indices ``keep`` (default all) are built.
-    The local kinds' g is Haar U(d), or at d = 2 Haar SU(2) (``su2_reference``)."""
+    documented order, each as the list of its (d^2, d^2) pair unitaries, one
+    per copy, left first.  The local kinds' g is Haar U(d), or at d = 2 Haar
+    SU(2) (``su2_reference``)."""
     d, kind, copies = action.d, action.kind, action.copies
     local = su2_reference if d == 2 else functools.partial(haar_unitaries, d)
     p = proj(max_entangled_ket(d))
@@ -177,6 +177,14 @@ def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -
             if thetas is not None:
                 u = u @ phase(thetas[i])
             factors.append([u] * copies)
+    return factors
+
+
+def reference_samples(action, count: int, rng: np.random.Generator, keep=None) -> np.ndarray:
+    """The ``count`` group elements of ``reference_factors``, each built as a
+    per-sample ``np.kron`` chain of its pair unitaries; only the samples at the
+    indices ``keep`` (default all) are built."""
+    factors = reference_factors(action, count, rng)
     out = []
     for per_copy in factors if keep is None else [factors[i] for i in keep]:
         f = per_copy[0]

@@ -333,6 +333,7 @@ class TestEntropyAndLimits:
         assert abs(relative_entropy(1.0, 0.5) - math.log(2.0)) < 1e-15
         assert relative_entropy(1.0, 1.0) == 0.0
         assert relative_entropy(1.0, 0.0) == math.inf
+        assert relative_entropy(0.0, 1.0) == relative_entropy(0.3, 1.0) == math.inf
 
     def test_exponent_cases(self):
         assert error_exponent(0.05, 0.3, 0.1) == relative_entropy(0.05, 0.3)
@@ -436,3 +437,27 @@ class TestFamiliesMatchScipyStats:
         ours = evaluate()
         monkeypatch.setattr(classical, "stats", stats)
         assert ours == evaluate()
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: ClassicalRandomizedTest(threshold=-1, gamma=0.5, n=5),
+                     ValueError, "threshold must be nonnegative", id="threshold-negative"),
+        pytest.param(lambda: ClassicalRandomizedTest(threshold=6, gamma=0.5, n=5),
+                     ValueError, "threshold exceeds sample count", id="threshold-past-n"),
+        pytest.param(lambda: ClassicalRandomizedTest(threshold=2, gamma=0.5).acceptance(),
+                     ValueError, "acceptance vector needs a finite domain",
+                     id="poisson-acceptance"),
+        pytest.param(lambda: classical.check_level("0.1", 0.05),
+                     ValueError, "epsilon must be a real number, got '0.1'", id="level-string"),
+        pytest.param(lambda: classical.check_level(0.1, 0.05 + 0j),
+                     ValueError, "alpha must be a real number, got (0.05+0j)", id="level-complex"),
+        pytest.param(lambda: classical.check_level(0.1, True),
+                     ValueError, "alpha must be a real number, got True", id="level-bool"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

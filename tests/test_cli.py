@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entbench import memory, quantum
+from entbench import classical, memory, quantum
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
 from entbench.protocols import ROUNDS, StateSpec
 from entbench.quantum import beta_one_way
@@ -754,6 +754,32 @@ class TestClassicalCommand:
         assert main(["classical", "--out", str(out), *args]) == 2
         assert f"{key} needs {family}=..." in capsys.readouterr().err
         assert not (out / "classical.csv").exists()
+
+    @pytest.mark.parametrize("args", [[], ["alpha=0.1"], ["epsilon=0.1", "alpha=0.1"]],
+                             ids=["bare", "alpha", "epsilon-alpha"])
+    def test_no_family_is_invalid_input(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["classical", "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert "n=..." in err and "delta=..." in err
+        assert not (out / "classical.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [(["n=5", "epsilon=0.1", "alpha=0.05", "q=[0, 1]"], ("binomial", [0.0, 1.0])),
+         (["delta=1", "alpha=0.1", "tprime=[0]"], ("poisson", [0.0]))],
+        ids=["q-ends", "tprime-zero"],
+    )
+    def test_alternatives_at_the_ends_of_their_domain_run(self, tmp_path, args, want):
+        out = tmp_path / "run"
+        assert main(["classical", "--out", str(out), *args]) == 0
+        kind, alternatives = want
+        test = (classical.binomial_ump_test(5, 0.1, 0.05) if kind == "binomial"
+                else classical.poisson_ump_test(1.0, 0.1))
+        rows = read_csv(out / "classical.csv")
+        assert [float(r["alternative"]) for r in rows] == alternatives
+        assert [float(r["beta"]) for r in rows] == [test.accepted_mass(x) for x in alternatives]
 
     def test_infinite_rate_is_invalid_input(self, tmp_path):
         rc = main(["classical", "--out", str(tmp_path / "x"), "delta=Infinity", "tprime=[3]"])

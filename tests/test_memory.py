@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -97,12 +98,18 @@ def test_operator_builders_refuse_before_building(monkeypatch):
         quantum.pooled_covariant_test(2, 2)
 
 
+def test_ram_is_a_whole_number_of_pages():
+    ram = memory.ram_bytes()
+    assert ram >= 2**26 and ram % os.sysconf("SC_PAGE_SIZE") == 0
+
+
 # the work guard: every refusal below happens before any draw or state, so
 # these tests start no work
 
 
 @pytest.mark.parametrize("value, each, most", [(10**9 + 1, 1, 10**9), (10**30, 1, 10**9),
-                                               (2 * 10**6, 1000, 10**6), (1, 10**12, 0)])
+                                               (2 * 10**6, 1000, 10**6), (2, 10**9, 1),
+                                               (1, 10**12, 0)])
 def test_work_guard_names_the_largest_count_allowed(value, each, most):
     allowed = f"the largest trials allowed is {most}$" if most else "no trials is allowed$"
     with pytest.raises(ValueError, match=f"makes {value * each} draws, more than the ceiling of "

@@ -231,3 +231,18 @@ class TestThreeSourceLocal:
 
     def test_perfect_sources(self):
         assert ms.beta_three_source_local(3, 0.0, 0.0, 0.0) == pytest.approx(1.0)
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: ms.triple_overlap_coefficients(1.0, 1.0, 1.0, 1.0, 1),
+                     ValueError, "need d >= 2", id="triple-d1"),
+        pytest.param(lambda: ms.poisson_two_source(1.0, 0.05, 1.0, -0.5),
+                     ValueError, "rates must be nonnegative", id="negative-rate"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

@@ -660,3 +660,32 @@ class TestRepeatedPairSectorOracle:
                 val += accept[sum(fails)] * contrib
             total += w * val
         assert abs(total - beta_pair_repeated(d, n, eps, alpha, p)) < 1e-9
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: level_adjust(one_sample_covariant_test(2), 1.5, 0.1),
+                     ValueError, "eps must lie in [0, 1]", id="level-eps"),
+        pytest.param(lambda: level_adjust(one_sample_covariant_test(2), 0.1, 1.0),
+                     ValueError, "alpha must lie in (0, 1)", id="level-alpha"),
+        pytest.param(lambda: level_adjust(one_sample_covariant_test(2), True, 0.1),
+                     ValueError, "epsilon must be a real number, got True", id="level-bool"),
+        pytest.param(lambda: two_sample_covariant_test(1),
+                     ValueError, "dimension must be >= 2, got 1", id="two-sample-d1"),
+        pytest.param(lambda: separable_trace_bound([(1.0, np.eye(2), np.eye(2)),
+                                                 (-0.5, np.eye(2), np.eye(2))], 2),
+                     ValueError, "separable decomposition needs nonnegative weights",
+                     id="negative-weight"),
+        pytest.param(lambda: is_max_entangled(np.ones(8) / math.sqrt(8.0)),
+                     ValueError, "vector must live on a d x d pair", id="non-square-length"),
+        pytest.param(lambda: simplex_completion(np.ones(1)),
+                     ValueError, "need dimension >= 2", id="simplex-d1"),
+        pytest.param(lambda: simplex_completion(np.ones(3)),
+                     ValueError, "phi must be a unit vector", id="simplex-non-unit"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

@@ -236,3 +236,21 @@ class TestValidation:
     def test_bell_diagonal_validation(self):
         with pytest.raises(ValueError):
             qp.bell_diagonal_state(0.6, 0.5, 0.2)
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: qp.BlockDecomposition(0.7, np.zeros(3), [[0.1, 0.05, 0.0], [0.0, 0.1, 0.0],
+                                                                  [0.0, 0.0, 0.1]]),
+                     ValueError, "C block must be Hermitian", id="non-hermitian"),
+        pytest.param(lambda: qp.BlockDecomposition(1.1, np.zeros(3), np.diag([-0.1, 0.0, 0.0])),
+                     ValueError, "diagonal blocks must be positive semidefinite", id="negative-c"),
+        pytest.param(lambda: qp.BlockDecomposition(-0.1, np.zeros(3), np.diag([0.5, 0.3, 0.3])),
+                     ValueError, "diagonal blocks must be positive semidefinite", id="negative-a"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

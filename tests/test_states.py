@@ -824,3 +824,41 @@ class TestSectorCertificate:
             assert got == want, (d, n, k, coeffs[k])
             verdicts.add(got)
         assert verdicts == {True, False}
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: Operator(np.eye(4), (2, 2), ("A",)),
+                     ValueError, "one label per factor required", id="label-count"),
+        pytest.param(lambda: Operator(np.eye(4), (2, 2), ("A", "A")),
+                     ValueError, "factor labels must be unique, got ('A', 'A')",
+                     id="duplicate-labels"),
+        pytest.param(lambda: Operator(np.zeros((2, 4)), (2,)),
+                     ValueError, "operator must be square, got shape (2, 4)", id="non-square"),
+        pytest.param(lambda: RankOnePOVM([1.0], np.eye(2)),
+                     ValueError, "need one weight per vector", id="povm-weight-count"),
+        pytest.param(lambda: RankOnePOVM([1.0, 1.0], np.ones(2)),
+                     ValueError, "need one weight per vector", id="povm-flat-vectors"),
+        pytest.param(lambda: RankOnePOVM([2.0, -1.0], np.eye(2)),
+                     ValueError, "POVM weights must be nonnegative", id="povm-negative-weight"),
+        pytest.param(lambda: RankOnePOVM([0.25, 0.25], 2.0 * np.eye(2)),
+                     ValueError, "POVM vectors must be unit", id="povm-non-unit"),
+        pytest.param(lambda: tensor(),
+                     ValueError, "tensor of nothing", id="tensor-of-nothing"),
+        pytest.param(lambda: tensor(max_entangled_ket(2), isotropic_state(2, 0.1)),
+                     TypeError, "cannot mix Kets and Operators in one tensor product",
+                     id="tensor-mixed"),
+        pytest.param(lambda: permute_systems(isotropic_state(2, 0.1), ["B", "C"]),
+                     ValueError, "unknown factor label 'C'; have ['A', 'B']", id="unknown-label"),
+        pytest.param(lambda: permute_systems(isotropic_state(2, 0.1), [0, 0]),
+                     ValueError, "order (0, 0) is not a permutation of 2 factors",
+                     id="non-permutation"),
+        pytest.param(lambda: partial_trace(isotropic_state(2, 0.1), ["A", 0]),
+                     ValueError, "duplicate factors in keep set", id="duplicate-keep"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

@@ -38,6 +38,7 @@ from helpers import (
     mean_stderr_reference,
     outer_moments_reference,
     placement_sum,
+    reference_factors,
     reference_samples,
     reference_twirl,
 )
@@ -95,6 +96,22 @@ class TestOrthocomplementUnitary:
         rng = np.random.default_rng(3)
         v = orthocomplement_unitary(haar_unitary(d * d - 1, rng), d)
         assert np.max(np.abs(v @ v.conj().T - np.eye(d * d))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9])
+    def test_basis_is_an_isometry_onto_the_complement(self, d):
+        b = twirl._orthocomplement_basis(d)
+        phi = max_entangled_ket(d).vec
+        assert b.shape == (d * d, d * d - 1)
+        assert np.max(np.abs(b.conj().T @ b - np.eye(d * d - 1))) <= 1e-15
+        assert np.max(np.abs(b @ b.conj().T - (np.eye(d * d) - np.outer(phi, phi.conj())))) <= 1e-15
+
+    def test_basis_is_fixed(self):
+        # the reflection fixes the basis vectors off the support of phi0 and
+        # e_0, and at d = 2 maps e_3 to (|00> - |11>)/sqrt(2), so embedded
+        # unitaries are reproducible
+        want = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                         [1.0 / math.sqrt(2.0), 0.0, 0.0, -1.0 / math.sqrt(2.0)]]).T
+        assert np.max(np.abs(twirl._orthocomplement_basis(2) - want)) <= 1e-15
 
 
 class TestHaarUnitary:
@@ -464,8 +481,10 @@ class TestSu2Draws:
 
 class TestBlockedConjugation:
     """Conjugation as the vector twirl of vec(T), one batch-last pair factor
-    per axis (``_apply_columns``, as ``phase_twirl`` applies it), against the
-    dense per-sample reference, and invariance at dim 729."""
+    per axis (``_apply_columns``, as ``phase_twirl`` applies it): the
+    reference's own per-copy pair unitaries on the rows and their conjugates
+    on the columns, against the dense per-sample reference, and invariance at
+    dim 729."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -480,8 +499,9 @@ class TestBlockedConjugation:
         samples = 3
         f = reference_samples(action, samples, np.random.default_rng(44))
         want = (f @ op) @ f.conj().transpose(0, 2, 1)
-        draws = action._draws(samples, np.random.default_rng(44))
-        factors = [factor.transpose(1, 2, 0) for factor in action._factors(*draws)]
+        pairs = np.array(reference_factors(action, samples, np.random.default_rng(44)))
+        factors = list(pairs.transpose(1, 2, 3, 0))  # one (d^2, d^2, samples) stack a copy
+        assert len(factors) == copies
         work = np.empty((3, op.size * samples), dtype=complex)
         got = twirl._apply_columns(op.reshape(-1), factors + [u.conj() for u in factors], work)
         assert np.max(np.abs(got.T.reshape(want.shape) - want)) <= 1e-12
@@ -1133,3 +1153,25 @@ class TestDrawAhead:
         for _ in range(3):
             action._draws(4096, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestRefusals:
+    """Each refusal raises its own type with its own message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: GroupAction("global", 2),
+                     ValueError, f"unknown action kind 'global'; choose from {KINDS}",
+                     id="unknown-kind"),
+        pytest.param(lambda: GroupAction("local", 1),
+                     ValueError, "need d >= 2 and copies >= 1", id="d1"),
+        pytest.param(lambda: GroupAction("local", 2, 0),
+                     ValueError, "need d >= 2 and copies >= 1", id="copies0"),
+        pytest.param(lambda: TwirlEstimate(np.zeros(2), np.zeros(2), 0),
+                     ValueError, "need at least one sample", id="no-samples"),
+        pytest.param(lambda: TwirlEstimate(np.zeros(2), np.array([0.0, -1e-3]), 4),
+                     ValueError, "standard errors must be nonnegative", id="negative-stderr"),
+    ])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

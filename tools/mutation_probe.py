@@ -38,6 +38,8 @@ from pathlib import Path
 # tests run
 TESTS = {
     "classical": ["tests/test_classical.py"],
+    "cli": ["tests/test_cli.py", "tests/test_cli_fuzz.py"],
+    "memory": ["tests/test_memory.py"],
     "multisource": ["tests/test_multisource.py", "tests/test_acceptance.py"],
     "protocols": ["tests/test_protocols.py", "tests/test_acceptance.py"],
     "quantum": ["tests/test_quantum.py", "tests/test_acceptance.py"],
