@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from entbench import classical, memory, quantum
+from entbench import classical, cli, memory, quantum
 from entbench.cli import EXACT_FORMULAS, TWIRL_TARGETS, main
 from entbench.protocols import ROUNDS, StateSpec
 from entbench.quantum import beta_one_way
@@ -239,6 +240,74 @@ class TestReplay:
             main([command, "--out", str(tmp_path), "--config", "c.json",
                   "--from-manifest", "manifest.json"])
         assert exc.value.code == 2
+
+
+class TestOutputFiles:
+    """Every output goes through ``cli._write``, which replaces a file rather
+    than rewriting it in place."""
+
+    @pytest.mark.parametrize("command", list(REPLAYED_RUNS))
+    def test_rerun_into_the_same_directory_writes_new_identical_files(self, tmp_path, command):
+        out, links = tmp_path / "run", tmp_path / "links"
+        assert main([command, "--out", str(out), *REPLAYED_RUNS[command]]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        first = {name: (out / name).read_bytes() for name in names}
+        links.mkdir()
+        for name in names:  # a held link keeps the old inode from being reused
+            os.link(out / name, links / name)
+        assert main([command, "--out", str(out), *REPLAYED_RUNS[command]]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).stat().st_ino != (links / name).stat().st_ino
+            assert (links / name).read_bytes() == first[name]
+            if name != "manifest.json":  # which holds times
+                assert (out / name).read_bytes() == first[name]
+
+    def test_link_to_an_output_keeps_the_old_bytes(self, tmp_path):
+        out, elsewhere = tmp_path / "run", tmp_path / "elsewhere.csv"
+        assert main(["exact", "--out", str(out), "formula=pooled", "n=3", "p=0.1"]) == 0
+        old = (out / "exact.csv").read_bytes()
+        os.link(out / "exact.csv", tmp_path / "hard.csv")
+        elsewhere.write_text("kept\n")
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").symlink_to(elsewhere)
+        assert main(["exact", "--out", str(out), "formula=pooled", "n=3", "p=0.2"]) == 0
+        assert (tmp_path / "hard.csv").read_bytes() == old != (out / "exact.csv").read_bytes()
+        assert read_csv(out / "exact.csv")[0]["p"] == "0.2"
+        assert elsewhere.read_text() == "kept\n"
+        assert not (out / "manifest.json").is_symlink()
+        assert json.loads((out / "manifest.json").read_text())["config"]["p"] == 0.2
+
+    @pytest.mark.parametrize("command", list(REPLAYED_RUNS))
+    def test_every_file_goes_through_the_one_writer(self, tmp_path, monkeypatch, command):
+        written, write = [], cli._write
+        monkeypatch.setattr(cli, "_write", lambda path, text: (written.append(path), write(path, text)))
+        out = tmp_path / "run"
+        assert main([command, "--out", str(out), *REPLAYED_RUNS[command]]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert written == [out / name for name in [*outputs, "manifest.json"]]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "output-is-a-directory",
+                                  "manifest-is-a-directory", "config-is-a-directory",
+                                  "manifest-source-is-a-directory"])
+def test_unusable_path_is_invalid_input(tmp_path, capsys, case):
+    out = tmp_path / "run"
+    args = ["exact", "--out", str(out), "formula=pooled", "n=3", "p=0.1"]
+    if case == "out-is-a-file":
+        bad = out
+        bad.write_text("")
+    elif case in ("output-is-a-directory", "manifest-is-a-directory"):
+        bad = out / ("exact.csv" if case == "output-is-a-directory" else "manifest.json")
+        bad.mkdir(parents=True)
+    else:
+        bad = tmp_path / "dir"
+        bad.mkdir()
+        args += ["--config" if case == "config-is-a-directory" else "--from-manifest", str(bad)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 class TestSimulate:

@@ -13,8 +13,10 @@ file's rows by column, or a JSON file's parsed object.  The record also names
 the numpy version and the BLAS library, which can move bits on their own.
 
 ``--check`` runs the same commands and lists each file whose sha256 moved,
-with its first differing cell, and each file that appeared or disappeared; it
-exits 1 if anything moved and 0 otherwise.  A change that moves outputs by
+with its first differing cell, and each file that appeared or disappeared.  It
+then runs them again into the same, now populated, directories, as the
+benchmark does, and lists each file whose bytes the rerun changed.  It exits 1
+if anything moved or changed and 0 otherwise.  A change that moves outputs by
 design regenerates the record, so its diff names what moved.  This is not
 part of the test suite: another numpy or BLAS build may move bits on a
 correct program.
@@ -50,12 +52,13 @@ def blas_name() -> str:
 
 def cells(path: Path):
     """The file's rows, each a dict by column (CSV), or its parsed object
-    (JSON), else its text."""
+    (JSON), else (or if it does not parse) its text."""
     text = path.read_text()
     if path.suffix == ".csv":
         return list(csv.DictReader(io.StringIO(text)))
     if path.suffix == ".json":
-        return json.loads(text)
+        with contextlib.suppress(json.JSONDecodeError):
+            return json.loads(text)
     return text
 
 
@@ -127,6 +130,20 @@ def check(files: dict) -> int:
     return 1 if moved else 0
 
 
+def check_rerun(files: dict, again: dict) -> int:
+    """List each file whose bytes a rerun into the populated directories
+    changed, or that only one of the two runs left."""
+    changed = 0
+    for name in sorted(files.keys() | again.keys()):
+        if files.get(name, {}).get("sha256") != again.get(name, {}).get("sha256"):
+            where = (first_difference(files[name]["cells"], again[name]["cells"])
+                     if name in files and name in again else "in one run only")
+            print(f"rerun  {name}  {where or 'bytes only'}")
+            changed += 1
+    print(f"golden: the rerun changed {changed} of {len(files)} files")
+    return 1 if changed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--check", action="store_true", help="compare with the record instead of writing it")
@@ -135,8 +152,9 @@ def main() -> int:
         raise SystemExit("golden: run from the repository root")
     with tempfile.TemporaryDirectory() as tmp:
         files = run_all(Path(tmp))
+        again = run_all(Path(tmp)) if args.check else None
     if args.check:
-        return check(files)
+        return check(files) | check_rerun(files, again)
     write(files)
     return 0
 
