@@ -108,40 +108,38 @@ def write(files: dict) -> None:
     print(f"golden: wrote {len(files)} files' digests to {GOLDEN}")
 
 
-def check(files: dict) -> int:
+def differences(old: dict, new: dict, changed: str) -> int:
+    """Print each file that is only in ``old`` (gone), only in ``new`` (new),
+    or whose sha256 differs (tagged ``changed``, with its first differing
+    cell); return how many."""
+    count = 0
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"gone   {name}")
+        elif name not in old:
+            print(f"new    {name}")
+        elif old[name]["sha256"] != new[name]["sha256"]:
+            where = first_difference(old[name]["cells"], new[name]["cells"]) or "bytes only"
+            print(f"{changed:<6} {name}  {where}")
+        else:
+            continue
+        count += 1
+    return count
+
+
+def check(files: dict, again: dict) -> int:
+    """Compare the first run with the record, and the rerun into the
+    populated directories with the first run."""
     record = json.loads(GOLDEN.read_text())
     for key, now in (("numpy", np.__version__), ("blas", blas_name())):
         if record[key] != now:
             print(f"golden: recorded with {key} {record[key]}, running {now}")
     old = record["files"]
-    moved = 0
-    for name in sorted(old.keys() | files.keys()):
-        if name not in files:
-            print(f"gone   {name}")
-        elif name not in old:
-            print(f"new    {name}")
-        elif old[name]["sha256"] != files[name]["sha256"]:
-            where = first_difference(old[name]["cells"], files[name]["cells"]) or "bytes only"
-            print(f"moved  {name}  {where}")
-        else:
-            continue
-        moved += 1
+    moved = differences(old, files, "moved")
     print(f"golden: {moved} of {len(old)} recorded files moved; {len(files)} files now")
-    return 1 if moved else 0
-
-
-def check_rerun(files: dict, again: dict) -> int:
-    """List each file whose bytes a rerun into the populated directories
-    changed, or that only one of the two runs left."""
-    changed = 0
-    for name in sorted(files.keys() | again.keys()):
-        if files.get(name, {}).get("sha256") != again.get(name, {}).get("sha256"):
-            where = (first_difference(files[name]["cells"], again[name]["cells"])
-                     if name in files and name in again else "in one run only")
-            print(f"rerun  {name}  {where or 'bytes only'}")
-            changed += 1
-    print(f"golden: the rerun changed {changed} of {len(files)} files")
-    return 1 if changed else 0
+    rerun = differences(files, again, "rerun")
+    print(f"golden: the rerun into the same directories changed {rerun} of {len(files)} files")
+    return 1 if moved or rerun else 0
 
 
 def main() -> int:
@@ -154,7 +152,7 @@ def main() -> int:
         files = run_all(Path(tmp))
         again = run_all(Path(tmp)) if args.check else None
     if args.check:
-        return check(files) | check_rerun(files, again)
+        return check(files, again)
     write(files)
     return 0
 
